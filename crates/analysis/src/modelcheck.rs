@@ -8,7 +8,7 @@
 //! transition the model's expected verification events, stall charge, and
 //! resulting obligation state must agree with the implementation's, and
 //! the combined state must satisfy the trace invariants I1–I5
-//! (`docs/trace.md`). Any disagreement is reported as a minimized
+//! (`docs/tracing.md`). Any disagreement is reported as a minimized
 //! counterexample rendered as a failing kernel.
 //!
 //! States are memoized under a canonical key that renames warps and

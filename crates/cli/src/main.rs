@@ -55,7 +55,7 @@ fn usage() -> &'static str {
     "usage: warped <figure1|figure5|figure8a|figure8b|figure9a|figure9b|figure10|figure11|\
      table1|config|faults|ablation|diagnose <benchmark>|analyze <benchmark>|\n\
      certify <benchmark>|disasm <benchmark>|trace <benchmark>|invariants|\
-     run <benchmark>|figures|campaign [<benchmark>]|bench|all>\n\
+     run <benchmark>|figures|profile|campaign [<benchmark>]|bench|all>\n\
      options: [--paper|--quick] [--csv] [--json] [--trials N] [--count N]\n\
      \u{20}        [--threads N] [--seed N] [--check] [--format jsonl|chrome]\n\
      \u{20}        [--out PATH] [--invariants] [--site CLASS] [--checkpoint PATH]\n\
@@ -853,6 +853,21 @@ mod tests {
 
     fn parse(words: &[&str]) -> Result<super::Args, String> {
         parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    /// Every command `run_command` dispatches is named in the usage text.
+    #[test]
+    fn usage_lists_every_command() {
+        let text = super::usage();
+        let commands = "figure1 figure5 figure8a figure8b figure9a figure9b figure10 figure11 \
+             table1 config faults campaign certify figures bench profile ablation diagnose \
+             analyze disasm trace invariants run all";
+        for cmd in commands.split_whitespace() {
+            let named = text
+                .split(|c: char| !c.is_ascii_alphanumeric())
+                .any(|w| w == cmd);
+            assert!(named, "usage omits {cmd}");
+        }
     }
 
     #[test]

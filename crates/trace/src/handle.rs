@@ -10,8 +10,9 @@ use std::sync::{Arc, Mutex};
 /// `Option` check and the event-constructor closure never runs, so an
 /// untraced simulation pays nothing (asserted by the zero-cost tests and
 /// `scripts/bench.sh`). An enabled handle serializes events into one
-/// shared sink behind a mutex — fine for observability, kept off hot
-/// benchmark paths.
+/// shared sink behind a mutex: one uncontended lock per event, which
+/// the traced figure-suite job of `perfbench` times as
+/// `trace.sink_ns_per_event`.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Arc<Mutex<dyn TraceSink + Send>>>,
@@ -68,6 +69,15 @@ impl TraceHandle {
         if let Some(sink) = &self.inner {
             let ev = build();
             sink.lock().expect("trace sink poisoned").event(&ev);
+        }
+    }
+
+    /// Pass an already-built event to the sink, borrowed (how a
+    /// [`Fanout`](crate::Fanout) feeds its outputs without cloning).
+    #[inline]
+    pub fn forward(&self, ev: &TraceEvent) {
+        if let Some(sink) = &self.inner {
+            sink.lock().expect("trace sink poisoned").event(ev);
         }
     }
 

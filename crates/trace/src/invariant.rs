@@ -24,7 +24,6 @@
 
 use crate::event::{TraceEvent, VerifyKind};
 use crate::sink::TraceSink;
-use std::collections::HashMap;
 
 /// How many violations are stored verbatim; the rest are only counted.
 const MAX_STORED: usize = 64;
@@ -44,15 +43,117 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// Violations found so far: the first [`MAX_STORED`] verbatim, the rest
+/// counted.
 #[derive(Debug, Default)]
+struct Log {
+    stored: Vec<Violation>,
+    total: u64,
+}
+
+impl Log {
+    fn violate(&mut self, rule: &'static str, message: String) {
+        self.total += 1;
+        if self.stored.len() < MAX_STORED {
+            self.stored.push(Violation { rule, message });
+        }
+    }
+}
+
+/// One inter-warp-eligible instruction of a warp, named by its issue
+/// cycle.
+#[derive(Debug, Clone, Copy)]
+struct Instr {
+    issued: u64,
+    /// Issued and awaiting verification.
+    pending: bool,
+    /// Verified once already this launch (a second verify is a double).
+    verified: bool,
+}
+
+/// What the checker knows of one warp of one SM during a launch.
+#[derive(Debug, Default)]
+struct WarpState {
+    /// Its instructions, sorted by issue cycle. A warp's issue cycles
+    /// only grow, so registering one is an append.
+    instrs: Vec<Instr>,
+    /// No instruction before this index is pending. Verification is
+    /// mostly in issue order, so the head is usually the one verified.
+    head: usize,
+    /// Unverified register writes as (register, issue cycle), in issue
+    /// order.
+    writes: Vec<(u16, u64)>,
+}
+
+impl WarpState {
+    fn find(&self, issued: u64) -> Result<usize, usize> {
+        match self.instrs.get(self.head) {
+            Some(i) if i.issued == issued => Ok(self.head),
+            _ => self.instrs.binary_search_by_key(&issued, |i| i.issued),
+        }
+    }
+
+    /// Mark the instruction issued at `issued` pending.
+    fn register(&mut self, issued: u64) {
+        let fresh = Instr {
+            issued,
+            pending: true,
+            verified: false,
+        };
+        let at = match self.instrs.last() {
+            Some(last) if last.issued >= issued => match self.find(issued) {
+                Ok(i) => {
+                    self.instrs[i].pending = true;
+                    i
+                }
+                Err(i) => {
+                    self.instrs.insert(i, fresh);
+                    i
+                }
+            },
+            _ => {
+                self.instrs.push(fresh);
+                self.instrs.len() - 1
+            }
+        };
+        self.head = self.head.min(at);
+    }
+
+    /// Verify the instruction issued at `issued`: returns whether it was
+    /// pending, and whether it was not but had been verified before.
+    fn verify(&mut self, issued: u64) -> (bool, bool) {
+        let Ok(i) = self.find(issued) else {
+            return (false, false);
+        };
+        let instr = &mut self.instrs[i];
+        let known = instr.pending;
+        let double = !known && instr.verified;
+        instr.pending = false;
+        instr.verified |= known;
+        while self.instrs.get(self.head).is_some_and(|i| !i.pending) {
+            self.head += 1;
+        }
+        (known, double)
+    }
+
+    /// The pending instructions' issue cycles, in order; clears them.
+    fn take_pending(&mut self) -> impl Iterator<Item = u64> + '_ {
+        let from = self.head;
+        self.head = self.instrs.len();
+        self.instrs[from..]
+            .iter_mut()
+            .filter_map(|i| std::mem::take(&mut i.pending).then_some(i.issued))
+    }
+}
+
+/// One SM's checker state for the current launch.
+#[derive(Debug)]
 struct SmState {
-    /// Issued inter-warp-eligible instructions awaiting verification,
-    /// keyed (warp, issue cycle).
-    pending: HashMap<(u64, u64), ()>,
-    /// Instructions already verified once (double-verify detection).
-    verified: HashMap<(u64, u64), ()>,
-    /// Unverified register writes: (warp, reg) → issue cycles.
-    writes: HashMap<(u64, u16), Vec<u64>>,
+    id: u32,
+    /// Uids of the warps seen this launch, sorted; `warps[i]` belongs to
+    /// `uids[i]`.
+    uids: Vec<u64>,
+    warps: Vec<WarpState>,
     /// RAW obligations open in the current issue slot:
     /// (warp, reg, producer issue cycle).
     obligations: Vec<(u64, u16, u64)>,
@@ -60,12 +161,83 @@ struct SmState {
     last_verify: Option<u64>,
 }
 
+impl SmState {
+    fn new(id: u32) -> Self {
+        SmState {
+            id,
+            uids: Vec::new(),
+            warps: Vec::new(),
+            obligations: Vec::new(),
+            last_verify: None,
+        }
+    }
+
+    /// Where warp `uid` sits in `uids`, or where it would go.
+    fn find_warp(&self, uid: u64) -> Result<usize, usize> {
+        self.uids.binary_search(&uid)
+    }
+
+    /// An issue slot boundary was reached: any RAW obligation still open
+    /// means a consumer got past an unverified producer.
+    fn close_slot(&mut self, cycle: u64, log: &mut Log) {
+        let sm = self.id;
+        for (warp, reg, issued) in self.obligations.drain(..) {
+            log.violate(
+                "I5",
+                format!(
+                    "sm {sm} cycle {cycle}: consumer proceeded while producer \
+                     (warp {warp}, r{reg}, issued @{issued}) was still unverified"
+                ),
+            );
+        }
+    }
+
+    /// Report every pending instruction as an I1 leak, in (warp, issue
+    /// cycle) order, and stop expecting it.
+    fn leak(&mut self, log: &mut Log, message: impl Fn(u64, u64) -> String) {
+        for (&uid, warp) in self.uids.iter().zip(&mut self.warps) {
+            for issued in warp.take_pending() {
+                log.violate("I1", message(uid, issued));
+            }
+        }
+    }
+
+    /// Forget the launch.
+    fn reset(&mut self) {
+        self.uids.clear();
+        self.warps.clear();
+        self.obligations.clear();
+        self.last_verify = None;
+    }
+}
+
+/// Where SM `sm` sits in `sms` (sorted by id), or where it would go.
+fn find_sm(sms: &[SmState], sm: u32) -> Result<usize, usize> {
+    match sms.get(sm as usize) {
+        Some(st) if st.id == sm => Ok(sm as usize),
+        _ => sms.binary_search_by_key(&sm, |st| st.id),
+    }
+}
+
+fn sm_or_insert(sms: &mut Vec<SmState>, sm: u32) -> &mut SmState {
+    let i = find_sm(sms, sm).unwrap_or_else(|i| {
+        sms.insert(i, SmState::new(sm));
+        i
+    });
+    &mut sms[i]
+}
+
 /// A [`TraceSink`] that checks Algorithm-1 invariants online.
+///
+/// State is dense and hash-free: SMs sorted by id (an SM's id is
+/// normally its index), per SM the warps sorted by uid, and per warp its
+/// instructions sorted by issue cycle with an advancing head and its
+/// unverified register writes. Everything is dropped at each
+/// `LaunchBegin`.
 #[derive(Debug, Default)]
 pub struct InvariantSink {
-    sms: HashMap<u32, SmState>,
-    stored: Vec<Violation>,
-    total: u64,
+    sms: Vec<SmState>,
+    log: Log,
     events: u64,
     finished: bool,
 }
@@ -78,17 +250,17 @@ impl InvariantSink {
 
     /// Whether no invariant was violated so far.
     pub fn ok(&self) -> bool {
-        self.total == 0
+        self.log.total == 0
     }
 
     /// Total violations (including ones beyond the storage cap).
     pub fn total_violations(&self) -> u64 {
-        self.total
+        self.log.total
     }
 
     /// The first [`MAX_STORED`] violations, in detection order.
     pub fn violations(&self) -> &[Violation] {
-        &self.stored
+        &self.log.stored
     }
 
     /// Events consumed.
@@ -96,50 +268,15 @@ impl InvariantSink {
         self.events
     }
 
-    fn violate(&mut self, rule: &'static str, message: String) {
-        self.total += 1;
-        if self.stored.len() < MAX_STORED {
-            self.stored.push(Violation { rule, message });
-        }
-    }
-
-    /// An issue slot boundary was reached on `sm`: any RAW obligation
-    /// still open means a consumer got past an unverified producer.
-    fn close_slot(&mut self, sm: u32, cycle: u64) {
-        let open = match self.sms.get_mut(&sm) {
-            Some(st) if !st.obligations.is_empty() => std::mem::take(&mut st.obligations),
-            _ => return,
-        };
-        for (warp, reg, issued) in open {
-            self.violate(
-                "I5",
-                format!(
-                    "sm {sm} cycle {cycle}: consumer proceeded while producer \
-                     (warp {warp}, r{reg}, issued @{issued}) was still unverified"
-                ),
-            );
-        }
-    }
-
     /// End-of-stream / end-of-launch: everything must have verified.
+    /// Leaks are reported in (sm, warp, issue cycle) order.
     fn close_launch(&mut self) {
-        let mut leaks: Vec<(u32, u64, u64)> = Vec::new();
-        for (sm, st) in &mut self.sms {
-            for (warp, cycle) in st.pending.keys() {
-                leaks.push((*sm, *warp, *cycle));
-            }
-            st.pending.clear();
-            st.verified.clear();
-            st.writes.clear();
-            st.obligations.clear();
-            st.last_verify = None;
-        }
-        leaks.sort_unstable();
-        for (sm, warp, cycle) in leaks {
-            self.violate(
-                "I1",
-                format!("sm {sm}: instruction (warp {warp}, issued @{cycle}) was never verified"),
-            );
+        for st in &mut self.sms {
+            let sm = st.id;
+            st.leak(&mut self.log, |warp, cycle| {
+                format!("sm {sm}: instruction (warp {warp}, issued @{cycle}) was never verified")
+            });
+            st.reset();
         }
     }
 }
@@ -147,7 +284,7 @@ impl InvariantSink {
 impl TraceSink for InvariantSink {
     fn event(&mut self, ev: &TraceEvent) {
         self.events += 1;
-        match ev {
+        match *ev {
             TraceEvent::LaunchBegin { .. } => self.close_launch(),
             TraceEvent::Issue {
                 sm,
@@ -156,32 +293,45 @@ impl TraceSink for InvariantSink {
                 full,
                 has_result,
                 dst,
-                srcs,
+                ref srcs,
                 ..
             } => {
-                self.close_slot(*sm, *cycle);
-                let st = self.sms.entry(*sm).or_default();
+                let st = sm_or_insert(&mut self.sms, sm);
+                st.close_slot(cycle, &mut self.log);
+                let registers = full && has_result;
+                let w = match st.find_warp(warp) {
+                    Ok(i) => i,
+                    Err(i) if registers => {
+                        st.uids.insert(i, warp);
+                        st.warps.insert(i, WarpState::default());
+                        i
+                    }
+                    Err(_) => return,
+                };
+                let w = &mut st.warps[w];
                 // Open RAW obligations for every unverified same-warp
                 // write feeding this instruction (deduped sources: one
                 // register read twice is one hazard).
-                let mut seen: Vec<u16> = Vec::new();
+                let mut seen = [0u16; 4];
+                let mut n = 0;
                 for s in srcs.iter().flatten() {
-                    if seen.contains(&s.0) {
+                    if seen[..n].contains(&s.0) {
                         continue;
                     }
-                    seen.push(s.0);
-                    if let Some(cycles) = st.writes.get(&(*warp, s.0)) {
-                        for c in cycles {
-                            st.obligations.push((*warp, s.0, *c));
+                    seen[n] = s.0;
+                    n += 1;
+                    for &(reg, c) in &w.writes {
+                        if reg == s.0 {
+                            st.obligations.push((warp, reg, c));
                         }
                     }
                 }
                 // Register the instruction itself (after the hazard scan:
                 // an instruction is never its own producer).
-                if *full && *has_result {
-                    st.pending.insert((*warp, *cycle), ());
+                if registers {
+                    w.register(cycle);
                     if let Some(r) = dst {
-                        st.writes.entry((*warp, r.0)).or_default().push(*cycle);
+                        w.writes.push((r.0, cycle));
                     }
                 }
             }
@@ -198,7 +348,7 @@ impl TraceSink for InvariantSink {
                 ..
             } => {
                 if depth > capacity {
-                    self.violate(
+                    self.log.violate(
                         "I4",
                         format!(
                             "sm {sm} cycle {cycle}: ReplayQ occupancy {depth} \
@@ -216,9 +366,8 @@ impl TraceSink for InvariantSink {
                 issued,
                 ..
             } => {
-                let kind = *kind;
                 if cycle <= issued {
-                    self.violate(
+                    self.log.violate(
                         "I2",
                         format!(
                             "sm {sm}: verify of (warp {warp}, issued @{issued}) \
@@ -226,33 +375,31 @@ impl TraceSink for InvariantSink {
                         ),
                     );
                 }
-                let st = self.sms.entry(*sm).or_default();
-                let mono = st.last_verify.is_none_or(|last| *cycle >= last);
-                st.last_verify = Some(*cycle);
-                let key = (*warp, *issued);
-                let known = st.pending.remove(&key).is_some();
-                let double = !known && st.verified.contains_key(&key);
-                if known {
-                    st.verified.insert(key, ());
-                }
-                if let Some(r) = dst {
-                    if let Some(cycles) = st.writes.get_mut(&(*warp, r.0)) {
-                        cycles.retain(|c| c != issued);
-                        if cycles.is_empty() {
-                            st.writes.remove(&(*warp, r.0));
+                let st = sm_or_insert(&mut self.sms, sm);
+                let mono = st.last_verify.is_none_or(|last| cycle >= last);
+                st.last_verify = Some(cycle);
+                let (known, double) = match st.find_warp(warp) {
+                    Ok(i) => {
+                        let w = &mut st.warps[i];
+                        if let Some(r) = dst {
+                            w.writes.retain(|&(reg, c)| reg != r.0 || c != issued);
                         }
+                        w.verify(issued)
                     }
-                }
-                let mut obligated = false;
-                if let Some(r) = dst {
-                    let ob = (*warp, r.0, *issued);
-                    if let Some(pos) = st.obligations.iter().position(|o| *o == ob) {
-                        st.obligations.remove(pos);
-                        obligated = true;
+                    Err(_) => (false, false),
+                };
+                let obligated = dst.is_some_and(|r| {
+                    let ob = (warp, r.0, issued);
+                    match st.obligations.iter().position(|o| *o == ob) {
+                        Some(pos) => {
+                            st.obligations.remove(pos);
+                            true
+                        }
+                        None => false,
                     }
-                }
+                });
                 if !mono {
-                    self.violate(
+                    self.log.violate(
                         "I3",
                         format!(
                             "sm {sm}: verify timestamp went backwards to cycle {cycle} \
@@ -261,7 +408,7 @@ impl TraceSink for InvariantSink {
                     );
                 }
                 if double {
-                    self.violate(
+                    self.log.violate(
                         "I1",
                         format!(
                             "sm {sm} cycle {cycle}: (warp {warp}, issued @{issued}) \
@@ -269,7 +416,7 @@ impl TraceSink for InvariantSink {
                         ),
                     );
                 } else if !known {
-                    self.violate(
+                    self.log.violate(
                         "I1",
                         format!(
                             "sm {sm} cycle {cycle}: verify of unknown instruction \
@@ -278,7 +425,7 @@ impl TraceSink for InvariantSink {
                     );
                 }
                 if obligated && kind != VerifyKind::RawStall {
-                    self.violate(
+                    self.log.violate(
                         "I5",
                         format!(
                             "sm {sm} cycle {cycle}: RAW-hazard producer \
@@ -289,30 +436,23 @@ impl TraceSink for InvariantSink {
                     );
                 }
             }
-            TraceEvent::Idle { sm, cycle } => self.close_slot(*sm, *cycle),
+            TraceEvent::Idle { sm, cycle } => {
+                if let Ok(i) = find_sm(&self.sms, sm) {
+                    self.sms[i].close_slot(cycle, &mut self.log);
+                }
+            }
             TraceEvent::SmDone { sm, cycle, .. } => {
-                self.close_slot(*sm, *cycle);
-                let leftover: Vec<(u64, u64)> = self
-                    .sms
-                    .get(sm)
-                    .map(|st| {
-                        let mut v: Vec<_> = st.pending.keys().copied().collect();
-                        v.sort_unstable();
-                        v
-                    })
-                    .unwrap_or_default();
-                if let Some(st) = self.sms.get_mut(sm) {
-                    st.pending.clear();
-                }
-                for (warp, issued) in leftover {
-                    self.violate(
-                        "I1",
-                        format!(
-                            "sm {sm} done @{cycle}: instruction (warp {warp}, \
-                             issued @{issued}) was never verified"
-                        ),
-                    );
-                }
+                let Ok(i) = find_sm(&self.sms, sm) else {
+                    return;
+                };
+                let st = &mut self.sms[i];
+                st.close_slot(cycle, &mut self.log);
+                st.leak(&mut self.log, |warp, issued| {
+                    format!(
+                        "sm {sm} done @{cycle}: instruction (warp {warp}, \
+                         issued @{issued}) was never verified"
+                    )
+                });
             }
         }
     }

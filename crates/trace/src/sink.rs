@@ -56,7 +56,8 @@ impl TraceSink for CollectSink {
 
 /// Duplicates the stream to several [`TraceHandle`]s, so one run can feed
 /// e.g. an invariant checker, a metrics registry, and a JSONL writer at
-/// once while each stays independently accessible.
+/// once while each stays independently accessible. Each output borrows
+/// the event ([`TraceHandle::forward`]); nothing is cloned.
 #[derive(Clone, Default)]
 pub struct Fanout {
     outputs: Vec<TraceHandle>,
@@ -78,7 +79,7 @@ impl std::fmt::Debug for Fanout {
 impl TraceSink for Fanout {
     fn event(&mut self, ev: &TraceEvent) {
         for h in &self.outputs {
-            h.emit(|| ev.clone());
+            h.forward(ev);
         }
     }
 

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 cargo clippy --workspace -p warped-runner --all-targets -- -D warnings
 cargo fmt --check
 
+# Every crate's tests, not only the root package's that `cargo test`
+# runs: the unit tests of the trace sinks, checker, model checker,
+# journal, retry and SM logic live in the member crates.
+cargo test --workspace -q
+
 # Trace invariant suite: Algorithm-1 invariants I1-I5 plus the
 # trace-then-replay report check, over every benchmark at Tiny scale.
 cargo run -q -p warped-cli -- invariants --check

@@ -1,8 +1,8 @@
 //! Trace invariant suite: run every benchmark with cycle-level tracing
-//! attached, check the Algorithm-1 invariants (I1–I5, see
-//! `docs/tracing.md`) over the recorded stream, and prove the trace is
-//! *complete* by replaying it through a [`MetricsSink`] and comparing
-//! the reconstructed [`DmrReport`] bit-for-bit against the live engine's.
+//! streamed into an [`InvariantSink`] and a [`MetricsSink`] at once,
+//! check the Algorithm-1 invariants (I1–I5, see `docs/tracing.md`), and
+//! prove the trace is *complete* by comparing the [`DmrReport`] rebuilt
+//! from the metrics bit-for-bit against the live engine's.
 //!
 //! This is the harness that caught the two Algorithm-1 bugs this layer
 //! was built for: a consumer issuing past its unverified producer in the
@@ -13,23 +13,23 @@ use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_core::{DmrConfig, DmrReport, WarpedDmr};
 use warped_kernels::Benchmark;
 use warped_stats::Table;
-use warped_trace::{replay, CollectSink, InvariantSink, MetricsSink, TraceHandle};
+use warped_trace::{Fanout, InvariantSink, MetricsSink, TraceHandle};
 
 /// One benchmark's invariant-suite result.
 #[derive(Debug, Clone)]
 pub struct InvariantRow {
     /// The benchmark.
     pub benchmark: Benchmark,
-    /// Trace events recorded over the whole program (all launches).
+    /// Trace events streamed over the whole program (all launches).
     pub events: u64,
     /// Total verify events the live engine reported.
     pub verified: u64,
-    /// Invariant violations found in the recorded stream.
+    /// Invariant violations found in the stream.
     pub violations: u64,
     /// First violation message, if any (for diagnostics).
     pub first_violation: Option<String>,
-    /// Whether replaying the trace through a [`MetricsSink`] reproduced
-    /// the live [`DmrReport`] exactly.
+    /// Whether the [`DmrReport`] rebuilt from the [`MetricsSink`] fed the
+    /// same stream reproduced the live one exactly.
     pub replay_exact: bool,
 }
 
@@ -53,27 +53,24 @@ pub fn check_benchmark(
 ) -> Result<InvariantRow, ExperimentError> {
     let w = bench.build(cfg.size)?;
     let mut engine = WarpedDmr::new(DmrConfig::default(), &cfg.gpu);
-    let (collector, handle) = TraceHandle::shared(CollectSink::new());
+    let (inv, inv_h) = TraceHandle::shared(InvariantSink::new());
+    let (metrics, metrics_h) = TraceHandle::shared(MetricsSink::new());
+    let handle = TraceHandle::new(Fanout::new(vec![inv_h, metrics_h]));
     engine.set_trace(handle.clone());
-    let run = w.run_traced(&cfg.gpu, &mut engine, handle)?;
+    let run = w.run_traced(&cfg.gpu, &mut engine, handle.clone())?;
+    handle.flush();
     w.check(&run)?;
     let live = engine.report();
-    let events = collector.lock().expect("collector poisoned").take();
-
-    let mut inv = InvariantSink::new();
-    replay::feed(&events, &mut inv);
-
-    let mut metrics = MetricsSink::new();
-    replay::feed(&events, &mut metrics);
-    let replayed = DmrReport::from_metrics(&metrics);
+    let inv = inv.lock().expect("invariant sink poisoned");
+    let metrics = metrics.lock().expect("metrics sink poisoned");
 
     Ok(InvariantRow {
         benchmark: bench,
-        events: events.len() as u64,
+        events: metrics.events_seen,
         verified: live.checker.total_verified(),
         violations: inv.total_violations(),
         first_violation: inv.violations().first().map(|v| v.to_string()),
-        replay_exact: replayed == live,
+        replay_exact: DmrReport::from_metrics(&metrics) == live,
     })
 }
 

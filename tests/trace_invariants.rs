@@ -114,6 +114,11 @@ fn issue(cycle: u64, warp: u64, dst: Option<u16>, src: Option<u16>) -> TraceEven
     }
 }
 
+/// The violations as their `Display` renders them, for byte-exact pins.
+fn rendered(inv: &InvariantSink) -> Vec<String> {
+    inv.violations().iter().map(|v| v.to_string()).collect()
+}
+
 fn verify(cycle: u64, warp: u64, kind: VerifyKind, issued: u64) -> TraceEvent {
     TraceEvent::Verify {
         sm: 0,
@@ -153,6 +158,14 @@ fn invariants_flag_the_prefix_rf_slot_raw_bug() {
         "expected an I5 RAW-obligation violation, got {:?}",
         inv.violations()
     );
+    assert_eq!(
+        rendered(&inv),
+        [
+            "[I5] sm 0 cycle 2: RAW-hazard producer (warp 7, issued @1) verified via coexec \
+             instead of a forced raw_stall",
+            "[I1] sm 0 done @3: instruction (warp 7, issued @2) was never verified",
+        ]
+    );
 }
 
 /// Pre-fix bug (b): verify timestamps ignored preceding RAW stalls, so
@@ -182,6 +195,13 @@ fn invariants_flag_the_prefix_timestamp_regression() {
         inv.violations().iter().any(|v| v.rule == "I3"),
         "expected an I3 monotonicity violation, got {:?}",
         inv.violations()
+    );
+    assert_eq!(
+        rendered(&inv),
+        [
+            "[I2] sm 0: verify of (warp 3, issued @5) at cycle 5 is not strictly after issue",
+            "[I3] sm 0: verify timestamp went backwards to cycle 5 (warp 3, issued @5)",
+        ]
     );
 }
 
