@@ -34,7 +34,6 @@
 //!                                 resilient fault campaigns: masked/detected/
 //!                                 SDC/hang taxonomy, checker-internal fault
 //!                                 sites, crash-safe resumable checkpointing
-//! warped bench     [--check]      throughput harness -> BENCH_simulator.json
 //! warped all       [--paper]      everything above, in order
 //! ```
 //!
@@ -55,7 +54,7 @@ fn usage() -> &'static str {
     "usage: warped <figure1|figure5|figure8a|figure8b|figure9a|figure9b|figure10|figure11|\
      table1|config|faults|ablation|diagnose <benchmark>|analyze <benchmark>|\n\
      certify <benchmark>|disasm <benchmark>|trace <benchmark>|invariants|\
-     run <benchmark>|figures|profile|campaign [<benchmark>]|bench|all>\n\
+     run <benchmark>|figures|profile|campaign [<benchmark>]|all>\n\
      options: [--paper|--quick] [--csv] [--json] [--trials N] [--count N]\n\
      \u{20}        [--threads N] [--seed N] [--check] [--format jsonl|chrome]\n\
      \u{20}        [--out PATH] [--invariants] [--site CLASS] [--checkpoint PATH]\n\
@@ -310,32 +309,6 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                 })?;
             }
         }
-        "bench" => {
-            // --check: tiny smoke scale (the Criterion bench_config
-            // scale), stdout only; otherwise time the configured scale
-            // and write BENCH_simulator.json for scripts/bench.sh.
-            let bcfg = if args.check {
-                ExperimentConfig::test_tiny()
-                    .with_threads(warped::runner::resolve_threads(args.threads))
-            } else {
-                cfg.clone()
-            };
-            heading(&format!(
-                "Throughput: {:?} scale, {} worker(s)",
-                bcfg.size, bcfg.threads
-            ));
-            let report = experiments::throughput::run(&bcfg)?;
-            println!("{}", report.to_json());
-            if !args.check {
-                std::fs::write("BENCH_simulator.json", report.to_json() + "\n").map_err(|e| {
-                    ExperimentError::Io {
-                        path: "BENCH_simulator.json".to_string(),
-                        source: e,
-                    }
-                })?;
-                println!("wrote BENCH_simulator.json");
-            }
-        }
         "profile" => {
             heading("Coverage by warp utilization (paper \u{00a7}3.3)");
             let (_, t) = experiments::coverage_profile::run(&cfg)?;
@@ -522,7 +495,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "all" => {
             for cmd in [
-                "table1", "config", "figures", "profile", "faults", "ablation", "bench",
+                "table1", "config", "figures", "profile", "faults", "ablation",
             ] {
                 run_command(&Args {
                     command: cmd.to_string(),
@@ -860,7 +833,7 @@ mod tests {
     fn usage_lists_every_command() {
         let text = super::usage();
         let commands = "figure1 figure5 figure8a figure8b figure9a figure9b figure10 figure11 \
-             table1 config faults campaign certify figures bench profile ablation diagnose \
+             table1 config faults campaign certify figures profile ablation diagnose \
              analyze disasm trace invariants run all";
         for cmd in commands.split_whitespace() {
             let named = text
@@ -921,11 +894,11 @@ mod tests {
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.seed, 99);
         assert!(!a.check);
-        let b = parse(&["bench", "--check"]).unwrap();
+        let b = parse(&["invariants", "--check"]).unwrap();
         assert!(b.check);
         assert_eq!(b.threads, None, "threads default to the environment");
-        assert!(parse(&["bench", "--threads"]).is_err());
-        assert!(parse(&["bench", "--threads", "lots"]).is_err());
+        assert!(parse(&["figures", "--threads"]).is_err());
+        assert!(parse(&["figures", "--threads", "lots"]).is_err());
         assert!(parse(&["campaign", "--seed", "x"]).is_err());
     }
 

@@ -15,16 +15,14 @@
 //! never on the worker count — so a campaign's result is bit-identical
 //! at any `--threads` setting.
 
-use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
-use crate::model::FaultModel;
+use crate::resilient::{draw_fault, golden_profile, DrawnFault, FaultSiteClass};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use warped_baselines::Dmtr;
-use warped_core::mapping::physical_lane;
-use warped_core::{DmrConfig, LaneSite, WarpedDmr};
+use warped_core::{DmrConfig, WarpedDmr};
 use warped_kernels::Workload;
 use warped_runner::Runner;
-use warped_sim::{GpuConfig, SimError, WARP_SIZE};
+use warped_sim::{GpuConfig, SimError};
 
 /// Default reservoir capacity of the profiling sampler: enough sites
 /// for statistically tight campaigns on every suite benchmark while
@@ -42,7 +40,8 @@ pub const DEFAULT_CHUNK_TRIALS: u32 = 8;
 /// ([`warped_runner::default_threads`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignOptions {
-    /// Reservoir capacity of the profiling [`ExecutionSampler`]
+    /// Reservoir capacity of the profiling
+    /// [`ExecutionSampler`](crate::injector::ExecutionSampler)
     /// (default [`DEFAULT_SAMPLER_CAPACITY`]).
     pub sampler_capacity: usize,
     /// Trials per seeding chunk (default [`DEFAULT_CHUNK_TRIALS`]).
@@ -164,92 +163,27 @@ impl CampaignResult {
     }
 }
 
-/// Profile the workload under the *same* protection engine so sampled
-/// cycles align with the injected runs (DMR stalls shift the schedule).
-fn profile(
-    workload: &Workload,
-    gpu: &GpuConfig,
-    dmr: &DmrConfig,
-    protection: Protection,
-    seed: u64,
-    capacity: usize,
-) -> Result<ExecutionSampler, SimError> {
-    let mut sampler = ExecutionSampler::new(capacity, seed);
-    match protection {
-        Protection::WarpedDmr => {
-            let mut engine = WarpedDmr::new(dmr.clone(), gpu);
-            let mut multi = warped_sim::MultiObserver::new();
-            multi.push(&mut engine).push(&mut sampler);
-            workload.run_with(gpu, &mut multi)?;
-        }
-        Protection::Dmtr => {
-            let mut engine = Dmtr::new();
-            let mut multi = warped_sim::MultiObserver::new();
-            multi.push(&mut engine).push(&mut sampler);
-            workload.run_with(gpu, &mut multi)?;
-        }
-    }
-    Ok(sampler)
-}
-
+/// Run one detection trial. Warped-DMR sees the drawn fault on its
+/// mapped physical lane; DMTR has no lane mapping, so it sees the fault
+/// on the thread's own lane.
 fn run_protected(
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
     protection: Protection,
-    fault: FaultModel,
+    fault: &DrawnFault,
 ) -> Result<bool, SimError> {
     match protection {
         Protection::WarpedDmr => {
-            let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault));
+            let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(fault.detect));
             workload.run_with(gpu, &mut engine)?;
             Ok(engine.errors().any())
         }
         Protection::Dmtr => {
-            let mut engine = Dmtr::with_oracle(Box::new(fault));
+            let mut engine = Dmtr::with_oracle(Box::new(fault.arch));
             workload.run_with(gpu, &mut engine)?;
             Ok(engine.errors().any())
         }
-    }
-}
-
-/// Which fault model a campaign injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FaultKind {
-    Transient,
-    StuckAt,
-}
-
-/// Draw one fault for `kind` from the chunk's generator. The draw order
-/// (site, thread, bit, then value for stuck-at) is part of the seeding
-/// contract the determinism tests pin down.
-fn draw_fault(
-    kind: FaultKind,
-    samples: &[SampledIssue],
-    dmr: &DmrConfig,
-    protection: Protection,
-    rng: &mut StdRng,
-) -> FaultModel {
-    let ev = samples[rng.random_range(0..samples.len())];
-    let thread = ev.random_active_thread(rng);
-    // The original execution of `thread` happens on its mapped
-    // physical lane (DMTR has no mapping: lane = thread).
-    let lane = match protection {
-        Protection::WarpedDmr => physical_lane(dmr.mapping, thread, WARP_SIZE, dmr.cluster_size),
-        Protection::Dmtr => thread,
-    };
-    let site = LaneSite { sm: ev.sm, lane };
-    match kind {
-        FaultKind::Transient => FaultModel::TransientFlip {
-            site,
-            cycle: ev.cycle,
-            bit: random_bit(rng),
-        },
-        FaultKind::StuckAt => FaultModel::StuckAt {
-            site,
-            bit: random_bit(rng),
-            value: rng.random_bool(0.5),
-        },
     }
 }
 
@@ -258,7 +192,7 @@ fn draw_fault(
 /// order, so the outcome is independent of the worker count).
 #[allow(clippy::too_many_arguments)]
 fn chunked_campaign(
-    kind: FaultKind,
+    class: FaultSiteClass,
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
@@ -267,7 +201,7 @@ fn chunked_campaign(
     seed: u64,
     opts: &CampaignOptions,
 ) -> Result<CampaignResult, SimError> {
-    let sampler = profile(workload, gpu, dmr, protection, seed, opts.sampler_capacity)?;
+    let (_, sampler) = golden_profile(workload, gpu, dmr, protection, seed, opts.sampler_capacity)?;
     let samples = sampler.samples();
     if samples.is_empty() || trials == 0 {
         return Ok(CampaignResult::default());
@@ -279,9 +213,9 @@ fn chunked_campaign(
             let mut rng = StdRng::seed_from_u64(seed ^ u64::from(c));
             let mut result = CampaignResult::default();
             for _ in 0..chunk.min(trials - c * chunk) {
-                let fault = draw_fault(kind, samples, dmr, protection, &mut rng);
+                let fault = draw_fault(class, samples, dmr, &mut rng);
                 result.trials += 1;
-                if run_protected(workload, gpu, dmr, protection, fault)? {
+                if run_protected(workload, gpu, dmr, protection, &fault)? {
                     result.detected += 1;
                 }
             }
@@ -336,7 +270,7 @@ pub fn transient_campaign_with(
     opts: &CampaignOptions,
 ) -> Result<CampaignResult, SimError> {
     chunked_campaign(
-        FaultKind::Transient,
+        FaultSiteClass::LaneTransient,
         workload,
         gpu,
         dmr,
@@ -387,7 +321,7 @@ pub fn stuck_at_campaign_with(
     opts: &CampaignOptions,
 ) -> Result<CampaignResult, SimError> {
     chunked_campaign(
-        FaultKind::StuckAt,
+        FaultSiteClass::LaneStuckAt,
         workload,
         gpu,
         dmr,

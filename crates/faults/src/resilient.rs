@@ -38,7 +38,7 @@
 //! schedules match the golden profile (DMR stalls shift cycles; a
 //! transient sampled at cycle *c* must strike cycle *c*).
 
-use crate::campaign::{CampaignResult, DEFAULT_CHUNK_TRIALS, DEFAULT_SAMPLER_CAPACITY};
+use crate::campaign::{CampaignResult, Protection, DEFAULT_CHUNK_TRIALS, DEFAULT_SAMPLER_CAPACITY};
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 use crate::model::{CheckerFault, CompoundFault, FaultModel};
@@ -48,11 +48,12 @@ use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use warped_baselines::Dmtr;
 use warped_core::mapping::physical_lane;
 use warped_core::{DmrConfig, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
-use warped_sim::{GpuConfig, LaneFault, SimError, WARP_SIZE};
+use warped_sim::{GpuConfig, IssueObserver, LaneFault, MultiObserver, SimError, WARP_SIZE};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// Which hardware site a campaign injects into. The first two target
@@ -315,11 +316,13 @@ impl ResilientReport {
 /// One drawn trial: the engine-level oracle, the sim-level datapath
 /// fault, and the metadata the trace events report.
 #[derive(Debug, Clone, Copy)]
-struct DrawnFault {
-    /// What the DMR engine models (datapath + checker halves).
-    detect: CompoundFault,
-    /// What the simulator's datapath actually suffers.
-    arch: FaultModel,
+pub(crate) struct DrawnFault {
+    /// What the DMR engine models (datapath + checker halves), on the
+    /// mapped physical lane.
+    pub(crate) detect: CompoundFault,
+    /// What the simulator's datapath actually suffers, on the logical
+    /// lane (= thread).
+    pub(crate) arch: FaultModel,
     /// Afflicted SM.
     sm: usize,
     /// Physical lane of the datapath fault (`u32::MAX` in events for
@@ -331,8 +334,9 @@ struct DrawnFault {
 
 /// Draw one fault. The draw order — sample, thread, bit, then
 /// class-specific extras — is part of the seeding contract the
-/// determinism tests pin down.
-fn draw_fault(
+/// determinism tests pin down. The legacy detection campaigns
+/// ([`crate::campaign`]) draw through here too.
+pub(crate) fn draw_fault(
     class: FaultSiteClass,
     samples: &[SampledIssue],
     dmr: &DmrConfig,
@@ -447,19 +451,24 @@ impl LaneFault for ArchFault {
     }
 }
 
-/// Profile the workload under the DMR engine (for schedule-aligned
-/// sample cycles) and capture the golden architectural output.
-fn golden_profile(
+/// Profile the workload under the *same* protection engine its trials
+/// run (DMR stalls shift the schedule, so sampled cycles must align
+/// with the injected runs) and capture the golden architectural output.
+pub(crate) fn golden_profile(
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
+    protection: Protection,
     seed: u64,
     capacity: usize,
 ) -> Result<(ProgramRun, ExecutionSampler), SimError> {
     let mut sampler = ExecutionSampler::new(capacity, seed);
-    let mut engine = WarpedDmr::new(dmr.clone(), gpu);
-    let mut multi = warped_sim::MultiObserver::new();
-    multi.push(&mut engine).push(&mut sampler);
+    let mut engine: Box<dyn IssueObserver> = match protection {
+        Protection::WarpedDmr => Box::new(WarpedDmr::new(dmr.clone(), gpu)),
+        Protection::Dmtr => Box::new(Dmtr::new()),
+    };
+    let mut multi = MultiObserver::new();
+    multi.push(engine.as_mut()).push(&mut sampler);
     let run = workload.run_with(gpu, &mut multi)?;
     Ok((run, sampler))
 }
@@ -542,8 +551,15 @@ pub fn resilient_campaign(
     opts: &ResilientOptions,
 ) -> Result<ResilientReport, CampaignError> {
     let chunk = opts.chunk_trials.max(1);
-    let (golden, sampler) = golden_profile(workload, gpu, dmr, seed, opts.sampler_capacity.max(1))
-        .map_err(CampaignError::Golden)?;
+    let (golden, sampler) = golden_profile(
+        workload,
+        gpu,
+        dmr,
+        Protection::WarpedDmr,
+        seed,
+        opts.sampler_capacity.max(1),
+    )
+    .map_err(CampaignError::Golden)?;
     let samples = sampler.samples();
 
     let empty_report = |chunks| ResilientReport {

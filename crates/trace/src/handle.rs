@@ -8,11 +8,11 @@ use std::sync::{Arc, Mutex};
 ///
 /// The default handle is *disabled*: [`TraceHandle::emit`] is a single
 /// `Option` check and the event-constructor closure never runs, so an
-/// untraced simulation pays nothing (asserted by the zero-cost tests and
-/// `scripts/bench.sh`). An enabled handle serializes events into one
-/// shared sink behind a mutex: one uncontended lock per event, which
-/// the traced figure-suite job of `perfbench` times as
-/// `trace.sink_ns_per_event`.
+/// untraced simulation pays nothing (asserted by the zero-cost tests;
+/// the untraced figure-suite jobs of `perfbench` time that path). An
+/// enabled handle serializes events into one shared sink behind a
+/// mutex: one uncontended lock per event, which the traced figure-suite
+/// job of `perfbench` times as `trace.sink_ns_per_event`.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Arc<Mutex<dyn TraceSink + Send>>>,

@@ -38,10 +38,7 @@ invariants:
 campaign-smoke:
     ./scripts/campaign_smoke.sh
 
-# Throughput harness: writes BENCH_simulator.json at the repo root.
-bench:
-    ./scripts/bench.sh
-
-# Cheap smoke run of the throughput harness (tiny scale, no JSON file).
-bench-check:
-    ./scripts/bench.sh --check
+# Layered host-time benchmark: one workload of BENCHMARK.json
+# (figure-suite, fault-campaign or certify), e.g. `just bench certify`.
+bench workload:
+    cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --workload {{workload}}

@@ -15,6 +15,12 @@ cargo fmt --check
 # journal, retry and SM logic live in the member crates.
 cargo test --workspace -q
 
+# The benchmark harness is a workspace of its own, so the steps above
+# never build it: build it and run its self-tests so a crate API change
+# cannot break the benchmark unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Trace invariant suite: Algorithm-1 invariants I1-I5 plus the
 # trace-then-replay report check, over every benchmark at Tiny scale.
 cargo run -q -p warped-cli -- invariants --check

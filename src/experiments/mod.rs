@@ -3,8 +3,7 @@
 //!
 //! Every harness returns structured results *and* a rendered
 //! [`Table`](warped_stats::Table) whose rows/series match what the paper
-//! plots. The `warped` CLI prints them; the Criterion benches re-run
-//! them; EXPERIMENTS.md records them.
+//! plots. The `warped` CLI prints them; EXPERIMENTS.md records them.
 
 pub mod ablation;
 pub mod config_tables;
@@ -18,7 +17,6 @@ pub mod fig8;
 pub mod fig9a;
 pub mod fig9b;
 pub mod invariants;
-pub mod throughput;
 
 use std::error::Error;
 use std::fmt;

@@ -2,6 +2,7 @@
 //! whole benchmark runs.
 
 use warped::dmr::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
+use warped::experiments::{ablation, faults_exp, ExperimentConfig};
 use warped::faults::campaign::{stuck_at_campaign, transient_campaign, Protection};
 use warped::faults::FaultModel;
 use warped::kernels::{Benchmark, WorkloadSize};
@@ -114,4 +115,77 @@ fn detection_reports_identify_the_faulty_lane() {
             e.verifier_lane
         );
     }
+}
+
+// The tests below pin the legacy detection campaigns byte-for-byte. They
+// draw their faults through the resilient engine's `draw_fault` and
+// profile through its `golden_profile`, so a change to either's RNG
+// order, lane mapping or profiling engine shows up here, not only as a
+// shifted rate somewhere downstream.
+
+#[test]
+fn fault_validation_table_is_pinned() {
+    let (_, t) = faults_exp::run(&ExperimentConfig::test_tiny(), 4, 7).unwrap();
+    assert_eq!(
+        t.to_csv(),
+        "benchmark,analytic coverage (%),transient detected (%),stuck-at detected (%),\
+         DMTR stuck-at detected (%)\n\
+         BFS,99.34,100.0,75.0,0.0\n\
+         MatrixMul,100.00,100.0,100.0,0.0\n\
+         SCAN,100.00,100.0,100.0,0.0\n"
+    );
+}
+
+#[test]
+fn shuffling_ablation_table_is_pinned() {
+    let t = ablation::shuffling(&ExperimentConfig::test_tiny(), 3, 99).unwrap();
+    assert_eq!(
+        t.to_csv(),
+        "benchmark,stuck-at detected, shuffled (%),stuck-at detected, affinity (%)\n\
+         MatrixMul,100.0,0.0\n\
+         SHA,100.0,0.0\n\
+         Libor,100.0,0.0\n"
+    );
+}
+
+#[test]
+fn legacy_campaign_counts_are_pinned() {
+    // Partially covered configurations, where detection depends on
+    // exactly which sample, thread and bit each trial draws.
+    let no_intra = DmrConfig {
+        enable_intra: false,
+        ..DmrConfig::default()
+    };
+    let mut out = String::new();
+    for (bench, cfg, name) in [
+        (Benchmark::Bfs, no_intra, "BFS no-intra"),
+        (Benchmark::Fft, DmrConfig::default(), "CUFFT cross"),
+        (
+            Benchmark::Fft,
+            DmrConfig::baseline_in_order(),
+            "CUFFT in-order",
+        ),
+        (Benchmark::Bfs, DmrConfig::default(), "BFS default"),
+    ] {
+        let w = bench.build(WorkloadSize::Tiny).unwrap();
+        for p in [Protection::WarpedDmr, Protection::Dmtr] {
+            let t = transient_campaign(&w, &gpu(), &cfg, p, 24, 1234).unwrap();
+            let s = stuck_at_campaign(&w, &gpu(), &cfg, p, 24, 1234).unwrap();
+            out += &format!(
+                "{name} {p:?}: transient {}/{} stuck {}/{}\n",
+                t.detected, t.trials, s.detected, s.trials
+            );
+        }
+    }
+    assert_eq!(
+        out,
+        "BFS no-intra WarpedDmr: transient 3/24 stuck 16/24\n\
+         BFS no-intra Dmtr: transient 24/24 stuck 0/24\n\
+         CUFFT cross WarpedDmr: transient 15/24 stuck 24/24\n\
+         CUFFT cross Dmtr: transient 24/24 stuck 0/24\n\
+         CUFFT in-order WarpedDmr: transient 0/24 stuck 0/24\n\
+         CUFFT in-order Dmtr: transient 24/24 stuck 0/24\n\
+         BFS default WarpedDmr: transient 24/24 stuck 17/24\n\
+         BFS default Dmtr: transient 24/24 stuck 0/24\n"
+    );
 }
