@@ -50,6 +50,34 @@ use std::process::ExitCode;
 use warped::experiments::{self, ExperimentConfig, ExperimentError};
 use warped::{baselines, dmr, faults, isa, kernels, sim, trace};
 
+/// Every byte the CLI writes to stdout goes through here. When the reader
+/// has gone away (`warped trace SHA | head -1`) the process ends quietly
+/// with success, as other command-line tools do; any other write error
+/// ends it with a message and a failure status.
+fn to_stdout(write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>) {
+    if let Err(e) = write(&mut std::io::stdout().lock()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("warped: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`to_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        to_stdout(|o| std::io::Write::write_fmt(o, format_args!($($arg)*)))
+    };
+}
+
+/// `println!` through [`to_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        to_stdout(|o| std::io::Write::write_fmt(o, format_args!("{}\n", format_args!($($arg)*))))
+    };
+}
+
 fn usage() -> &'static str {
     "usage: warped <figure1|figure5|figure8a|figure8b|figure9a|figure9b|figure10|figure11|\
      table1|config|faults|ablation|diagnose <benchmark>|analyze <benchmark>|\n\
@@ -177,7 +205,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 fn heading(title: &str) {
-    println!("\n== {title} ==");
+    outln!("\n== {title} ==");
 }
 
 /// Resolve the positional benchmark argument of `command`, failing with
@@ -192,9 +220,9 @@ fn require_bench(args: &Args, command: &str) -> Result<kernels::Benchmark, Exper
 
 fn show(table: &warped::stats::Table, csv: bool) {
     if csv {
-        print!("{}", table.to_csv());
+        out!("{}", table.to_csv());
     } else {
-        println!("{table}");
+        outln!("{table}");
     }
 }
 
@@ -222,7 +250,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                     .collect();
                 let labels: Vec<String> =
                     rows[0].fractions.iter().map(|(l, _)| l.clone()).collect();
-                println!("{}", warped::stats::bars::stacked(&chart_rows, &labels, 60));
+                outln!("{}", warped::stats::bars::stacked(&chart_rows, &labels, 60));
             }
         }
         "figure5" => {
@@ -235,7 +263,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                     .map(|r| (r.benchmark.name().to_string(), vec![r.sp, r.sfu, r.ldst]))
                     .collect();
                 let labels = vec!["SP".to_string(), "SFU".to_string(), "LD/ST".to_string()];
-                println!("{}", warped::stats::bars::stacked(&chart_rows, &labels, 60));
+                outln!("{}", warped::stats::bars::stacked(&chart_rows, &labels, 60));
             }
         }
         "figure8a" => {
@@ -253,19 +281,22 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             let (rows, t) = experiments::fig9a::run(&cfg)?;
             show(&t, args.csv);
             let (a, b, c) = experiments::fig9a::averages(&rows);
-            println!("averages: 4-lane {a:.2}%  8-lane {b:.2}%  cross {c:.2}%");
-            println!("(paper: 89.60%, 91.91%, 96.43%)");
+            outln!("averages: 4-lane {a:.2}%  8-lane {b:.2}%  cross {c:.2}%");
+            outln!("(paper: 89.60%, 91.91%, 96.43%)");
         }
         "figure9b" => {
             heading("Figure 9b: normalized kernel cycles vs ReplayQ size");
             let (rows, t) = experiments::fig9b::run(&cfg)?;
             show(&t, args.csv);
             let avg = experiments::fig9b::averages(&rows);
-            println!(
+            outln!(
                 "averages: Q0 {:.3}  Q1 {:.3}  Q5 {:.3}  Q10 {:.3}",
-                avg[0], avg[1], avg[2], avg[3]
+                avg[0],
+                avg[1],
+                avg[2],
+                avg[3]
             );
-            println!("(paper: 1.41, 1.32, 1.24, 1.16)");
+            outln!("(paper: 1.41, 1.32, 1.24, 1.16)");
         }
         "figure10" => {
             heading("Figure 10: end-to-end time per detection scheme");
@@ -277,23 +308,23 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             let (rows, t) = experiments::fig11::run(&cfg)?;
             show(&t, args.csv);
             let (p, e) = experiments::fig11::averages(&rows);
-            println!("averages: power {p:.3}  energy {e:.3}   (paper: 1.11, 1.31)");
+            outln!("averages: power {p:.3}  energy {e:.3}   (paper: 1.11, 1.31)");
         }
         "table1" => {
             heading("Table 1: RFU MUX priority table");
-            println!("{}", experiments::config_tables::table1());
+            outln!("{}", experiments::config_tables::table1());
         }
         "config" => {
             heading("Table 3: simulation parameters");
-            println!("{}", experiments::config_tables::table3(&cfg.gpu));
+            outln!("{}", experiments::config_tables::table3(&cfg.gpu));
             heading("Table 4: workloads");
-            println!("{}", experiments::config_tables::table4());
+            outln!("{}", experiments::config_tables::table4());
         }
         "faults" => {
             heading("Fault injection: measured detection vs analytic coverage");
             let (_, t) = experiments::faults_exp::run(&cfg, args.trials, args.seed)?;
             show(&t, args.csv);
-            println!("(transient rate should track coverage; DMTR misses all stuck-at faults)");
+            outln!("(transient rate should track coverage; DMTR misses all stuck-at faults)");
         }
         "campaign" => return run_campaign(args, &cfg),
         "certify" => return run_certify(args, &cfg),
@@ -313,7 +344,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             heading("Coverage by warp utilization (paper \u{00a7}3.3)");
             let (_, t) = experiments::coverage_profile::run(&cfg)?;
             show(&t, args.csv);
-            println!(
+            outln!(
                 "theory: 100% while active <= 16; inactive/active above; 100% at 32 (inter-warp)"
             );
         }
@@ -327,7 +358,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             heading("Ablation: Fermi dual schedulers (paper \u{00a7}2.2)");
             let (_, t) = experiments::ablation::dual_issue(&cfg)?;
             show(&t, args.csv);
-            println!(
+            outln!(
                 "(the second scheduler helps, yet units stay idle -- the DMR opportunity survives)"
             );
             heading("Ablation: Sampling-DMR duty sweep (MatrixMul)");
@@ -362,14 +393,15 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                 Box::new(Stuck(planted)),
             );
             w.run_with(&cfg.gpu, &mut engine)?;
-            println!(
+            outln!(
                 "planted fault:   sm{} lane {} (stuck output bit 18)",
-                planted.sm, planted.lane
+                planted.sm,
+                planted.lane
             );
-            println!("detections:      {}", engine.errors().total());
+            outln!("detections:      {}", engine.errors().total());
             match dmr::diagnose(engine.errors()) {
                 Some(d) => {
-                    println!(
+                    outln!(
                         "diagnosis:       sm{} lane {} ({} of {} events, {:.1}% confidence)",
                         d.site.sm,
                         d.site.lane,
@@ -378,16 +410,16 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                         100.0 * d.confidence()
                     );
                     if d.site == planted {
-                        println!(
+                        outln!(
                             "verdict:         CORRECT — the defective SP is isolated; \
                                   the SM stays usable via core re-routing [Zhang et al.]"
                         );
                     } else {
-                        println!("verdict:         MISLOCALIZED");
+                        outln!("verdict:         MISLOCALIZED");
                     }
                 }
                 None => {
-                    println!("diagnosis:       inconclusive (fault never exercised or not covered)")
+                    outln!("diagnosis:       inconclusive (fault never exercised or not covered)")
                 }
             }
         }
@@ -400,16 +432,16 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             };
             let a = warped::analysis::analyze(w.kernel(), &pcfg);
             if args.json {
-                println!("{}", a.to_json());
+                outln!("{}", a.to_json());
             } else {
                 heading(&format!("Static analysis of {bench}"));
-                print!("{}", a.to_text());
+                out!("{}", a.to_text());
             }
         }
         "disasm" => {
             let bench = require_bench(args, "disasm")?;
             let w = bench.build(cfg.size)?;
-            print!("{}", isa::disasm::disassemble(w.kernel()));
+            out!("{}", isa::disasm::disassemble(w.kernel()));
         }
         "trace" => {
             let bench = require_bench(args, "trace")?;
@@ -424,7 +456,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             let mut t = sim::collectors::TraceCollector::new(args.count).only_sm(0);
             w.run_with(&cfg.gpu, &mut t)?;
             for r in t.records() {
-                println!("{r}");
+                outln!("{r}");
             }
         }
         "invariants" => {
@@ -441,7 +473,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
             let (rows, t) = experiments::invariants::run(&icfg)?;
             show(&t, args.csv);
             experiments::invariants::require_clean(&rows)?;
-            println!("all invariants hold; every trace replays to the exact live report");
+            outln!("all invariants hold; every trace replays to the exact live report");
         }
         "run" => {
             let bench = require_bench(args, "run")?;
@@ -458,35 +490,35 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                 w.run_with(&cfg.gpu, &mut multi)?
             };
             let report = engine.report();
-            println!("result check:        PASS");
-            println!("kernel launches:     {}", run.launches);
-            println!("baseline cycles:     {}", base.stats.cycles);
-            println!(
+            outln!("result check:        PASS");
+            outln!("kernel launches:     {}", run.launches);
+            outln!("baseline cycles:     {}", base.stats.cycles);
+            outln!(
                 "with Warped-DMR:     {} ({:+.1}%)",
                 run.stats.cycles,
                 100.0 * (run.stats.cycles as f64 / base.stats.cycles.max(1) as f64 - 1.0)
             );
-            println!("error coverage:      {:.2}%", report.coverage_pct());
-            println!("intra-warp share:    {:.1}%", 100.0 * report.intra_share());
-            println!(
+            outln!("error coverage:      {:.2}%", report.coverage_pct());
+            outln!("intra-warp share:    {:.1}%", 100.0 * report.intra_share());
+            outln!(
                 "partial-input checks: {:.2}% of instructions (paper: <4%)",
                 100.0 * report.partial_check_fraction()
             );
-            println!("ReplayQ stalls:      {}", report.checker.stall_cycles);
-            println!("ReplayQ high-water:  {}", report.checker.max_queue);
-            println!(
+            outln!("ReplayQ stalls:      {}", report.checker.stall_cycles);
+            outln!("ReplayQ high-water:  {}", report.checker.max_queue);
+            outln!(
                 "issue efficiency:    {:.1}% over {} active SM(s), IPC {:.2}",
                 100.0 * occ.chip_efficiency(),
                 occ.active_sms(),
                 base.stats.ipc()
             );
-            println!(
+            outln!(
                 "RF bank conflicts:   {:.1}% of operand fetches (hidden by operand buffering)",
                 100.0 * banks.conflict_rate()
             );
             let pcie = baselines::PcieModel::default();
             let fp = w.footprint();
-            println!(
+            outln!(
                 "transfer time:       {:.1} us ({} words in, {} words out)",
                 pcie.footprint_ns(&fp) / 1000.0,
                 fp.input_words,
@@ -564,12 +596,12 @@ fn run_campaign(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErr
     }
     if args.json {
         for r in &reports {
-            println!("{}", r.to_json());
+            outln!("{}", r.to_json());
         }
     } else {
         heading("Fault campaign: outcome taxonomy (masked / detected / SDC / hang)");
         show(&experiments::faults_exp::taxonomy_table(&reports), args.csv);
-        println!("(rates carry 95% Wilson intervals, widened when chunks were skipped)");
+        outln!("(rates carry 95% Wilson intervals, widened when chunks were skipped)");
     }
     for r in &reports {
         if !r.failed_chunks.is_empty() {
@@ -643,7 +675,7 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
             .iter()
             .map(|&c| format!("\"{}\":{}", c.tag(), cert.count(c)))
             .collect();
-        println!(
+        outln!(
             "{{\"schema_version\":{},\"bench\":\"{bench}\",\
              \"model\":{{\"depth\":{},\"states\":{},\"transitions\":{},\
              \"violations\":{},\"truncated\":{},\"per_capacity\":[{}]}},\
@@ -670,14 +702,16 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
             "Certification of {bench} (model depth {})",
             mc.depth
         ));
-        println!("model check: Replay Checker vs Algorithm 1, invariants I1-I5");
+        outln!("model check: Replay Checker vs Algorithm 1, invariants I1-I5");
         for c in &mc.per_capacity {
-            println!(
+            outln!(
                 "  ReplayQ capacity {}: {:>7} states, {:>9} transitions",
-                c.capacity, c.states, c.transitions
+                c.capacity,
+                c.states,
+                c.transitions
             );
         }
-        println!(
+        outln!(
             "  total: {} states, {} transitions, {} violation(s){}",
             mc.states(),
             mc.transitions(),
@@ -689,9 +723,9 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
             }
         );
         for v in &mc.violations {
-            println!("{}", v.render());
+            outln!("{}", v.render());
         }
-        println!(
+        outln!(
             "\nstatic coverage certificate ({} warp shape(s), {} abstract states{}):",
             cert.shapes.len(),
             cert.states,
@@ -702,12 +736,13 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
             }
         );
         for &class in &CLASSES {
-            println!("  {:<13} {:>4} instr", class.tag(), cert.count(class));
+            outln!("  {:<13} {:>4} instr", class.tag(), cert.count(class));
         }
-        println!("  certified coverage lower bound: {:.2}%", cert.bound_pct);
-        println!(
+        outln!("  certified coverage lower bound: {:.2}%", cert.bound_pct);
+        outln!(
             "  measured coverage ({:?} scale):  {:.2}%",
-            cfg.size, measured
+            cfg.size,
+            measured
         );
     }
 
@@ -771,12 +806,7 @@ fn trace_full(
                 payload.len()
             );
         }
-        None => {
-            use std::io::Write;
-            std::io::stdout()
-                .write_all(&payload)
-                .map_err(io_err("stdout"))?;
-        }
+        None => to_stdout(|o| std::io::Write::write_all(o, &payload)),
     }
 
     if args.invariants {

@@ -1,13 +1,87 @@
 //! Pure functional semantics of every opcode.
 //!
-//! These helpers compute one lane's result; the SM drives them per active
-//! lane. Keeping them pure makes the ISA semantics independently testable
-//! and lets the fault-injection campaign re-derive "golden" values.
+//! The `eval_*` helpers compute one lane's result and are the only
+//! definition of each opcode. The SM executes a whole warp at once through
+//! the `*_vec` wrappers, which dispatch the opcode once and then run a
+//! straight loop over all 32 lanes. Keeping the helpers pure makes the ISA
+//! semantics independently testable and lets the fault-injection campaign
+//! re-derive "golden" values.
 
 use crate::value::{as_f32, f32_to_i32, f32_to_u32, fmax, fmin, from_f32};
+use crate::warp::Row;
+use crate::WARP_SIZE;
 use warped_isa::{AluBinOp, AluUnOp, CmpOp, CmpType, SfuOp};
 
+/// `per_variant!(op in Enum [A, B, ...] => body)` expands `body` once per
+/// listed variant, with `op` rebound to that variant. Each arm then calls
+/// an inlined `eval_*` on a constant opcode, so its `match` folds away and
+/// the arm is a plain lane loop. Listing every variant keeps the `match`
+/// exhaustive: a new opcode fails to compile here until it is added.
+macro_rules! per_variant {
+    ($op:ident in $ty:ident [$($var:ident),+ $(,)?] => $body:expr) => {
+        match $op {
+            $($ty::$var => {
+                let $op = $ty::$var;
+                $body
+            })+
+        }
+    };
+}
+
+/// Apply `f` to every lane of `a`.
+#[inline(always)]
+pub(crate) fn map1(a: &Row, f: impl Fn(u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+    out
+}
+
+/// Apply `f` lane-wise to `a` and `b`.
+#[inline(always)]
+fn map2(a: &Row, b: &Row, f: impl Fn(u32, u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(a[l], b[l]);
+    }
+    out
+}
+
+/// Apply `f` lane-wise to `a`, `b` and `c`.
+#[inline(always)]
+pub(crate) fn map3(a: &Row, b: &Row, c: &Row, f: impl Fn(u32, u32, u32) -> u32) -> Row {
+    let mut out = [0; WARP_SIZE];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(a[l], b[l], c[l]);
+    }
+    out
+}
+
+/// [`eval_bin`] on every lane.
+pub fn bin_vec(op: AluBinOp, a: &Row, b: &Row) -> Row {
+    per_variant!(op in AluBinOp [
+        IAdd, ISub, IMul, IMulHi, IMin, IMax, UMin, UMax, And, Or, Xor,
+        Shl, Shr, Sra, URem, UDiv, FAdd, FSub, FMul, FMin, FMax,
+    ] => map2(a, b, |x, y| eval_bin(op, x, y)))
+}
+
+/// [`eval_un`] on every lane.
+pub fn un_vec(op: AluUnOp, a: &Row) -> Row {
+    per_variant!(op in AluUnOp [
+        Mov, Not, INeg, FNeg, FAbs, CvtI2F, CvtU2F, CvtF2I, CvtF2U, Clz, Popc,
+    ] => map1(a, |x| eval_un(op, x)))
+}
+
+/// [`eval_cmp`] on every lane.
+pub fn cmp_vec(cmp: CmpOp, ty: CmpType, a: &Row, b: &Row) -> Row {
+    per_variant!(ty in CmpType [I32, U32, F32] => per_variant!(
+        cmp in CmpOp [Eq, Ne, Lt, Le, Gt, Ge] => map2(a, b, |x, y| eval_cmp(cmp, ty, x, y))
+    ))
+}
+
 /// Evaluate a two-operand ALU op.
+#[inline(always)]
 pub fn eval_bin(op: AluBinOp, a: u32, b: u32) -> u32 {
     match op {
         AluBinOp::IAdd => a.wrapping_add(b),
@@ -35,6 +109,7 @@ pub fn eval_bin(op: AluBinOp, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluate a one-operand ALU op.
+#[inline(always)]
 pub fn eval_un(op: AluUnOp, a: u32) -> u32 {
     match op {
         AluUnOp::Mov => a,
@@ -77,6 +152,7 @@ pub fn eval_sfu(op: SfuOp, a: u32) -> u32 {
 }
 
 /// Evaluate a comparison, returning 1 or 0.
+#[inline(always)]
 pub fn eval_cmp(cmp: CmpOp, ty: CmpType, a: u32, b: u32) -> u32 {
     let r = match ty {
         CmpType::I32 => {
@@ -125,6 +201,71 @@ pub fn eval_sel(cond: u32, if_true: u32, if_false: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const BIN_OPS: [AluBinOp; 21] = {
+        use AluBinOp::*;
+        [
+            IAdd, ISub, IMul, IMulHi, IMin, IMax, UMin, UMax, And, Or, Xor, Shl, Shr, Sra, URem,
+            UDiv, FAdd, FSub, FMul, FMin, FMax,
+        ]
+    };
+    const UN_OPS: [AluUnOp; 11] = {
+        use AluUnOp::*;
+        [
+            Mov, Not, INeg, FNeg, FAbs, CvtI2F, CvtU2F, CvtF2I, CvtF2U, Clz, Popc,
+        ]
+    };
+    const CMP_OPS: [CmpOp; 6] = {
+        use CmpOp::*;
+        [Eq, Ne, Lt, Le, Gt, Ge]
+    };
+    const CMP_TYPES: [CmpType; 3] = [CmpType::I32, CmpType::U32, CmpType::F32];
+
+    fn lanes() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(any::<u32>(), 32..33)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The warp-wide wrappers dispatch each opcode to its own `eval_*`
+        /// and keep lanes aligned.
+        #[test]
+        fn vec_ops_match_per_lane_eval(a in lanes(), b in lanes(), small in lanes(), tie in any::<u32>()) {
+            let a: Row = a.try_into().unwrap();
+            // Mix in small operands (shift amounts, divisors, exact
+            // floats) and lanes with equal operands (comparison ties).
+            let b: Row = std::array::from_fn(|l| match (tie >> l) & 3 {
+                0 => a[l],
+                1 => small[l] % 33,
+                _ => b[l],
+            });
+            for op in BIN_OPS {
+                let got = bin_vec(op, &a, &b);
+                for l in 0..WARP_SIZE {
+                    prop_assert_eq!(got[l], eval_bin(op, a[l], b[l]), "{:?} lane {}", op, l);
+                }
+            }
+            for op in UN_OPS {
+                let got = un_vec(op, &b);
+                for l in 0..WARP_SIZE {
+                    prop_assert_eq!(got[l], eval_un(op, b[l]), "{:?} lane {}", op, l);
+                }
+            }
+            for ty in CMP_TYPES {
+                for cmp in CMP_OPS {
+                    let got = cmp_vec(cmp, ty, &a, &b);
+                    for l in 0..WARP_SIZE {
+                        prop_assert_eq!(
+                            got[l],
+                            eval_cmp(cmp, ty, a[l], b[l]),
+                            "{:?} {:?} lane {}", cmp, ty, l
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn integer_ops_wrap() {

@@ -6,16 +6,24 @@
 //! issue. Execution units are super-pipelined: issue to the same unit on
 //! back-to-back cycles is legal; dependent instructions wait on the
 //! scoreboard (RF latency + unit latency).
+//!
+//! Scheduling runs on per-warp scalars: each warp slot caches the cycle
+//! its next instruction clears the scoreboard and that instruction's unit,
+//! recomputed only when the slot's own state changes. Execution runs on
+//! warp vectors: each source operand is resolved once into a [`Row`] and
+//! the opcode is dispatched once for all 32 lanes.
 
-use crate::config::{GpuConfig, WARP_SIZE};
+use crate::config::{GpuConfig, SchedulerPolicy, WARP_SIZE};
 use crate::fault::LaneFault;
-use crate::functional::{eval_bin, eval_cmp, eval_ffma, eval_imad, eval_sel, eval_sfu, eval_un};
+use crate::functional::{
+    bin_vec, cmp_vec, eval_ffma, eval_imad, eval_sel, eval_sfu, map1, map3, un_vec,
+};
 use crate::launch::{LaunchConfig, SimError};
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::observer::{IssueInfo, IssueObserver};
-use crate::warp::Warp;
+use crate::warp::{Row, Warp};
 use std::sync::Arc;
-use warped_isa::{Instruction, Kernel, Operand, Space, SpecialReg, UnitType};
+use warped_isa::{Instruction, Kernel, Operand, Reg, Space, SpecialReg, UnitType};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// A block resident on an SM.
@@ -65,6 +73,18 @@ pub struct Sm {
     pub id: usize,
     config: GpuConfig,
     warp_slots: Vec<Option<Warp>>,
+    /// Per warp slot: the cycle its next instruction clears the
+    /// scoreboard; `u64::MAX` when the slot is empty, parked at a barrier,
+    /// or done.
+    ready_at: Vec<u64>,
+    /// Per warp slot: the unit of that next instruction.
+    ready_unit: Vec<UnitType>,
+    /// A lower bound on `ready_at`: before this cycle nothing can issue.
+    /// Lowered whenever a slot's readiness is set; made exact when a scan
+    /// finds nothing ready.
+    min_ready: u64,
+    /// A `bar` issued or a warp finished since the last barrier pass.
+    barrier_pass_due: bool,
     block_slots: Vec<Option<BlockState>>,
     rr_next: usize,
     stall_cycles_left: u64,
@@ -104,6 +124,10 @@ impl Sm {
             id,
             config,
             warp_slots: (0..warps).map(|_| None).collect(),
+            ready_at: vec![u64::MAX; warps],
+            ready_unit: vec![UnitType::Sp; warps],
+            min_ready: u64::MAX,
+            barrier_pass_due: false,
             block_slots: (0..blocks).map(|_| None).collect(),
             rr_next: 0,
             stall_cycles_left: 0,
@@ -165,6 +189,7 @@ impl Sm {
         for (w, &slot) in free.iter().enumerate() {
             let uid = global_index * wpb as u64 + w as u64;
             self.warp_slots[slot] = Some(Warp::new(uid, bslot, w, threads, kernel.num_regs()));
+            self.refresh(slot, kernel);
         }
         self.block_slots[bslot] = Some(BlockState {
             global_index,
@@ -195,7 +220,9 @@ impl Sm {
             self.stats.stall_cycles += 1;
             return Ok(StepOutcome::Stalled);
         }
-        self.release_barriers();
+        if self.barrier_pass_due {
+            self.release_barriers(kernel);
+        }
 
         // Fermi dual scheduling (paper §2.2): two issues per cycle from
         // distinct warps; each scheduler owns its own SPs but the LD/ST
@@ -206,55 +233,37 @@ impl Sm {
         let mut first_pick: Option<(usize, UnitType)> = None;
         let mut total_stalls = 0u64;
 
-        let n = self.warp_slots.len();
-        while issued < width {
-            let mut picked = None;
-            for i in 0..n {
-                let idx = (self.rr_next + i) % n;
-                if first_pick.is_some_and(|(fidx, _)| fidx == idx) {
-                    continue;
-                }
-                let Some(warp) = self.warp_slots[idx].as_mut() else {
-                    continue;
+        // Before `min_ready` no slot can issue: skip the scan.
+        if cycle >= self.min_ready {
+            while issued < width {
+                let Some(idx) = self.pick(cycle, first_pick) else {
+                    break;
                 };
-                if warp.at_barrier {
-                    continue;
-                }
-                let Some((pc, mask)) = warp.stack.top() else {
-                    continue;
-                };
-                let Some(instr) = kernel.fetch(pc) else {
+                let warp = self.warp_slots[idx].as_mut().expect("ready slot is empty");
+                let (pc, mask) = warp.stack.top().expect("ready warp is done");
+                let Some(&instr) = kernel.fetch(pc) else {
                     return Err(SimError::PcOutOfRange { pc: pc.0 });
                 };
-                let unit = instr.unit();
-                // Shared-unit structural hazard for the second issue.
-                if let Some((_, first_unit)) = first_pick {
-                    if unit != UnitType::Sp && unit == first_unit {
-                        continue;
-                    }
+                if issued == 0 {
+                    let n = self.warp_slots.len();
+                    self.rr_next = match self.config.scheduler {
+                        // GTO-style: keep issuing from the same warp until
+                        // it cannot issue. Matches real warp schedulers and
+                        // interleaves unit types at the SM level.
+                        SchedulerPolicy::GreedyThenOldest => idx,
+                        // Fair rotation: all warps march in near lock step.
+                        SchedulerPolicy::LooseRoundRobin => (idx + 1) % n,
+                    };
+                    first_pick = Some((idx, instr.unit()));
                 }
-                if !warp.scoreboard_ready(instr, cycle) {
-                    continue;
-                }
-                picked = Some((idx, pc, mask, *instr, unit));
-                break;
+                total_stalls += self.issue(
+                    idx, mask, &instr, pc, cycle, kernel, launch, global, observer,
+                )?;
+                issued += 1;
             }
-            let Some((idx, pc, mask, instr, unit)) = picked else {
-                break;
-            };
             if issued == 0 {
-                self.rr_next = match self.config.scheduler {
-                    // GTO-style: keep issuing from the same warp until it
-                    // cannot issue. Matches real warp schedulers and
-                    // interleaves unit types at the SM level.
-                    crate::config::SchedulerPolicy::GreedyThenOldest => idx,
-                    // Fair rotation: all warps march in near lock step.
-                    crate::config::SchedulerPolicy::LooseRoundRobin => (idx + 1) % n,
-                };
-                first_pick = Some((idx, unit));
+                self.min_ready = self.ready_at.iter().copied().min().unwrap_or(u64::MAX);
             }
-            total_stalls += self.issue(idx, mask, &instr, pc, cycle, launch, global, observer)?;
-            issued += 1;
         }
         if issued > 0 {
             if issued == 2 {
@@ -272,6 +281,29 @@ impl Sm {
         Ok(StepOutcome::Idle)
     }
 
+    /// The first slot in rotation order from `rr_next` that can issue at
+    /// `cycle`. For a second (dual) issue, `first` excludes the first
+    /// pick's slot and a second instruction on its shared unit.
+    fn pick(&self, cycle: u64, first: Option<(usize, UnitType)>) -> Option<usize> {
+        let n = self.ready_at.len();
+        (self.rr_next..n).chain(0..self.rr_next).find(|&idx| {
+            self.ready_at[idx] <= cycle
+                && first.is_none_or(|(fidx, funit)| {
+                    let unit = self.ready_unit[idx];
+                    idx != fidx && (unit == UnitType::Sp || unit != funit)
+                })
+        })
+    }
+
+    /// Recompute slot `slot`'s cached readiness after its state changed.
+    fn refresh(&mut self, slot: usize, kernel: &Kernel) {
+        (self.ready_at[slot], self.ready_unit[slot]) = match self.warp_slots[slot].as_mut() {
+            Some(w) => readiness(w, kernel),
+            None => (u64::MAX, UnitType::Sp),
+        };
+        self.min_ready = self.min_ready.min(self.ready_at[slot]);
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
@@ -280,14 +312,14 @@ impl Sm {
         instr: &Instruction,
         pc: warped_isa::Pc,
         cycle: u64,
+        kernel: &Kernel,
         launch: &LaunchConfig,
         global: &mut GlobalMemory,
         observer: &mut dyn IssueObserver,
     ) -> Result<u64, SimError> {
-        let mut warp = self.warp_slots[widx].take().expect("issuing empty slot");
+        let warp = self.warp_slots[widx].as_mut().expect("issuing empty slot");
         let bslot = warp.block_slot;
-        let mut results = [0u32; WARP_SIZE];
-        let mut has_result = true;
+        let mut results: Row = [0; WARP_SIZE];
 
         let mut raw_dists = [None; 4];
         for (k, src) in instr.src_regs().iter().enumerate() {
@@ -296,114 +328,59 @@ impl Sm {
             }
         }
 
-        // Writeback bookkeeping collected during execution.
-        let mut writeback: Option<(warped_isa::Reg, u64)> = None;
-
         // Datapath corruption hook (fault campaigns): transforms every
         // value a unit produces — ALU/SFU results, load/store address
         // computations, branch decisions — before it reaches writeback.
-        // Without a fault this is one `None` check per value.
+        // It runs over the active lanes only when a fault is attached.
         let fault = self.fault.as_deref();
         let sm_id = self.id;
-        let hurt = move |lane: usize, v: u32| match fault {
-            Some(f) => f.corrupt(sm_id, lane, cycle, v),
-            None => v,
+        let corrupt = |row: &mut Row| {
+            if let Some(f) = fault {
+                for lane in Lanes(mask) {
+                    row[lane] = f.corrupt(sm_id, lane, cycle, row[lane]);
+                }
+            }
+        };
+        let config = &self.config;
+        let ready_after = |unit: UnitType, space: Option<Space>| -> u64 {
+            let exe = match (unit, space) {
+                (UnitType::Sp, _) => config.sp_latency,
+                (UnitType::Sfu, _) => config.sfu_latency,
+                (UnitType::LdSt, Some(Space::Shared)) => config.shared_latency,
+                (UnitType::LdSt, _) => config.global_latency,
+            };
+            cycle + config.writeback_latency(exe)
         };
 
         {
             let block = self.block_slots[bslot]
                 .as_mut()
                 .expect("warp's block missing");
-            let exe_latency = |unit: UnitType, space: Option<Space>| -> u64 {
-                match (unit, space) {
-                    (UnitType::Sp, _) => self.config.sp_latency,
-                    (UnitType::Sfu, _) => self.config.sfu_latency,
-                    (UnitType::LdSt, Some(Space::Shared)) => self.config.shared_latency,
-                    (UnitType::LdSt, _) => self.config.global_latency,
-                }
-            };
+            let src = |op: Operand| operand_row(warp, block, launch, op);
 
-            match *instr {
+            // ALU and SFU ops compute every lane (inactive lanes of
+            // `results` are unspecified); the shared tail below corrupts,
+            // writes back and advances.
+            let computed: Option<(Reg, UnitType)> = match *instr {
                 Instruction::Bin { op, dst, a, b } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        results[lane] = hurt(lane, eval_bin(op, av, bv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = bin_vec(op, &src(a)?, &src(b)?);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::Un { op, dst, a } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        results[lane] = hurt(lane, eval_un(op, av));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = un_vec(op, &src(a)?);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::IMad { dst, a, b, c } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        let cv = operand(&warp, block, launch, lane, c)?;
-                        results[lane] = hurt(lane, eval_imad(av, bv, cv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = map3(&src(a)?, &src(b)?, &src(c)?, eval_imad);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::FFma { dst, a, b, c } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        let cv = operand(&warp, block, launch, lane, c)?;
-                        results[lane] = hurt(lane, eval_ffma(av, bv, cv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = map3(&src(a)?, &src(b)?, &src(c)?, eval_ffma);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::Setp { cmp, ty, dst, a, b } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        let bv = operand(&warp, block, launch, lane, b)?;
-                        results[lane] = hurt(lane, eval_cmp(cmp, ty, av, bv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = cmp_vec(cmp, ty, &src(a)?, &src(b)?);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::Sel {
                     dst,
@@ -411,36 +388,12 @@ impl Sm {
                     if_true,
                     if_false,
                 } => {
-                    for lane in lanes(mask) {
-                        let cv = operand(&warp, block, launch, lane, cond)?;
-                        let tv = operand(&warp, block, launch, lane, if_true)?;
-                        let fv = operand(&warp, block, launch, lane, if_false)?;
-                        results[lane] = hurt(lane, eval_sel(cv, tv, fv));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sp, None)),
-                    ));
-                    warp.stack.advance();
+                    results = map3(&src(cond)?, &src(if_true)?, &src(if_false)?, eval_sel);
+                    Some((dst, UnitType::Sp))
                 }
                 Instruction::Sfu { op, dst, a } => {
-                    for lane in lanes(mask) {
-                        let av = operand(&warp, block, launch, lane, a)?;
-                        results[lane] = hurt(lane, eval_sfu(op, av));
-                    }
-                    write_lanes(&mut warp, mask, dst, &results);
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::Sfu, None)),
-                    ));
-                    warp.stack.advance();
+                    results = map1(&src(a)?, |x| eval_sfu(op, x));
+                    Some((dst, UnitType::Sfu))
                 }
                 Instruction::Ld {
                     space,
@@ -448,45 +401,40 @@ impl Sm {
                     addr,
                     offset,
                 } => {
-                    let mut loaded = [0u32; WARP_SIZE];
-                    for lane in lanes(mask) {
-                        let base = operand(&warp, block, launch, lane, addr)?;
-                        let a = hurt(lane, base.wrapping_add(offset as u32));
-                        results[lane] = a; // DMR verifies the address computation
+                    // DMR verifies the address computation.
+                    results = map1(&src(addr)?, |base| base.wrapping_add(offset as u32));
+                    corrupt(&mut results);
+                    let mut loaded: Row = [0; WARP_SIZE];
+                    for lane in Lanes(mask) {
+                        let a = results[lane];
                         loaded[lane] = match space {
                             Space::Global => global.read(a)?,
                             Space::Shared => block.shared.read(a)?,
                         };
                     }
-                    for lane in lanes(mask) {
-                        warp.write_reg(dst, lane, loaded[lane]);
-                    }
-                    writeback = Some((
-                        dst,
-                        cycle
-                            + self
-                                .config
-                                .writeback_latency(exe_latency(UnitType::LdSt, Some(space))),
-                    ));
+                    write_masked(warp.row_mut(dst), mask, &loaded);
+                    warp.note_write(dst, cycle, ready_after(UnitType::LdSt, Some(space)));
                     warp.stack.advance();
+                    None
                 }
                 Instruction::St {
                     space,
                     addr,
                     offset,
-                    src,
+                    src: value,
                 } => {
-                    for lane in lanes(mask) {
-                        let base = operand(&warp, block, launch, lane, addr)?;
-                        let a = hurt(lane, base.wrapping_add(offset as u32));
-                        results[lane] = a;
-                        let v = operand(&warp, block, launch, lane, src)?;
+                    results = map1(&src(addr)?, |base| base.wrapping_add(offset as u32));
+                    let values = src(value)?;
+                    corrupt(&mut results);
+                    for lane in Lanes(mask) {
+                        let a = results[lane];
                         match space {
-                            Space::Global => global.write(a, v)?,
-                            Space::Shared => block.shared.write(a, v)?,
+                            Space::Global => global.write(a, values[lane])?,
+                            Space::Shared => block.shared.write(a, values[lane])?,
                         }
                     }
                     warp.stack.advance();
+                    None
                 }
                 Instruction::Branch {
                     pred,
@@ -494,38 +442,44 @@ impl Sm {
                     target,
                     reconv,
                 } => {
+                    results = map1(warp.row(pred), |p| u32::from((p != 0) ^ negate));
+                    corrupt(&mut results);
                     let mut taken = 0u32;
-                    for lane in lanes(mask) {
-                        let p = warp.read_reg(pred, lane) != 0;
-                        let t = hurt(lane, (p ^ negate) as u32) != 0;
-                        results[lane] = t as u32;
-                        if t {
-                            taken |= 1 << lane;
-                        }
+                    for lane in Lanes(mask) {
+                        results[lane] = u32::from(results[lane] != 0);
+                        taken |= results[lane] << lane;
                     }
                     warp.stack.branch(taken, target, reconv);
+                    None
                 }
                 Instruction::Jump { target } => {
                     warp.stack.jump(target);
-                    has_result = false;
+                    None
                 }
                 Instruction::Bar => {
                     warp.stack.advance();
                     warp.at_barrier = true;
-                    has_result = false;
+                    self.barrier_pass_due = true;
+                    None
                 }
                 Instruction::Exit => {
                     warp.stack.exit(mask);
-                    has_result = false;
+                    None
                 }
+            };
+            if let Some((dst, unit)) = computed {
+                corrupt(&mut results);
+                write_masked(warp.row_mut(dst), mask, &results);
+                warp.note_write(dst, cycle, ready_after(unit, None));
+                warp.stack.advance();
             }
         }
 
-        if let Some((dst, ready)) = writeback {
-            warp.note_write(dst, cycle, ready);
-        }
-
         let unit = instr.unit();
+        let has_result = !matches!(
+            instr,
+            Instruction::Jump { .. } | Instruction::Bar | Instruction::Exit
+        );
         let active = mask.count_ones() as u64;
         self.stats.warp_instructions += 1;
         self.stats.thread_instructions += active;
@@ -571,28 +525,38 @@ impl Sm {
         let stalls = observer.on_issue(&info);
 
         if warp.is_done() {
+            self.warp_slots[widx] = None;
             let block = self.block_slots[bslot].as_mut().expect("block missing");
             block.live_warps -= 1;
             if block.live_warps == 0 {
                 self.block_slots[bslot] = None;
                 self.stats.blocks += 1;
             }
-            // Warp slot stays free.
-        } else {
-            self.warp_slots[widx] = Some(warp);
+            // Its block-mates may be waiting at a barrier for it.
+            self.barrier_pass_due = true;
         }
+        self.refresh(widx, kernel);
         Ok(stalls)
     }
 
-    // Runs every cycle for every resident block — alloc-free: one pass
-    // counting live vs waiting warps, one pass clearing the flags.
-    fn release_barriers(&mut self) {
-        let warps = &mut self.warp_slots;
-        for b in self.block_slots.iter().flatten() {
+    /// Release every block whose live warps all wait at the barrier. Only
+    /// a `bar` issue or a warp exit can complete a barrier, so the pass
+    /// runs only when one of those happened since the last pass.
+    fn release_barriers(&mut self, kernel: &Kernel) {
+        self.barrier_pass_due = false;
+        let Sm {
+            block_slots,
+            warp_slots,
+            ready_at,
+            ready_unit,
+            min_ready,
+            ..
+        } = self;
+        for b in block_slots.iter().flatten() {
             let mut live = 0usize;
             let mut waiting = 0usize;
             for &s in &b.warp_slots {
-                if let Some(w) = &warps[s] {
+                if let Some(w) = &warp_slots[s] {
                     live += 1;
                     if w.at_barrier {
                         waiting += 1;
@@ -603,42 +567,85 @@ impl Sm {
                 continue;
             }
             for &s in &b.warp_slots {
-                if let Some(w) = warps[s].as_mut() {
+                if let Some(w) = warp_slots[s].as_mut() {
                     w.at_barrier = false;
+                    (ready_at[s], ready_unit[s]) = readiness(w, kernel);
+                    *min_ready = (*min_ready).min(ready_at[s]);
                 }
             }
         }
     }
 }
 
-/// Iterate the set lane indices of a mask.
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..WARP_SIZE).filter(move |l| mask & (1 << l) != 0)
-}
-
-fn write_lanes(warp: &mut Warp, mask: u32, dst: warped_isa::Reg, results: &[u32; WARP_SIZE]) {
-    for lane in lanes(mask) {
-        warp.write_reg(dst, lane, results[lane]);
+/// When and on which unit `warp`'s next instruction can issue:
+/// `u64::MAX` while it waits at a barrier or is done. A warp whose PC
+/// fetches nothing is ready at once, on the SP unit (which has no
+/// dual-issue hazard), so the scan reaches it where it always did and
+/// reports [`SimError::PcOutOfRange`].
+fn readiness(warp: &mut Warp, kernel: &Kernel) -> (u64, UnitType) {
+    if warp.at_barrier {
+        return (u64::MAX, UnitType::Sp);
+    }
+    match warp.stack.top() {
+        Some((pc, _)) => match kernel.fetch(pc) {
+            Some(instr) => (warp.issue_ready_at(instr), instr.unit()),
+            None => (0, UnitType::Sp),
+        },
+        None => (u64::MAX, UnitType::Sp),
     }
 }
 
-fn operand(
+/// The set lane indices of a mask, in lane order.
+struct Lanes(u32);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        (self.0 != 0).then(|| {
+            let lane = self.0.trailing_zeros() as usize;
+            self.0 &= self.0 - 1;
+            lane
+        })
+    }
+}
+
+/// Store the active lanes of `values` into `row`; a full mask is one row
+/// store.
+fn write_masked(row: &mut Row, mask: u32, values: &Row) {
+    if mask == u32::MAX {
+        *row = *values;
+    } else {
+        for lane in Lanes(mask) {
+            row[lane] = values[lane];
+        }
+    }
+}
+
+/// Resolve a source operand for every lane: a register is its row, an
+/// immediate or a parameter is a splat, a special register is computed
+/// per lane.
+fn operand_row(
     warp: &Warp,
     block: &BlockState,
     launch: &LaunchConfig,
-    lane: usize,
     op: Operand,
-) -> Result<u32, SimError> {
-    match op {
-        Operand::Reg(r) => Ok(warp.read_reg(r, lane)),
-        Operand::Imm(v) => Ok(v),
-        Operand::Param(i) => launch
-            .params
-            .get(i as usize)
-            .copied()
-            .ok_or(SimError::MissingParam { index: i }),
-        Operand::Special(s) => Ok(special_value(s, warp, block, launch, lane)),
-    }
+) -> Result<Row, SimError> {
+    Ok(match op {
+        Operand::Reg(r) => *warp.row(r),
+        Operand::Imm(v) => [v; WARP_SIZE],
+        Operand::Param(i) => {
+            [launch
+                .params
+                .get(i as usize)
+                .copied()
+                .ok_or(SimError::MissingParam { index: i })?; WARP_SIZE]
+        }
+        Operand::Special(s) => {
+            std::array::from_fn(|lane| special_value(s, warp, block, launch, lane))
+        }
+    })
 }
 
 fn special_value(
@@ -816,6 +823,62 @@ mod tests {
         }
         // 2 warps × 4 instructions (mov, bar, iadd, exit).
         assert_eq!(sm.stats.warp_instructions, 8);
+    }
+
+    #[test]
+    fn barrier_releases_when_last_running_warp_exits() {
+        // Warp 0 parks at `bar`; warp 1 skips the barrier, runs a short
+        // dependent chain and exits. Its exit completes the barrier, so
+        // warp 0 issues again on the very next cycle.
+        let mut sm = small_sm();
+        let mut b = KernelBuilder::new("k");
+        let [w, p, r] = b.regs();
+        b.mov(w, warped_isa::SpecialReg::WarpId);
+        b.setp(warped_isa::CmpOp::Eq, warped_isa::CmpType::U32, p, w, 1u32);
+        b.if_then(p, |b| {
+            for _ in 0..3 {
+                b.iadd(r, r, 1u32);
+            }
+            b.exit();
+        });
+        b.bar();
+        b.iadd(r, r, 1u32);
+        let kernel = b.build().unwrap();
+        let launch = LaunchConfig::linear(1, 64); // 2 warps
+        sm.assign_block(0, (0, 0), &kernel, &launch);
+        let mut global = GlobalMemory::new(16);
+
+        struct Issues(Vec<(u64, Instruction, u64)>);
+        impl IssueObserver for Issues {
+            fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
+                self.0.push((info.warp_uid, *info.instr, info.cycle));
+                0
+            }
+        }
+        let mut obs = Issues(Vec::new());
+        let mut cycle = 0;
+        while sm.has_work() {
+            sm.step(cycle, &kernel, &launch, &mut global, &mut obs)
+                .unwrap();
+            cycle += 1;
+            assert!(cycle < 10_000, "barrier deadlocked");
+        }
+        let at = |uid: u64, f: fn(&Instruction) -> bool| {
+            obs.0
+                .iter()
+                .filter(|(u, i, _)| *u == uid && f(i))
+                .map(|&(_, _, c)| c)
+                .collect::<Vec<_>>()
+        };
+        let bar = at(0, |i| matches!(i, Instruction::Bar));
+        let exit = at(1, |i| matches!(i, Instruction::Exit));
+        let after = at(0, |i| matches!(i, Instruction::Bin { .. }));
+        assert!(bar[0] < exit[0], "warp 0 must wait while warp 1 runs");
+        assert_eq!(after, vec![exit[0] + 1]);
+        // Warp 0: mov, setp, bra, bar, iadd, exit; warp 1: mov, setp,
+        // bra, 3 × iadd, exit.
+        assert_eq!(sm.stats.warp_instructions, 13);
+        assert_eq!(sm.stats.blocks, 1);
     }
 
     #[test]

@@ -4,6 +4,10 @@ use crate::config::WARP_SIZE;
 use crate::simt_stack::SimtStack;
 use warped_isa::{Instruction, Reg};
 
+/// One 32-bit value per lane of a warp: a register row, or a source
+/// operand resolved for every lane.
+pub type Row = [u32; WARP_SIZE];
+
 /// The populated-lane mask for a warp whose lanes cover linear thread ids
 /// `base..base + WARP_SIZE` in a block of `threads_in_block` threads.
 pub fn populated_mask(base: u32, threads_in_block: u32) -> u32 {
@@ -14,6 +18,16 @@ pub fn populated_mask(base: u32, threads_in_block: u32) -> u32 {
         }
     }
     mask
+}
+
+/// Scoreboard state of one register. Both fields sit together so an
+/// issue touches one place per register.
+#[derive(Debug, Clone, Copy)]
+struct RegTiming {
+    /// Cycle at which the last write completes writeback.
+    ready: u64,
+    /// Issue cycle of the last write (`u64::MAX`: never written).
+    written_at: u64,
 }
 
 /// One resident warp of 32 threads.
@@ -31,9 +45,8 @@ pub struct Warp {
     pub stack: SimtStack,
     /// Whether the warp is parked at a `bar.sync`.
     pub at_barrier: bool,
-    regs: Vec<u32>,
-    pending: Vec<u64>,
-    last_write_issue: Vec<u64>,
+    regs: Vec<Row>,
+    timing: Vec<RegTiming>,
 }
 
 impl Warp {
@@ -58,51 +71,55 @@ impl Warp {
             lane_base_tid,
             stack: SimtStack::new(mask),
             at_barrier: false,
-            regs: vec![0; n * WARP_SIZE],
-            pending: vec![0; n],
-            last_write_issue: vec![u64::MAX; n],
+            regs: vec![[0; WARP_SIZE]; n],
+            timing: vec![
+                RegTiming {
+                    ready: 0,
+                    written_at: u64::MAX,
+                };
+                n
+            ],
         }
     }
 
-    /// Read register `reg` of `lane`.
+    /// Register `reg` of every lane.
     #[inline]
-    pub fn read_reg(&self, reg: Reg, lane: usize) -> u32 {
-        self.regs[reg.index() * WARP_SIZE + lane]
+    pub fn row(&self, reg: Reg) -> &Row {
+        &self.regs[reg.index()]
     }
 
-    /// Write register `reg` of `lane`.
+    /// Register `reg` of every lane, for writing.
     #[inline]
-    pub fn write_reg(&mut self, reg: Reg, lane: usize, value: u32) {
-        self.regs[reg.index() * WARP_SIZE + lane] = value;
+    pub fn row_mut(&mut self, reg: Reg) -> &mut Row {
+        &mut self.regs[reg.index()]
+    }
+
+    /// The first cycle at which `instr` clears the scoreboard: every
+    /// source register and the destination (WAW) have completed
+    /// writeback.
+    pub fn issue_ready_at(&self, instr: &Instruction) -> u64 {
+        let ready = |r: Option<Reg>| r.map_or(0, |r| self.timing[r.index()].ready);
+        let [a, b, c, d] = instr.src_regs().map(ready);
+        ready(instr.dst()).max(a).max(b).max(c).max(d)
     }
 
     /// Scoreboard check: can `instr` issue at `cycle`?
-    ///
-    /// All source registers and the destination (WAW) must have completed
-    /// writeback.
     pub fn scoreboard_ready(&self, instr: &Instruction, cycle: u64) -> bool {
-        if let Some(dst) = instr.dst() {
-            if self.pending[dst.index()] > cycle {
-                return false;
-            }
-        }
-        instr
-            .src_regs()
-            .into_iter()
-            .flatten()
-            .all(|r| self.pending[r.index()] <= cycle)
+        self.issue_ready_at(instr) <= cycle
     }
 
     /// Record a write issued at `issue_cycle` completing at `ready_cycle`.
     pub fn note_write(&mut self, reg: Reg, issue_cycle: u64, ready_cycle: u64) {
-        self.pending[reg.index()] = ready_cycle;
-        self.last_write_issue[reg.index()] = issue_cycle;
+        self.timing[reg.index()] = RegTiming {
+            ready: ready_cycle,
+            written_at: issue_cycle,
+        };
     }
 
     /// Issue-to-issue RAW distance for reading `reg` at `cycle`
     /// (`None` if the register was never written).
     pub fn raw_distance(&self, reg: Reg, cycle: u64) -> Option<u64> {
-        let w = self.last_write_issue[reg.index()];
+        let w = self.timing[reg.index()].written_at;
         (w != u64::MAX).then(|| cycle.saturating_sub(w))
     }
 
@@ -115,7 +132,8 @@ impl Warp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_isa::{AluBinOp, Operand};
+    use proptest::prelude::*;
+    use warped_isa::{AluBinOp, Operand, Pc, Space};
 
     fn add(dst: u16, a: u16, b: u16) -> Instruction {
         Instruction::Bin {
@@ -138,10 +156,10 @@ mod tests {
     #[test]
     fn register_read_write_per_lane() {
         let mut w = Warp::new(0, 0, 0, 32, 4);
-        w.write_reg(Reg(2), 5, 99);
-        assert_eq!(w.read_reg(Reg(2), 5), 99);
-        assert_eq!(w.read_reg(Reg(2), 6), 0);
-        assert_eq!(w.read_reg(Reg(3), 5), 0);
+        w.row_mut(Reg(2))[5] = 99;
+        assert_eq!(w.row(Reg(2))[5], 99);
+        assert_eq!(w.row(Reg(2))[6], 0);
+        assert_eq!(w.row(Reg(3))[5], 0);
     }
 
     #[test]
@@ -157,6 +175,73 @@ mod tests {
         w.note_write(Reg(0), 9, 17);
         assert!(!w.scoreboard_ready(&instr, 16));
         assert!(w.scoreboard_ready(&instr, 17));
+    }
+
+    /// One instruction per register shape: two sources and a destination,
+    /// three sources, a store (no destination), a branch (predicate only),
+    /// an immediate source, and no registers at all.
+    fn shape(kind: u8, (d, a, b, c): (u16, u16, u16, u16)) -> Instruction {
+        let r = |i| Operand::Reg(Reg(i));
+        match kind {
+            0 => add(d, a, b),
+            1 => Instruction::IMad {
+                dst: Reg(d),
+                a: r(a),
+                b: r(b),
+                c: r(c),
+            },
+            2 => Instruction::St {
+                space: Space::Global,
+                addr: r(a),
+                offset: 0,
+                src: r(b),
+            },
+            3 => Instruction::Branch {
+                pred: Reg(a),
+                negate: false,
+                target: Pc(0),
+                reconv: Pc(0),
+            },
+            4 => Instruction::Bin {
+                op: AluBinOp::IAdd,
+                dst: Reg(d),
+                a: r(a),
+                b: Operand::Imm(7),
+            },
+            _ => Instruction::Bar,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn issue_ready_at_is_the_least_ready_cycle(
+            writes in proptest::collection::vec((0u16..4, 0u64..40), 0..6),
+            regs in (0u16..4, 0u16..4, 0u16..4, 0u16..4),
+            kind in 0u8..6,
+        ) {
+            let mut w = Warp::new(0, 0, 0, 32, 4);
+            let mut ready = [0u64; 4];
+            for (r, at) in writes {
+                w.note_write(Reg(r), 0, at);
+                ready[r as usize] = at;
+            }
+            let instr = shape(kind, regs);
+            // The scoreboard rule spelled out: no pending write to a
+            // source (RAW) or to the destination (WAW).
+            let clear = |cycle: u64| {
+                instr
+                    .dst()
+                    .into_iter()
+                    .chain(instr.src_regs().into_iter().flatten())
+                    .all(|r| ready[r.index()] <= cycle)
+            };
+            let at = w.issue_ready_at(&instr);
+            prop_assert!(clear(at));
+            prop_assert!(at == 0 || !clear(at - 1));
+            for cycle in 0..48 {
+                prop_assert_eq!(w.scoreboard_ready(&instr, cycle), clear(cycle));
+            }
+        }
     }
 
     #[test]

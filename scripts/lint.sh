@@ -25,6 +25,10 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # trace-then-replay report check, over every benchmark at Tiny scale.
 cargo run -q -p warped-cli -- invariants --check
 
+# A reader that stops early (`| head`) must end the CLI quietly with
+# success, not a broken-pipe panic; pipefail makes its status count.
+(set -o pipefail; cargo run -q -p warped-cli -- trace SHA --format jsonl | head -1 > /dev/null)
+
 # Campaign resilience smoke: forced-panic retry and checkpoint resume
 # must reproduce an undisturbed campaign byte-for-byte.
 ./scripts/campaign_smoke.sh
