@@ -32,7 +32,8 @@ use warped_trace::{parse_flat, FieldMap};
 pub struct JournalHeader {
     /// Benchmark name (paper spelling).
     pub bench: String,
-    /// Fault-site class wire name.
+    /// Fault-site class wire name, suffixed `+dmtr` for DMTR campaigns
+    /// and `+detect` for detection-only ones.
     pub class: String,
     /// Total trials the campaign plans.
     pub trials: u32,

@@ -10,27 +10,26 @@
 //! * [`injector::ExecutionSampler`] — reservoir-samples real issue events
 //!   from a profiling run so transients are injected where computation
 //!   actually happened.
-//! * [`campaign`] — drives repeated protected runs and classifies each
-//!   trial as detected or silent, for Warped-DMR and the DMTR baseline
-//!   (demonstrating the hidden-error problem of core affinity, §3.2).
-//! * [`resilient`] — crash-safe, resumable campaigns with the full
-//!   masked / detected / SDC / hang taxonomy ([`outcome`]), checker-
-//!   internal fault sites ([`model::CheckerFault`]), per-chunk panic
-//!   isolation with retries, and an fsynced checkpoint [`journal`].
+//! * [`resilient`] — the campaign engine, protecting runs with
+//!   Warped-DMR or the DMTR baseline. By default each trial lands in one
+//!   masked / detected / SDC / hang class ([`outcome`]); detection-only
+//!   campaigns count the trials the comparator caught (transient rates
+//!   vs Fig. 9a, and the stuck-at faults DMTR's core affinity hides,
+//!   §3.2). It also models checker-internal fault sites
+//!   ([`model::CheckerFault`]), retries panicking chunks and keeps an
+//!   fsynced checkpoint [`journal`].
 
-pub mod campaign;
 pub mod injector;
 pub mod journal;
 pub mod model;
 pub mod outcome;
 pub mod resilient;
 
-pub use campaign::{stuck_at_campaign, transient_campaign, CampaignResult};
 pub use injector::ExecutionSampler;
 pub use journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 pub use model::{CheckerFault, CompoundFault, FaultModel};
-pub use outcome::{wilson_interval, TrialOutcome};
+pub use outcome::{wilson_interval, CampaignResult, TrialOutcome};
 pub use resilient::{
-    resilient_campaign, CampaignError, FaultSiteClass, ForcedPanic, ResilientOptions,
+    resilient_campaign, CampaignError, FaultSiteClass, ForcedPanic, Protection, ResilientOptions,
     ResilientReport,
 };

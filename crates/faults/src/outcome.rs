@@ -68,6 +68,88 @@ impl std::fmt::Display for TrialOutcome {
     }
 }
 
+/// Classified trial counts of a campaign.
+///
+/// An outcome campaign puts every completed trial in exactly one
+/// class. A detection-only campaign (see
+/// [`ResilientOptions::detect_only`](crate::ResilientOptions::detect_only))
+/// measures only whether the comparator fired: it fills `detected` and
+/// leaves the classes it never measured at zero. Either way `trials`
+/// is `planned - skipped`, because a completed chunk runs all of its
+/// trials.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CampaignResult {
+    /// Faults injected (trials that actually completed).
+    pub trials: u32,
+    /// Trials the comparator caught (or that trapped: DUE).
+    pub detected: u32,
+    /// Trials whose output was bit-identical to golden.
+    pub masked: u32,
+    /// Silent data corruptions (clean completion, wrong output).
+    pub sdc: u32,
+    /// Trials that exceeded their cycle/wall budget undetected.
+    pub hangs: u32,
+    /// Trials the campaign planned (`trials + skipped`).
+    pub planned: u32,
+    /// Trials lost to chunks that exhausted their retry budget.
+    pub skipped: u32,
+}
+
+impl CampaignResult {
+    /// Detected fraction in percent (of completed trials).
+    pub fn detection_rate_pct(&self) -> f64 {
+        if self.trials == 0 {
+            0.0
+        } else {
+            100.0 * self.detected as f64 / self.trials as f64
+        }
+    }
+
+    /// Completed-trial count for one outcome class.
+    pub fn count(&self, class: TrialOutcome) -> u32 {
+        match class {
+            TrialOutcome::Masked => self.masked,
+            TrialOutcome::Detected => self.detected,
+            TrialOutcome::Sdc => self.sdc,
+            TrialOutcome::Hang => self.hangs,
+        }
+    }
+
+    /// The interval denominator: planned trials when known, completed
+    /// trials otherwise.
+    pub fn denominator(&self) -> u32 {
+        if self.planned > 0 {
+            self.planned
+        } else {
+            self.trials
+        }
+    }
+
+    /// Observed rate of one class, in percent of the denominator.
+    pub fn rate_pct(&self, class: TrialOutcome) -> f64 {
+        let n = self.denominator();
+        if n == 0 {
+            0.0
+        } else {
+            100.0 * f64::from(self.count(class)) / f64::from(n)
+        }
+    }
+
+    /// 95% Wilson interval for one class's rate, in percent.
+    ///
+    /// Skipped trials widen the interval pessimistically: each one
+    /// *might* have landed in this class, so the lower bound assumes
+    /// none did and the upper bound assumes all did. With nothing
+    /// skipped this is the plain Wilson interval.
+    pub fn interval_pct(&self, class: TrialOutcome) -> (f64, f64) {
+        let n = self.denominator();
+        let c = self.count(class);
+        let (lo, _) = wilson_interval(c, n);
+        let (_, hi) = wilson_interval(c.saturating_add(self.skipped).min(n), n);
+        (100.0 * lo, 100.0 * hi)
+    }
+}
+
 /// z for a 95% two-sided interval.
 const Z95: f64 = 1.96;
 
@@ -108,6 +190,11 @@ pub fn wilson_interval(successes: u32, n: u32) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_campaign_is_zero() {
+        assert_eq!(CampaignResult::default().detection_rate_pct(), 0.0);
+    }
 
     #[test]
     fn wire_names_roundtrip() {

@@ -1,11 +1,14 @@
-//! Resilient, resumable fault-injection campaigns with the full
-//! masked / detected / SDC / hang outcome taxonomy.
+//! The fault-injection campaign engine: resilient, resumable campaigns
+//! with the masked / detected / SDC / hang outcome taxonomy.
 //!
-//! Where the legacy campaigns ([`crate::campaign`]) answer one question
-//! — *did the comparator fire?* — a resilient campaign classifies every
-//! trial against a fault-free **golden run** (see
-//! [`crate::outcome::TrialOutcome`]) and survives the failure modes
-//! that kill long campaigns in practice:
+//! A campaign profiles the workload once, then runs its trials in
+//! fixed-size chunks. Each trial injects one drawn fault into runs
+//! protected by Warped-DMR or the DMTR baseline ([`Protection`]). By
+//! default every trial is classified against a fault-free **golden
+//! run** (see [`crate::outcome::TrialOutcome`]); a detection-only
+//! campaign ([`ResilientOptions::detect_only`]) asks only *did the
+//! comparator fire?* The engine survives the failure modes that kill
+//! long campaigns in practice:
 //!
 //! * **Panic isolation** — each trial chunk runs under
 //!   [`warped_runner::Runner::map_retry`]: a panicking chunk is caught,
@@ -26,23 +29,24 @@
 //! Detection and architectural outcome are measured at different
 //! levels, so each trial runs twice from the same drawn fault:
 //!
-//! 1. a **detection run** — clean datapath, the DMR engine carries the
-//!    fault as a [`FaultOracle`](warped_core::FaultOracle)
-//!    ([`CompoundFault`]), exactly like the legacy campaigns (this is
-//!    where checker-internal faults act);
+//! 1. a **detection run** — clean datapath, the protection engine
+//!    carries the fault as a [`FaultOracle`](warped_core::FaultOracle)
+//!    (this is where checker-internal faults act). Warped-DMR sees the
+//!    [`CompoundFault`] on the mapped physical lane; DMTR has no lane
+//!    mapping, so it sees the datapath fault on the thread's own lane;
 //! 2. an **architectural run** — the same datapath fault attached to
 //!    the simulator itself ([`warped_sim::LaneFault`]), corrupting real
-//!    values; its final output is compared against golden.
+//!    values; its final output is compared against golden. A
+//!    detection-only campaign skips this run.
 //!
-//! Both runs keep the DMR engine attached as an observer so their issue
-//! schedules match the golden profile (DMR stalls shift cycles; a
-//! transient sampled at cycle *c* must strike cycle *c*).
+//! Both runs keep the protection engine attached as an observer so
+//! their issue schedules match the golden profile (protection stalls
+//! shift cycles; a transient sampled at cycle *c* must strike cycle *c*).
 
-use crate::campaign::{CampaignResult, Protection, DEFAULT_CHUNK_TRIALS, DEFAULT_SAMPLER_CAPACITY};
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 use crate::model::{CheckerFault, CompoundFault, FaultModel};
-use crate::outcome::TrialOutcome;
+use crate::outcome::{CampaignResult, TrialOutcome};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -139,6 +143,25 @@ pub struct ForcedPanic {
     pub attempts: u32,
 }
 
+/// Default reservoir capacity of the profiling sampler: enough sites
+/// for statistically tight campaigns on every suite benchmark while
+/// keeping the profiling pass cheap.
+pub const DEFAULT_SAMPLER_CAPACITY: usize = 4096;
+
+/// Default trials per RNG chunk. Small enough that modest campaigns
+/// still spread across workers, large enough that per-chunk seeding
+/// stays a rounding error of total cost.
+pub const DEFAULT_CHUNK_TRIALS: u32 = 8;
+
+/// Which engine protects the runs of a campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protection {
+    /// Warped-DMR, configured by the campaign's `DmrConfig`.
+    WarpedDmr,
+    /// The DMTR baseline (core affinity — same-lane verification).
+    Dmtr,
+}
+
 /// Tuning knobs of a resilient campaign.
 #[derive(Clone)]
 pub struct ResilientOptions {
@@ -168,6 +191,14 @@ pub struct ResilientOptions {
     pub forced_panic: Option<ForcedPanic>,
     /// Trace handle for `FaultInjected` / `TrialOutcome` events.
     pub trace: TraceHandle,
+    /// The engine protecting the profile, detection and architectural
+    /// runs (default Warped-DMR).
+    pub protection: Protection,
+    /// Run only each trial's detection pass (default off). A trial then
+    /// counts as `detected` when the comparator fired and otherwise lands
+    /// in no class (and emits no `TrialOutcome` event): its architectural
+    /// outcome is never measured.
+    pub detect_only: bool,
 }
 
 impl Default for ResilientOptions {
@@ -183,6 +214,8 @@ impl Default for ResilientOptions {
             resume: false,
             forced_panic: None,
             trace: TraceHandle::disabled(),
+            protection: Protection::WarpedDmr,
+            detect_only: false,
         }
     }
 }
@@ -200,6 +233,8 @@ impl std::fmt::Debug for ResilientOptions {
             .field("resume", &self.resume)
             .field("forced_panic", &self.forced_panic)
             .field("trace", &self.trace.enabled())
+            .field("protection", &self.protection)
+            .field("detect_only", &self.detect_only)
             .finish()
     }
 }
@@ -316,13 +351,13 @@ impl ResilientReport {
 /// One drawn trial: the engine-level oracle, the sim-level datapath
 /// fault, and the metadata the trace events report.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DrawnFault {
+struct DrawnFault {
     /// What the DMR engine models (datapath + checker halves), on the
     /// mapped physical lane.
-    pub(crate) detect: CompoundFault,
+    detect: CompoundFault,
     /// What the simulator's datapath actually suffers, on the logical
     /// lane (= thread).
-    pub(crate) arch: FaultModel,
+    arch: FaultModel,
     /// Afflicted SM.
     sm: usize,
     /// Physical lane of the datapath fault (`u32::MAX` in events for
@@ -334,9 +369,8 @@ pub(crate) struct DrawnFault {
 
 /// Draw one fault. The draw order — sample, thread, bit, then
 /// class-specific extras — is part of the seeding contract the
-/// determinism tests pin down. The legacy detection campaigns
-/// ([`crate::campaign`]) draw through here too.
-pub(crate) fn draw_fault(
+/// determinism tests pin down.
+fn draw_fault(
     class: FaultSiteClass,
     samples: &[SampledIssue],
     dmr: &DmrConfig,
@@ -451,10 +485,57 @@ impl LaneFault for ArchFault {
     }
 }
 
+/// The protection engine of one run. Every pass of a campaign (profile,
+/// detection, architectural) builds its engine here, so all of them
+/// follow the same issue schedule.
+enum Engine {
+    WarpedDmr(Box<WarpedDmr>),
+    Dmtr(Dmtr),
+}
+
+impl Engine {
+    /// An engine for `protection`, carrying `fault` as its oracle when
+    /// given: Warped-DMR sees the drawn fault on the mapped physical
+    /// lane (`detect`), DMTR on the thread's own lane (`arch`).
+    fn new(
+        protection: Protection,
+        dmr: &DmrConfig,
+        gpu: &GpuConfig,
+        fault: Option<&DrawnFault>,
+    ) -> Engine {
+        match (protection, fault) {
+            (Protection::WarpedDmr, None) => {
+                Engine::WarpedDmr(Box::new(WarpedDmr::new(dmr.clone(), gpu)))
+            }
+            (Protection::WarpedDmr, Some(f)) => Engine::WarpedDmr(Box::new(
+                WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(f.detect)),
+            )),
+            (Protection::Dmtr, None) => Engine::Dmtr(Dmtr::new()),
+            (Protection::Dmtr, Some(f)) => Engine::Dmtr(Dmtr::with_oracle(Box::new(f.arch))),
+        }
+    }
+
+    fn observer(&mut self) -> &mut dyn IssueObserver {
+        match self {
+            Engine::WarpedDmr(e) => e.as_mut(),
+            Engine::Dmtr(e) => e,
+        }
+    }
+
+    /// Whether the comparator fired.
+    fn fired(&self) -> bool {
+        match self {
+            Engine::WarpedDmr(e) => e.errors().any(),
+            Engine::Dmtr(e) => e.errors().any(),
+        }
+    }
+}
+
 /// Profile the workload under the *same* protection engine its trials
-/// run (DMR stalls shift the schedule, so sampled cycles must align
-/// with the injected runs) and capture the golden architectural output.
-pub(crate) fn golden_profile(
+/// run (protection stalls shift the schedule, so sampled cycles must
+/// align with the injected runs) and capture the golden architectural
+/// output.
+fn golden_profile(
     workload: &Workload,
     gpu: &GpuConfig,
     dmr: &DmrConfig,
@@ -463,17 +544,15 @@ pub(crate) fn golden_profile(
     capacity: usize,
 ) -> Result<(ProgramRun, ExecutionSampler), SimError> {
     let mut sampler = ExecutionSampler::new(capacity, seed);
-    let mut engine: Box<dyn IssueObserver> = match protection {
-        Protection::WarpedDmr => Box::new(WarpedDmr::new(dmr.clone(), gpu)),
-        Protection::Dmtr => Box::new(Dmtr::new()),
-    };
+    let mut engine = Engine::new(protection, dmr, gpu, None);
     let mut multi = MultiObserver::new();
-    multi.push(engine.as_mut()).push(&mut sampler);
+    multi.push(engine.observer()).push(&mut sampler);
     let run = workload.run_with(gpu, &mut multi)?;
     Ok((run, sampler))
 }
 
-/// Run one trial's two simulations and classify the outcome.
+/// Run one trial's simulations and classify the outcome; `None` when a
+/// detection-only trial's comparator stayed silent (unclassified).
 ///
 /// Detection wins: a trial where the checker fired is `Detected` even
 /// if the corrupted run subsequently hung or produced wrong output — a
@@ -483,22 +562,30 @@ fn run_trial(
     clean_gpu: &GpuConfig,
     budgeted_gpu: &GpuConfig,
     dmr: &DmrConfig,
+    opts: &ResilientOptions,
     fault: &DrawnFault,
     golden: &ProgramRun,
-) -> Result<TrialOutcome, SimError> {
+) -> Result<Option<TrialOutcome>, SimError> {
     // 1. Detection run: clean datapath, faulty oracle. The sim is
     //    bit-identical to golden, so it runs unbudgeted (it cannot
     //    hang) and any SimError here is a genuine bug to surface.
-    let mut engine = WarpedDmr::with_oracle(dmr.clone(), clean_gpu, Box::new(fault.detect));
-    workload.run_with(clean_gpu, &mut engine)?;
-    let detected = engine.errors().any();
+    let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
+    workload.run_with(clean_gpu, engine.observer())?;
+    let detected = engine.fired();
+    if opts.detect_only {
+        return Ok(detected.then_some(TrialOutcome::Detected));
+    }
 
-    // 2. Architectural run: real corruption, budgets armed. The DMR
-    //    engine rides along (without an oracle) purely so the issue
-    //    schedule matches the profile run's cycle numbering.
-    let mut observer = WarpedDmr::new(dmr.clone(), budgeted_gpu);
-    let arch = workload.run_faulted(budgeted_gpu, &mut observer, Arc::new(ArchFault(fault.arch)));
-    Ok(match arch {
+    // 2. Architectural run: real corruption, budgets armed. The
+    //    protection engine rides along (without an oracle) purely so the
+    //    issue schedule matches the profile run's cycle numbering.
+    let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
+    let arch = workload.run_faulted(
+        budgeted_gpu,
+        observer.observer(),
+        Arc::new(ArchFault(fault.arch)),
+    );
+    Ok(Some(match arch {
         Err(SimError::Hang { .. }) => {
             if detected {
                 TrialOutcome::Detected
@@ -519,11 +606,12 @@ fn run_trial(
                 TrialOutcome::Masked
             }
         }
-    })
+    }))
 }
 
-/// Run a resilient campaign: `trials` classified injections of `class`
-/// into `workload` protected by Warped-DMR under `dmr`.
+/// Run a resilient campaign: `trials` injections of `class` into
+/// `workload` protected by `opts.protection` (configured by `dmr`),
+/// classified or, with `opts.detect_only`, only checked for detection.
 ///
 /// Chunk `c` draws its trials from `StdRng::seed_from_u64(seed ^ c)`
 /// and results are folded in chunk order, so the outcome is
@@ -555,7 +643,7 @@ pub fn resilient_campaign(
         workload,
         gpu,
         dmr,
-        Protection::WarpedDmr,
+        opts.protection,
         seed,
         opts.sampler_capacity.max(1),
     )
@@ -580,9 +668,18 @@ pub fn resilient_campaign(
         return Ok(empty_report(0));
     }
 
+    // A journal records its engine and mode with the site class, so it
+    // never resumes under another one.
+    let mut key = class.as_str().to_string();
+    if opts.protection == Protection::Dmtr {
+        key.push_str("+dmtr");
+    }
+    if opts.detect_only {
+        key.push_str("+detect");
+    }
     let header = JournalHeader {
         bench: workload.name().to_string(),
-        class: class.as_str().to_string(),
+        class: key,
         trials,
         chunk_trials: chunk,
         seed,
@@ -641,13 +738,15 @@ pub fn resilient_campaign(
                     },
                     cycle: fault.strike,
                 });
-                let outcome = run_trial(workload, gpu, &budgeted_gpu, dmr, &fault, &golden)
+                let outcome = run_trial(workload, gpu, &budgeted_gpu, dmr, opts, &fault, &golden)
                     .unwrap_or_else(|e| panic!("trial {trial} detection run failed: {e}"));
-                opts.trace.emit(|| TraceEvent::TrialOutcome {
-                    trial,
-                    outcome: outcome.as_str().to_string(),
-                });
-                counts.record(outcome);
+                if let Some(outcome) = outcome {
+                    opts.trace.emit(|| TraceEvent::TrialOutcome {
+                        trial,
+                        outcome: outcome.as_str().to_string(),
+                    });
+                    counts.record(outcome);
+                }
             }
             if let Some(j) = &journal {
                 j.lock()
@@ -700,7 +799,7 @@ pub fn resilient_campaign(
         chunk_trials: chunk,
         chunks,
         result: CampaignResult {
-            trials: total.total(),
+            trials: trials - skipped,
             detected: total.detected,
             masked: total.masked,
             sdc: total.sdc,
@@ -737,23 +836,70 @@ mod tests {
     fn fully_covered_workload_detects_every_lane_transient() {
         let gpu = GpuConfig::small();
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
-        let r = resilient_campaign(
-            &w,
-            &gpu,
-            &DmrConfig::default(),
-            FaultSiteClass::LaneTransient,
-            6,
-            11,
-            &tiny_opts(),
-        )
-        .unwrap();
-        assert_eq!(r.result.trials, 6);
-        assert_eq!(r.result.planned, 6);
-        assert_eq!(r.result.detected, 6, "MatrixMul is 100% inter-covered");
-        assert_eq!(r.result.skipped, 0);
-        assert!(r.failed_chunks.is_empty());
-        let (lo, hi) = r.result.interval_pct(TrialOutcome::Detected);
-        assert!(lo > 50.0 && hi == 100.0);
+        for detect_only in [false, true] {
+            let opts = ResilientOptions {
+                detect_only,
+                ..tiny_opts()
+            };
+            let r = resilient_campaign(
+                &w,
+                &gpu,
+                &DmrConfig::default(),
+                FaultSiteClass::LaneTransient,
+                6,
+                11,
+                &opts,
+            )
+            .unwrap();
+            assert_eq!(r.result.trials, 6);
+            assert_eq!(r.result.planned, 6);
+            assert_eq!(r.result.detected, 6, "MatrixMul is 100% inter-covered");
+            assert_eq!(r.result.skipped, 0);
+            assert!(r.failed_chunks.is_empty());
+            let (lo, hi) = r.result.interval_pct(TrialOutcome::Detected);
+            assert!(lo > 50.0 && hi == 100.0);
+        }
+    }
+
+    #[test]
+    fn stuck_at_hidden_by_dmtr_but_caught_by_warped_dmr() {
+        let gpu = GpuConfig::small();
+        let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
+        let run = |protection| {
+            let opts = ResilientOptions {
+                protection,
+                detect_only: true,
+                ..tiny_opts()
+            };
+            let r = resilient_campaign(
+                &w,
+                &gpu,
+                &DmrConfig::default(),
+                FaultSiteClass::LaneStuckAt,
+                4,
+                3,
+                &opts,
+            )
+            .unwrap()
+            .result;
+            assert_eq!(r.trials, 4);
+            assert_eq!(
+                (r.masked, r.sdc, r.hangs),
+                (0, 0, 0),
+                "detection-only trials are never classified otherwise"
+            );
+            r
+        };
+        let warped = run(Protection::WarpedDmr);
+        assert_eq!(
+            warped.detected, 4,
+            "lane shuffling must expose stuck-at faults"
+        );
+        let dmtr = run(Protection::Dmtr);
+        assert_eq!(
+            dmtr.detected, 0,
+            "core affinity hides permanent faults on full warps"
+        );
     }
 
     #[test]
@@ -969,6 +1115,45 @@ mod tests {
             let n = outcomes.iter().filter(|(_, s)| s == o.as_str()).count() as u32;
             assert_eq!(n, r.result.count(o), "trace tally matches report for {o}");
         }
+    }
+
+    #[test]
+    fn journal_never_resumes_under_another_engine_or_mode() {
+        let gpu = GpuConfig::small();
+        let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "warped_resilient_mode_{}.jsonl",
+            std::process::id()
+        ));
+        let run = |protection, detect_only, resume| {
+            let opts = ResilientOptions {
+                protection,
+                detect_only,
+                resume,
+                checkpoint: Some(path.clone()),
+                ..tiny_opts()
+            };
+            let class = FaultSiteClass::LaneTransient;
+            resilient_campaign(&w, &gpu, &DmrConfig::default(), class, 2, 1, &opts)
+        };
+        run(Protection::WarpedDmr, false, false).unwrap();
+        for (protection, detect_only) in [
+            (Protection::Dmtr, false),
+            (Protection::WarpedDmr, true),
+            (Protection::Dmtr, true),
+        ] {
+            let err = run(protection, detect_only, true).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CampaignError::Journal(JournalError::HeaderMismatch { field: "class", .. })
+                ),
+                "{protection:?} detect_only={detect_only}: {err}"
+            );
+        }
+        let resumed = run(Protection::WarpedDmr, false, true).unwrap();
+        assert_eq!(resumed.resumed_chunks, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

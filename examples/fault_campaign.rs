@@ -8,7 +8,8 @@
 //! ```
 
 use warped::dmr::DmrConfig;
-use warped::faults::campaign::{stuck_at_campaign, transient_campaign, Protection};
+use warped::experiments::faults_exp::complete_campaign;
+use warped::faults::{FaultSiteClass, Protection, ResilientOptions};
 use warped::kernels::{Benchmark, WorkloadSize};
 use warped::sim::GpuConfig;
 
@@ -21,6 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuConfig::small();
     let dmr = DmrConfig::default();
     let seed = 2026;
+    let warped_dmr = ResilientOptions {
+        detect_only: true,
+        ..ResilientOptions::default()
+    };
+    let dmtr = ResilientOptions {
+        protection: Protection::Dmtr,
+        ..warped_dmr.clone()
+    };
 
     println!("{trials} faults of each kind per benchmark\n");
     println!(
@@ -34,15 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Benchmark::Sha,
     ] {
         let w = bench.build(WorkloadSize::Tiny)?;
-        let t = transient_campaign(&w, &gpu, &dmr, Protection::WarpedDmr, trials, seed)?;
-        let s = stuck_at_campaign(&w, &gpu, &dmr, Protection::WarpedDmr, trials, seed)?;
-        let d = stuck_at_campaign(&w, &gpu, &dmr, Protection::Dmtr, trials, seed)?;
+        let rate = |class, opts| {
+            complete_campaign(&w, &gpu, &dmr, class, trials, seed, opts)
+                .map(|r| r.detection_rate_pct())
+        };
         println!(
             "{:12} {:>13.1}%   {:>13.1}%   {:>15.1}%",
             bench.name(),
-            t.detection_rate_pct(),
-            s.detection_rate_pct(),
-            d.detection_rate_pct(),
+            rate(FaultSiteClass::LaneTransient, &warped_dmr)?,
+            rate(FaultSiteClass::LaneStuckAt, &warped_dmr)?,
+            rate(FaultSiteClass::LaneStuckAt, &dmtr)?,
         );
     }
     println!(

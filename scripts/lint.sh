@@ -29,6 +29,10 @@ cargo run -q -p warped-cli -- invariants --check
 # success, not a broken-pipe panic; pipefail makes its status count.
 (set -o pipefail; cargo run -q -p warped-cli -- trace SHA --format jsonl | head -1 > /dev/null)
 
+# The steps above only compile the examples; run the fault-campaign one
+# so a runtime error in it fails the gate.
+cargo run -q --release --example fault_campaign 2 > /dev/null
+
 # Campaign resilience smoke: forced-panic retry and checkpoint resume
 # must reproduce an undisturbed campaign byte-for-byte.
 ./scripts/campaign_smoke.sh

@@ -3,10 +3,11 @@
 //! scheduler does to instruction-type runs, and how duty-cycled
 //! (Sampling-)DMR trades coverage for overhead.
 
+use crate::experiments::faults_exp::complete_campaign;
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_baselines::ResidueChecker;
 use warped_core::{DmrConfig, SamplingConfig, SamplingDmr, WarpedDmr};
-use warped_faults::campaign::{stuck_at_campaign_with, CampaignOptions, Protection};
+use warped_faults::{FaultSiteClass, ResilientOptions};
 use warped_isa::UnitType;
 use warped_kernels::{Benchmark, WorkloadSize};
 use warped_sim::collectors::TypeSwitchCollector;
@@ -282,7 +283,8 @@ pub fn dual_issue(cfg: &ExperimentConfig) -> Result<(Vec<DualIssueRow>, Table), 
 ///
 /// # Errors
 ///
-/// Propagates workload and simulator errors.
+/// Propagates workload and simulator errors, and refuses a campaign
+/// that skipped chunks ([`complete_campaign`]).
 pub fn shuffling(cfg: &ExperimentConfig, trials: u32, seed: u64) -> Result<Table, ExperimentError> {
     let mut table = Table::new(vec![
         "benchmark",
@@ -290,31 +292,22 @@ pub fn shuffling(cfg: &ExperimentConfig, trials: u32, seed: u64) -> Result<Table
         "stuck-at detected, affinity (%)",
     ]);
     // Campaigns parallelize internally; keep the benchmark loop serial.
-    let opts = CampaignOptions::default().with_threads(cfg.threads);
+    let opts = ResilientOptions {
+        detect_only: true,
+        ..ResilientOptions::default().with_threads(cfg.threads)
+    };
+    let off_cfg = DmrConfig {
+        lane_shuffle: false,
+        ..DmrConfig::default()
+    };
     for bench in [Benchmark::MatrixMul, Benchmark::Sha, Benchmark::Libor] {
         let w = bench.build(WorkloadSize::Tiny)?;
-        let on = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &DmrConfig::default(),
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let off_cfg = DmrConfig {
-            lane_shuffle: false,
-            ..DmrConfig::default()
+        let campaign = |dmr: &DmrConfig| {
+            let class = FaultSiteClass::LaneStuckAt;
+            complete_campaign(&w, &cfg.gpu, dmr, class, trials, seed, &opts)
         };
-        let off = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &off_cfg,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
+        let on = campaign(&DmrConfig::default())?;
+        let off = campaign(&off_cfg)?;
         table.row(vec![
             bench.name().to_string(),
             format!("{:.1}", on.detection_rate_pct()),

@@ -3,13 +3,12 @@
 
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_core::{DmrConfig, WarpedDmr};
-use warped_faults::campaign::{
-    stuck_at_campaign_with, transient_campaign_with, CampaignOptions, Protection,
-};
 use warped_faults::{
-    resilient_campaign, FaultSiteClass, ResilientOptions, ResilientReport, TrialOutcome,
+    resilient_campaign, CampaignResult, FaultSiteClass, Protection, ResilientOptions,
+    ResilientReport, TrialOutcome,
 };
-use warped_kernels::{Benchmark, WorkloadSize};
+use warped_kernels::{Benchmark, Workload, WorkloadSize};
+use warped_sim::GpuConfig;
 use warped_stats::Table;
 
 /// One benchmark's row of the fault-validation experiment.
@@ -38,7 +37,8 @@ pub const CAMPAIGN_BENCHMARKS: [Benchmark; 3] =
 ///
 /// # Errors
 ///
-/// Propagates workload and simulator errors.
+/// Propagates workload and simulator errors, and refuses a campaign
+/// that skipped chunks ([`complete_campaign`]).
 pub fn run(
     cfg: &ExperimentConfig,
     trials: u32,
@@ -47,7 +47,14 @@ pub fn run(
     let dmr = DmrConfig::default();
     // The campaigns parallelize their trial chunks internally, so the
     // benchmark loop stays serial (no nested oversubscription).
-    let opts = CampaignOptions::default().with_threads(cfg.threads);
+    let opts = ResilientOptions {
+        detect_only: true,
+        ..ResilientOptions::default().with_threads(cfg.threads)
+    };
+    let dmtr = ResilientOptions {
+        protection: Protection::Dmtr,
+        ..opts.clone()
+    };
     let mut rows = Vec::new();
     for bench in CAMPAIGN_BENCHMARKS {
         let w = bench.build(WorkloadSize::Tiny)?;
@@ -56,26 +63,11 @@ pub fn run(
         w.check(&run)?;
         let analytic = engine.report().coverage_pct();
 
-        let transient = transient_campaign_with(
-            &w,
-            &cfg.gpu,
-            &dmr,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let stuck = stuck_at_campaign_with(
-            &w,
-            &cfg.gpu,
-            &dmr,
-            Protection::WarpedDmr,
-            trials,
-            seed,
-            &opts,
-        )?;
-        let dmtr_stuck =
-            stuck_at_campaign_with(&w, &cfg.gpu, &dmr, Protection::Dmtr, trials, seed, &opts)?;
+        let campaign =
+            |class, opts| complete_campaign(&w, &cfg.gpu, &dmr, class, trials, seed, opts);
+        let transient = campaign(FaultSiteClass::LaneTransient, &opts)?;
+        let stuck = campaign(FaultSiteClass::LaneStuckAt, &opts)?;
+        let dmtr_stuck = campaign(FaultSiteClass::LaneStuckAt, &dmtr)?;
 
         rows.push(FaultRow {
             benchmark: bench,
@@ -102,6 +94,35 @@ pub fn run(
         ]);
     }
     Ok((rows, table))
+}
+
+/// Run a campaign whose rates are meaningless unless every planned
+/// trial ran, such as a detection rate printed as a table cell.
+///
+/// # Errors
+///
+/// [`ExperimentError::PartialCampaign`] when chunks exhausted their
+/// retry budget and were skipped, and [`ExperimentError::Campaign`]
+/// when the campaign could not run at all.
+pub fn complete_campaign(
+    workload: &Workload,
+    gpu: &GpuConfig,
+    dmr: &DmrConfig,
+    class: FaultSiteClass,
+    trials: u32,
+    seed: u64,
+    opts: &ResilientOptions,
+) -> Result<CampaignResult, ExperimentError> {
+    let report = resilient_campaign(workload, gpu, dmr, class, trials, seed, opts)?;
+    if report.failed_chunks.is_empty() {
+        Ok(report.result)
+    } else {
+        Err(ExperimentError::PartialCampaign {
+            bench: report.bench,
+            class: class.to_string(),
+            failed_chunks: report.failed_chunks,
+        })
+    }
 }
 
 /// One resilient campaign: `trials` faults of the given site class on

@@ -48,6 +48,16 @@ pub enum ExperimentError {
     /// A resilient fault campaign could not run at all (broken golden
     /// run or unusable checkpoint journal).
     Campaign(warped_faults::CampaignError),
+    /// A campaign that must complete skipped chunks after they exhausted
+    /// their retry budget (see [`faults_exp::complete_campaign`]).
+    PartialCampaign {
+        /// Benchmark name.
+        bench: String,
+        /// Fault-site class wire name.
+        class: String,
+        /// Indices of the skipped chunks.
+        failed_chunks: Vec<u32>,
+    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -60,6 +70,15 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Usage(msg) => write!(f, "{msg}"),
             ExperimentError::Io { path, source } => write!(f, "writing {path}: {source}"),
             ExperimentError::Campaign(e) => write!(f, "fault campaign: {e}"),
+            ExperimentError::PartialCampaign {
+                bench,
+                class,
+                failed_chunks,
+            } => write!(
+                f,
+                "fault campaign {bench}/{class}: chunks {failed_chunks:?} failed after \
+                 exhausting their retries"
+            ),
         }
     }
 }

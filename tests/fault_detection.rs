@@ -2,29 +2,60 @@
 //! whole benchmark runs.
 
 use warped::dmr::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
-use warped::experiments::{ablation, faults_exp, ExperimentConfig};
-use warped::faults::campaign::{stuck_at_campaign, transient_campaign, Protection};
-use warped::faults::FaultModel;
-use warped::kernels::{Benchmark, WorkloadSize};
+use warped::experiments::faults_exp::complete_campaign;
+use warped::experiments::{ablation, faults_exp, ExperimentConfig, ExperimentError};
+use warped::faults::{
+    CampaignResult, FaultModel, FaultSiteClass, ForcedPanic, Protection, ResilientOptions,
+};
+use warped::kernels::{Benchmark, Workload, WorkloadSize};
+use warped::runner::RetryPolicy;
 use warped::sim::GpuConfig;
 
 fn gpu() -> GpuConfig {
     GpuConfig::small()
 }
 
+fn detect_opts(protection: Protection) -> ResilientOptions {
+    ResilientOptions {
+        protection,
+        detect_only: true,
+        ..ResilientOptions::default()
+    }
+}
+
+/// A detection-only campaign that must run every planned trial.
+fn detect(
+    w: &Workload,
+    class: FaultSiteClass,
+    cfg: &DmrConfig,
+    protection: Protection,
+    trials: u32,
+    seed: u64,
+) -> CampaignResult {
+    complete_campaign(
+        w,
+        &gpu(),
+        cfg,
+        class,
+        trials,
+        seed,
+        &detect_opts(protection),
+    )
+    .unwrap()
+}
+
 #[test]
 fn transient_detection_tracks_analytic_coverage() {
     // Fully covered workload: 100% detection.
     let w = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
-    let r = transient_campaign(
+    let r = detect(
         &w,
-        &gpu(),
+        FaultSiteClass::LaneTransient,
         &DmrConfig::default(),
         Protection::WarpedDmr,
         5,
         42,
-    )
-    .unwrap();
+    );
     assert_eq!(r.detected, r.trials, "SHA is 100% covered");
 }
 
@@ -37,7 +68,14 @@ fn uncovered_executions_produce_silent_corruptions() {
         ..DmrConfig::default()
     };
     let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
-    let r = transient_campaign(&w, &gpu(), &cfg, Protection::WarpedDmr, 8, 7).unwrap();
+    let r = detect(
+        &w,
+        FaultSiteClass::LaneTransient,
+        &cfg,
+        Protection::WarpedDmr,
+        8,
+        7,
+    );
     assert!(
         r.detected < r.trials,
         "disabling intra-warp DMR must lose coverage ({}/{})",
@@ -50,14 +88,28 @@ fn uncovered_executions_produce_silent_corruptions() {
 fn lane_shuffling_is_what_exposes_permanent_faults() {
     let w = Benchmark::Libor.build(WorkloadSize::Tiny).unwrap();
     let with_shuffle = DmrConfig::default();
-    let r1 = stuck_at_campaign(&w, &gpu(), &with_shuffle, Protection::WarpedDmr, 4, 9).unwrap();
+    let r1 = detect(
+        &w,
+        FaultSiteClass::LaneStuckAt,
+        &with_shuffle,
+        Protection::WarpedDmr,
+        4,
+        9,
+    );
     assert_eq!(r1.detected, r1.trials, "shuffled copies see the stuck lane");
 
     let no_shuffle = DmrConfig {
         lane_shuffle: false,
         ..DmrConfig::default()
     };
-    let r2 = stuck_at_campaign(&w, &gpu(), &no_shuffle, Protection::WarpedDmr, 4, 9).unwrap();
+    let r2 = detect(
+        &w,
+        FaultSiteClass::LaneStuckAt,
+        &no_shuffle,
+        Protection::WarpedDmr,
+        4,
+        9,
+    );
     assert_eq!(
         r2.detected, 0,
         "without shuffling, full-warp copies rerun on the faulty lane"
@@ -117,10 +169,10 @@ fn detection_reports_identify_the_faulty_lane() {
     }
 }
 
-// The tests below pin the legacy detection campaigns byte-for-byte. They
-// draw their faults through the resilient engine's `draw_fault` and
-// profile through its `golden_profile`, so a change to either's RNG
-// order, lane mapping or profiling engine shows up here, not only as a
+// The tests below pin the detection-only campaigns byte-for-byte: the
+// tables and counts were captured when these campaigns still ran on a
+// separate detection engine, so a change to the fault draw's RNG order,
+// the lane mapping or the profiling engine shows up here, not only as a
 // shifted rate somewhere downstream.
 
 #[test]
@@ -169,8 +221,8 @@ fn legacy_campaign_counts_are_pinned() {
     ] {
         let w = bench.build(WorkloadSize::Tiny).unwrap();
         for p in [Protection::WarpedDmr, Protection::Dmtr] {
-            let t = transient_campaign(&w, &gpu(), &cfg, p, 24, 1234).unwrap();
-            let s = stuck_at_campaign(&w, &gpu(), &cfg, p, 24, 1234).unwrap();
+            let t = detect(&w, FaultSiteClass::LaneTransient, &cfg, p, 24, 1234);
+            let s = detect(&w, FaultSiteClass::LaneStuckAt, &cfg, p, 24, 1234);
             out += &format!(
                 "{name} {p:?}: transient {}/{} stuck {}/{}\n",
                 t.detected, t.trials, s.detected, s.trials
@@ -188,4 +240,45 @@ fn legacy_campaign_counts_are_pinned() {
          BFS default WarpedDmr: transient 24/24 stuck 17/24\n\
          BFS default Dmtr: transient 24/24 stuck 0/24\n"
     );
+}
+
+#[test]
+fn partial_detection_campaign_is_an_error() {
+    // A chunk that keeps failing past its retry budget is skipped; a
+    // detection rate over the remaining trials must not pass as complete.
+    let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+    let opts = ResilientOptions {
+        chunk_trials: 2,
+        retry: RetryPolicy::none(),
+        forced_panic: Some(ForcedPanic {
+            chunk: 1,
+            attempts: 1,
+        }),
+        ..detect_opts(Protection::WarpedDmr)
+    };
+    let class = FaultSiteClass::LaneTransient;
+    let dmr = DmrConfig::default();
+    match complete_campaign(&w, &gpu(), &dmr, class, 6, 5, &opts) {
+        Err(ExperimentError::PartialCampaign {
+            bench,
+            class,
+            failed_chunks,
+        }) => {
+            assert_eq!(bench, "SCAN");
+            assert_eq!(class, "lane_transient");
+            assert_eq!(failed_chunks, vec![1]);
+        }
+        other => panic!("a skipped chunk must be an error, got {other:?}"),
+    }
+    // Within the budget the same campaign completes.
+    let opts = ResilientOptions {
+        retry: RetryPolicy {
+            retries: 1,
+            backoff_ms: 0,
+            backoff_cap_ms: 0,
+        },
+        ..opts
+    };
+    let r = complete_campaign(&w, &gpu(), &dmr, class, 6, 5, &opts).unwrap();
+    assert_eq!((r.trials, r.planned, r.skipped), (6, 6, 0));
 }

@@ -3,8 +3,11 @@
 //! must produce byte-identical output on one worker and on four.
 
 use warped::dmr::DmrConfig;
+use warped::experiments::faults_exp::complete_campaign;
 use warped::experiments::{fig1, fig9a, ExperimentConfig};
-use warped::faults::campaign::{transient_campaign_with, CampaignOptions, Protection};
+use warped::faults::{
+    resilient_campaign, CampaignResult, FaultSiteClass, Protection, ResilientOptions,
+};
 use warped::kernels::{Benchmark, WorkloadSize};
 use warped::sim::GpuConfig;
 
@@ -32,17 +35,32 @@ fn cell_fanout_harness_is_thread_count_invariant() {
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
+/// A detection-only SCAN campaign at the given geometry and worker count.
+fn detection_campaign(
+    protection: Protection,
+    chunk_trials: u32,
+    threads: usize,
+    trials: u32,
+    seed: u64,
+) -> CampaignResult {
+    let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+    let opts = ResilientOptions {
+        chunk_trials,
+        protection,
+        detect_only: true,
+        ..ResilientOptions::default()
+    }
+    .with_threads(threads);
+    let class = FaultSiteClass::LaneTransient;
+    let dmr = DmrConfig::default();
+    complete_campaign(&w, &GpuConfig::small(), &dmr, class, trials, seed, &opts).unwrap()
+}
+
 #[test]
 fn fault_campaign_is_thread_count_invariant() {
-    let gpu = GpuConfig::small();
-    let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
-    let dmr = DmrConfig::default();
     // 20 trials at chunk size 8 -> chunks of 8/8/4: exercises the
     // partial tail chunk as well.
-    let run = |threads: usize| {
-        let opts = CampaignOptions::default().with_threads(threads);
-        transient_campaign_with(&w, &gpu, &dmr, Protection::WarpedDmr, 20, 99, &opts).unwrap()
-    };
+    let run = |threads| detection_campaign(Protection::WarpedDmr, 8, threads, 20, 99);
     let serial = run(1);
     let parallel = run(4);
     assert_eq!(serial, parallel, "campaign result depends on thread count");
@@ -50,20 +68,38 @@ fn fault_campaign_is_thread_count_invariant() {
 }
 
 #[test]
-fn campaign_chunk_size_is_the_seeding_contract() {
-    // Changing the worker count never changes the draws; changing the
-    // chunk size may (documented on CampaignOptions). Guard that the
-    // former holds even with an odd chunk size.
-    let gpu = GpuConfig::small();
+fn dmtr_campaign_is_thread_count_invariant() {
+    // DMTR stalls the schedule differently from Warped-DMR: its profile,
+    // detection and architectural runs must be just as worker-agnostic.
     let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
-    let dmr = DmrConfig::default();
-    let run = |threads: usize| {
-        let opts = CampaignOptions {
-            chunk_trials: 3,
-            ..CampaignOptions::default()
+    let run = |threads| {
+        let opts = ResilientOptions {
+            protection: Protection::Dmtr,
+            ..ResilientOptions::default()
         }
         .with_threads(threads);
-        transient_campaign_with(&w, &gpu, &dmr, Protection::WarpedDmr, 10, 7, &opts).unwrap()
+        let dmr = DmrConfig::default();
+        let class = FaultSiteClass::LaneTransient;
+        resilient_campaign(&w, &GpuConfig::small(), &dmr, class, 20, 99, &opts)
+            .unwrap()
+            .to_json()
     };
+    assert_eq!(
+        run(1),
+        run(4),
+        "DMTR outcome campaign depends on thread count"
+    );
+    let serial = detection_campaign(Protection::Dmtr, 8, 1, 20, 99);
+    let parallel = detection_campaign(Protection::Dmtr, 8, 4, 20, 99);
+    assert_eq!(serial, parallel, "DMTR detection depends on thread count");
+    assert_eq!(serial.trials, 20);
+}
+
+#[test]
+fn campaign_chunk_size_is_the_seeding_contract() {
+    // Changing the worker count never changes the draws; changing the
+    // chunk size may (documented on `ResilientOptions::chunk_trials`).
+    // Guard that the former holds even with an odd chunk size.
+    let run = |threads| detection_campaign(Protection::WarpedDmr, 3, threads, 10, 7);
     assert_eq!(run(1), run(2));
 }
