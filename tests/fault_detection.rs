@@ -5,7 +5,8 @@ use warped::dmr::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
 use warped::experiments::faults_exp::complete_campaign;
 use warped::experiments::{ablation, faults_exp, ExperimentConfig, ExperimentError};
 use warped::faults::{
-    CampaignResult, FaultModel, FaultSiteClass, ForcedPanic, Protection, ResilientOptions,
+    resilient_campaign, CampaignResult, FaultModel, FaultSiteClass, ForcedPanic, Protection,
+    ResilientOptions,
 };
 use warped::kernels::{Benchmark, Workload, WorkloadSize};
 use warped::runner::RetryPolicy;
@@ -240,6 +241,97 @@ fn legacy_campaign_counts_are_pinned() {
          BFS default WarpedDmr: transient 24/24 stuck 17/24\n\
          BFS default Dmtr: transient 24/24 stuck 0/24\n"
     );
+}
+
+/// Every site class on a multi-launch (BFS) and a single-launch (SCAN)
+/// workload, under both engines, in outcome and detection-only mode, one
+/// line each.
+fn outcome_campaign_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for bench in [Benchmark::Bfs, Benchmark::Scan] {
+        let w = bench.build(WorkloadSize::Tiny).unwrap();
+        for protection in [Protection::WarpedDmr, Protection::Dmtr] {
+            for detect_only in [false, true] {
+                let opts = ResilientOptions {
+                    chunk_trials: 2,
+                    threads: 2,
+                    protection,
+                    detect_only,
+                    ..ResilientOptions::default()
+                };
+                for class in FaultSiteClass::ALL {
+                    let r =
+                        resilient_campaign(&w, &gpu(), &DmrConfig::default(), class, 8, 31, &opts)
+                            .unwrap();
+                    let mode = if detect_only { "detect" } else { "outcome" };
+                    lines.push(format!("{protection:?} {mode} {}", r.to_json()));
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn outcome_campaigns_are_pinned() {
+    // Captured while every trial still ran its detection and
+    // architectural passes to completion: a shortcut that changes any
+    // trial's class moves a count here.
+    let expected = [
+        r#"WarpedDmr outcome {"bench":"BFS","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"BFS","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"detected":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"BFS","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"sdc":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"BFS","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"BFS","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":6,"pct":75.0000,"ci_lo_pct":40.9270,"ci_hi_pct":92.8522},"sdc":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"BFS","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"BFS","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"detected":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"sdc":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"BFS","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"BFS","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"detected":{"count":6,"pct":75.0000,"ci_lo_pct":40.9270,"ci_hi_pct":92.8522},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"detected":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"sdc":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":3,"pct":37.5000,"ci_lo_pct":13.6842,"ci_hi_pct":69.4262},"detected":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr outcome {"bench":"SCAN","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":6,"pct":75.0000,"ci_lo_pct":40.9270,"ci_hi_pct":92.8522},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":5,"pct":62.5000,"ci_lo_pct":30.5738,"ci_hi_pct":86.3158},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"WarpedDmr detect {"bench":"SCAN","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"detected":{"count":4,"pct":50.0000,"ci_lo_pct":21.5213,"ci_hi_pct":78.4787},"sdc":{"count":2,"pct":25.0000,"ci_lo_pct":7.1478,"ci_hi_pct":59.0730},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr outcome {"bench":"SCAN","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"lane_transient","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"lane_stuck","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"comparator","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"rfu_mux","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"replayq_meta","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+        r#"Dmtr detect {"bench":"SCAN","class":"rf_slot","seed":31,"chunk_trials":2,"chunks":4,"planned":8,"completed":8,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"detected":{"count":8,"pct":100.0000,"ci_lo_pct":67.5584,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":32.4416},"failed_chunks":[]}"#,
+    ];
+    let lines = outcome_campaign_lines();
+    assert_eq!(lines.len(), expected.len());
+    for (got, want) in lines.iter().zip(expected) {
+        assert_eq!(got, want);
+    }
 }
 
 #[test]
