@@ -211,6 +211,18 @@ impl CompoundFault {
             checker: Some(checker),
         }
     }
+
+    /// Whether a Warped-DMR run under this oracle can never detect
+    /// anything: the comparator is stuck at "equal" on the very SM the
+    /// datapath fault sits on. The lane half corrupts only that SM's
+    /// computations, every comparison there passes, and no other checker
+    /// site is broken, so comparisons elsewhere always match.
+    pub fn is_fail_silent(&self) -> bool {
+        match (self.lane, self.checker) {
+            (Some(lane), Some(CheckerFault::ComparatorStuckPass { sm })) => lane.site().sm == sm,
+            _ => false,
+        }
+    }
 }
 
 impl FaultOracle for CompoundFault {
@@ -378,5 +390,29 @@ mod tests {
         assert!(!both.verdict(1, 5, true), "checker half swallows");
         let solo = CompoundFault::lane_only(lane);
         assert!(solo.verdict(1, 5, true));
+    }
+
+    #[test]
+    fn fail_silent_needs_a_dead_comparator_on_the_lane_faults_sm() {
+        let lane = FaultModel::StuckAt {
+            site: SITE,
+            bit: 2,
+            value: true,
+        };
+        let dead = |sm| CompoundFault::with_checker(lane, CheckerFault::ComparatorStuckPass { sm });
+        assert!(dead(SITE.sm).is_fail_silent());
+        assert!(
+            !dead(SITE.sm + 1).is_fail_silent(),
+            "other SMs still compare"
+        );
+        assert!(!CompoundFault::lane_only(lane).is_fail_silent());
+        let mask = CheckerFault::ReplayqMaskDrop {
+            sm: SITE.sm,
+            bit: 7,
+        };
+        assert!(
+            !CompoundFault::with_checker(lane, mask).is_fail_silent(),
+            "intra-warp checks still see the lane"
+        );
     }
 }

@@ -24,10 +24,10 @@
 //!   chunks from disk and produces **bit-identical** results to an
 //!   uninterrupted campaign, at any worker count.
 //!
-//! ## Two simulations per trial
+//! ## Up to two simulations per trial
 //!
 //! Detection and architectural outcome are measured at different
-//! levels, so each trial runs twice from the same drawn fault:
+//! levels, so a trial may run twice from the same drawn fault:
 //!
 //! 1. a **detection run** — clean datapath, the protection engine
 //!    carries the fault as a [`FaultOracle`](warped_core::FaultOracle)
@@ -36,12 +36,24 @@
 //!    mapping, so it sees the datapath fault on the thread's own lane;
 //! 2. an **architectural run** — the same datapath fault attached to
 //!    the simulator itself ([`warped_sim::LaneFault`]), corrupting real
-//!    values; its final output is compared against golden. A
-//!    detection-only campaign skips this run.
+//!    values; its final output is compared against golden.
 //!
 //! Both runs keep the protection engine attached as an observer so
 //! their issue schedules match the golden profile (protection stalls
 //! shift cycles; a transient sampled at cycle *c* must strike cycle *c*).
+//!
+//! Only what can still change the trial's class is simulated:
+//!
+//! * the detection run ends at the first comparator mismatch
+//!   ([`IssueObserver::halted`], [`SimError::Stopped`]): a comparator
+//!   that fired never un-fires;
+//! * under Warped-DMR a fail-silent draw
+//!   ([`CompoundFault::is_fail_silent`]: the comparator stuck at "pass"
+//!   on the lane fault's own SM) runs no detection run, since nothing
+//!   can fire;
+//! * a detected trial runs no architectural run, since detection takes
+//!   precedence over every architectural result. A detection-only
+//!   campaign never runs it.
 
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
@@ -57,7 +69,9 @@ use warped_core::mapping::physical_lane;
 use warped_core::{DmrConfig, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
-use warped_sim::{GpuConfig, IssueObserver, LaneFault, MultiObserver, SimError, WARP_SIZE};
+use warped_sim::{
+    GpuConfig, IssueInfo, IssueObserver, LaneFault, MultiObserver, SimError, WARP_SIZE,
+};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// Which hardware site a campaign injects into. The first two target
@@ -551,12 +565,50 @@ fn golden_profile(
     Ok((run, sampler))
 }
 
-/// Run one trial's simulations and classify the outcome; `None` when a
-/// detection-only trial's comparator stayed silent (unclassified).
+/// The chip the architectural passes run on: `gpu` with the campaign's
+/// cycle budget (auto: 8× the golden run plus slack) and wall budget.
+fn budgeted(gpu: &GpuConfig, golden: &ProgramRun, opts: &ResilientOptions) -> GpuConfig {
+    let budget = if opts.cycle_budget != 0 {
+        opts.cycle_budget
+    } else {
+        golden.stats.cycles.saturating_mul(8).saturating_add(10_000)
+    };
+    gpu.clone()
+        .with_cycle_budget(budget)
+        .with_wall_budget_ms(opts.wall_budget_ms)
+}
+
+/// A detection pass's engine, halting the launch at the first comparator
+/// mismatch. [`Engine::fired`] never goes back to false, so the rest of
+/// the run could not change the verdict.
+struct UntilFired<'a>(&'a mut Engine);
+
+impl IssueObserver for UntilFired<'_> {
+    fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
+        self.0.observer().on_issue(info)
+    }
+
+    fn on_idle(&mut self, sm_id: usize, cycle: u64) {
+        self.0.observer().on_idle(sm_id, cycle);
+    }
+
+    fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
+        self.0.observer().on_sm_done(sm_id, cycle)
+    }
+
+    fn halted(&self) -> bool {
+        self.0.fired()
+    }
+}
+
+/// Run the simulations that decide one trial and classify it; `None`
+/// when a detection-only trial's comparator stayed silent
+/// (unclassified).
 ///
-/// Detection wins: a trial where the checker fired is `Detected` even
-/// if the corrupted run subsequently hung or produced wrong output — a
-/// real deployment triggers recovery at the detection point.
+/// Detection wins: a trial where the checker fired is `Detected` whatever
+/// the corrupted run would have done (hang, wrong output) — a real
+/// deployment triggers recovery at the detection point — so a detected
+/// trial runs no architectural pass.
 fn run_trial(
     workload: &Workload,
     clean_gpu: &GpuConfig,
@@ -566,14 +618,25 @@ fn run_trial(
     fault: &DrawnFault,
     golden: &ProgramRun,
 ) -> Result<Option<TrialOutcome>, SimError> {
-    // 1. Detection run: clean datapath, faulty oracle. The sim is
-    //    bit-identical to golden, so it runs unbudgeted (it cannot
-    //    hang) and any SimError here is a genuine bug to surface.
-    let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
-    workload.run_with(clean_gpu, engine.observer())?;
-    let detected = engine.fired();
+    // 1. Detection run: clean datapath, faulty oracle, stopped at the
+    //    first mismatch. A fail-silent draw cannot fire under Warped-DMR,
+    //    so it runs none. The sim is bit-identical to golden, so it runs
+    //    unbudgeted (it cannot hang) and any other SimError here is a
+    //    genuine bug to surface.
+    let detected = if opts.protection == Protection::WarpedDmr && fault.detect.is_fail_silent() {
+        false
+    } else {
+        let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
+        match workload.run_with(clean_gpu, &mut UntilFired(&mut engine)) {
+            Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
+            Err(e) => return Err(e),
+        }
+    };
+    if detected {
+        return Ok(Some(TrialOutcome::Detected));
+    }
     if opts.detect_only {
-        return Ok(detected.then_some(TrialOutcome::Detected));
+        return Ok(None);
     }
 
     // 2. Architectural run: real corruption, budgets armed. The
@@ -586,26 +649,13 @@ fn run_trial(
         Arc::new(ArchFault(fault.arch)),
     );
     Ok(Some(match arch {
-        Err(SimError::Hang { .. }) => {
-            if detected {
-                TrialOutcome::Detected
-            } else {
-                TrialOutcome::Hang
-            }
-        }
+        Err(SimError::Hang { .. }) => TrialOutcome::Hang,
         // Any other trap (deadlock, bad access from a corrupted
         // address…) is an observable failure: a detected,
         // unrecoverable error rather than silent corruption.
         Err(_) => TrialOutcome::Detected,
-        Ok(run) => {
-            if detected {
-                TrialOutcome::Detected
-            } else if run.output != golden.output {
-                TrialOutcome::Sdc
-            } else {
-                TrialOutcome::Masked
-            }
-        }
+        Ok(run) if run.output != golden.output => TrialOutcome::Sdc,
+        Ok(_) => TrialOutcome::Masked,
     }))
 }
 
@@ -694,16 +744,7 @@ pub fn resilient_campaign(
         None => (None, BTreeMap::new()),
     };
 
-    let budget = if opts.cycle_budget != 0 {
-        opts.cycle_budget
-    } else {
-        golden.stats.cycles.saturating_mul(8).saturating_add(10_000)
-    };
-    let budgeted_gpu = gpu
-        .clone()
-        .with_cycle_budget(budget)
-        .with_wall_budget_ms(opts.wall_budget_ms);
-
+    let budgeted_gpu = budgeted(gpu, &golden, opts);
     let chunks = trials.div_ceil(chunk);
     let journal = journal.map(Mutex::new);
     let cached = &done;
@@ -1154,6 +1195,130 @@ mod tests {
         let resumed = run(Protection::WarpedDmr, false, true).unwrap();
         assert_eq!(resumed.resumed_chunks, 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The trial loop without shortcuts: the detection pass always runs
+    /// to completion, and the architectural pass runs unless the
+    /// campaign is detection-only.
+    fn full_trial(
+        workload: &Workload,
+        gpu: &GpuConfig,
+        budgeted_gpu: &GpuConfig,
+        dmr: &DmrConfig,
+        opts: &ResilientOptions,
+        fault: &DrawnFault,
+        golden: &ProgramRun,
+    ) -> Option<TrialOutcome> {
+        let mut engine = Engine::new(opts.protection, dmr, gpu, Some(fault));
+        workload.run_with(gpu, engine.observer()).unwrap();
+        let detected = engine.fired();
+        if opts.detect_only {
+            return detected.then_some(TrialOutcome::Detected);
+        }
+        let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
+        let arch = workload.run_faulted(
+            budgeted_gpu,
+            observer.observer(),
+            Arc::new(ArchFault(fault.arch)),
+        );
+        Some(match arch {
+            _ if detected => TrialOutcome::Detected,
+            Err(SimError::Hang { .. }) => TrialOutcome::Hang,
+            Err(_) => TrialOutcome::Detected,
+            Ok(run) if run.output != golden.output => TrialOutcome::Sdc,
+            Ok(_) => TrialOutcome::Masked,
+        })
+    }
+
+    /// `per_class` draws of every site class from the profile of `bench`
+    /// under `protection`, with the profile's golden run.
+    fn draws(
+        bench: Benchmark,
+        protection: Protection,
+        per_class: usize,
+    ) -> (Workload, ProgramRun, Vec<(FaultSiteClass, DrawnFault)>) {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        let w = bench.build(WorkloadSize::Tiny).unwrap();
+        let (golden, sampler) = golden_profile(&w, &gpu, &dmr, protection, 5, 256).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut out = Vec::new();
+        for class in FaultSiteClass::ALL {
+            for _ in 0..per_class {
+                out.push((class, draw_fault(class, sampler.samples(), &dmr, &mut rng)));
+            }
+        }
+        (w, golden, out)
+    }
+
+    #[test]
+    fn run_trial_matches_the_full_reference() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        for bench in [Benchmark::Bfs, Benchmark::Scan] {
+            for protection in [Protection::WarpedDmr, Protection::Dmtr] {
+                let (w, golden, faults) = draws(bench, protection, 4);
+                for detect_only in [false, true] {
+                    let opts = ResilientOptions {
+                        protection,
+                        detect_only,
+                        ..tiny_opts()
+                    };
+                    let budgeted_gpu = budgeted(&gpu, &golden, &opts);
+                    for (class, f) in &faults {
+                        let fast = run_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden);
+                        let full = full_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden);
+                        assert_eq!(
+                            fast.unwrap(),
+                            full,
+                            "{bench:?} {protection:?} {class} detect_only={detect_only}: {f:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fail_silent_draws_never_fire() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        for bench in [Benchmark::Bfs, Benchmark::Scan] {
+            let (w, _, faults) = draws(bench, Protection::WarpedDmr, 6);
+            for (class, f) in &faults {
+                // Every comparator draw pairs the dead comparator with a
+                // transient on its own SM, so none runs a detection pass.
+                assert_eq!(
+                    f.detect.is_fail_silent(),
+                    *class == FaultSiteClass::ComparatorVerdict,
+                    "{bench:?} {class}: {f:?}"
+                );
+                if f.detect.is_fail_silent() {
+                    let mut engine = Engine::new(Protection::WarpedDmr, &dmr, &gpu, Some(f));
+                    w.run_with(&gpu, engine.observer()).unwrap();
+                    assert!(!engine.fired(), "{bench:?} {class}: {f:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn detection_pass_stops_at_the_first_mismatch() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        let (w, golden, faults) = draws(Benchmark::Scan, Protection::WarpedDmr, 4);
+        for (_, f) in faults
+            .iter()
+            .filter(|(c, _)| *c == FaultSiteClass::LaneTransient)
+        {
+            let mut engine = Engine::new(Protection::WarpedDmr, &dmr, &gpu, Some(f));
+            let res = w.run_with(&gpu, &mut UntilFired(&mut engine));
+            match res {
+                Err(SimError::Stopped { cycle }) => assert!(cycle <= golden.stats.cycles),
+                other => panic!("SCAN detects every lane transient: {other:?}"),
+            }
+            assert!(engine.fired());
+        }
     }
 
     #[test]

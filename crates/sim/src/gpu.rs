@@ -149,6 +149,10 @@ impl Gpu {
     ///   surfaced from any lane.
     /// * [`SimError::Deadlock`] if no instruction issues for an
     ///   implausibly long time (barrier deadlock).
+    /// * [`SimError::Hang`] when the config's cycle or wall-clock budget
+    ///   trips.
+    /// * [`SimError::Stopped`] at the first cycle boundary after
+    ///   `observer` reports [`IssueObserver::halted`].
     pub fn launch(
         &mut self,
         kernel: &Kernel,
@@ -227,6 +231,11 @@ impl Gpu {
         let mut done: Vec<bool> = vec![false; sms.len()];
 
         loop {
+            // Polled before each chip cycle, so an observer that halts
+            // during cycle c (or before the launch) sees nothing past it.
+            if observer.halted() {
+                return Err(SimError::Stopped { cycle });
+            }
             let mut any_work = false;
             for (i, sm) in sms.iter_mut().enumerate() {
                 if !sm.has_work() {
@@ -413,6 +422,69 @@ mod tests {
             .launch(&saxpy_kernel(), &launch, &mut NullObserver)
             .unwrap_err();
         assert_eq!(err, SimError::Hang { cycle: 3 });
+    }
+
+    #[test]
+    fn halting_observer_stops_at_the_next_cycle_boundary() {
+        use crate::observer::IssueInfo;
+
+        /// Halts once it has seen `after` issues; records every issue
+        /// cycle and the cycle of the halting issue.
+        struct HaltAfter {
+            after: usize,
+            cycles: Vec<u64>,
+            halted_at: Option<u64>,
+        }
+        impl IssueObserver for HaltAfter {
+            fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
+                self.cycles.push(info.cycle);
+                if self.cycles.len() == self.after {
+                    self.halted_at = Some(info.cycle);
+                }
+                0
+            }
+            fn halted(&self) -> bool {
+                self.cycles.len() >= self.after
+            }
+        }
+
+        let run = |after| {
+            let mut gpu = Gpu::new(GpuConfig::small());
+            let n = 256usize;
+            let xb = gpu.alloc_words(n);
+            let yb = gpu.alloc_words(n);
+            let launch = LaunchConfig::linear(4, 64).with_params(vec![xb, yb, 0]);
+            let mut obs = HaltAfter {
+                after,
+                cycles: Vec::new(),
+                halted_at: None,
+            };
+            let res = gpu.launch(&saxpy_kernel(), &launch, &mut obs);
+            (res, obs)
+        };
+        let (full, obs) = run(usize::MAX);
+        assert!(full.is_ok(), "an observer that never halts changes nothing");
+        let issues = obs.cycles.len();
+
+        for after in [1, 5, issues / 2] {
+            let (res, obs) = run(after);
+            let c = obs.halted_at.expect("halts within the run");
+            assert_eq!(
+                res,
+                Err(SimError::Stopped { cycle: c + 1 }),
+                "after {after}"
+            );
+            assert!(
+                obs.cycles.iter().all(|&x| x <= c),
+                "nothing issues past the halting cycle"
+            );
+        }
+        let (res, obs) = run(0);
+        assert_eq!(res, Err(SimError::Stopped { cycle: 0 }));
+        assert!(
+            obs.cycles.is_empty(),
+            "a halted observer stops the launch before cycle 0"
+        );
     }
 
     #[test]

@@ -120,6 +120,14 @@ pub enum SimError {
         /// Cycle at which the budget tripped.
         cycle: u64,
     },
+    /// The observer asked the launch to end
+    /// ([`IssueObserver::halted`](crate::IssueObserver::halted)): it has
+    /// seen everything it needs, so the rest of the run is not simulated.
+    /// Not a machine failure; no state after this cycle exists.
+    Stopped {
+        /// First cycle not simulated.
+        cycle: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -141,6 +149,9 @@ impl fmt::Display for SimError {
             SimError::PcOutOfRange { pc } => write!(f, "pc {pc} past end of kernel"),
             SimError::Hang { cycle } => {
                 write!(f, "launch exceeded its budget at cycle {cycle} (hang)")
+            }
+            SimError::Stopped { cycle } => {
+                write!(f, "observer stopped the launch at cycle {cycle}")
             }
         }
     }

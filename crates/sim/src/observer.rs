@@ -84,6 +84,13 @@ pub trait IssueObserver {
         let _ = (sm_id, cycle);
         0
     }
+
+    /// Whether the observer has seen all it needs. Polled once per chip
+    /// cycle; once it returns true the launch ends at the next cycle
+    /// boundary with [`SimError::Stopped`](crate::SimError::Stopped).
+    fn halted(&self) -> bool {
+        false
+    }
 }
 
 /// An observer that does nothing (plain, unprotected execution).
@@ -135,6 +142,10 @@ impl IssueObserver for MultiObserver<'_> {
             .iter_mut()
             .map(|p| p.on_sm_done(sm_id, cycle))
             .sum()
+    }
+
+    fn halted(&self) -> bool {
+        self.parts.iter().any(|p| p.halted())
     }
 }
 
@@ -213,6 +224,26 @@ mod tests {
         assert_eq!(a.issues, 1);
         assert_eq!(a.idles, 1);
         assert_eq!(c.issues, 1);
+    }
+
+    struct Halting(bool);
+
+    impl IssueObserver for Halting {
+        fn halted(&self) -> bool {
+            self.0
+        }
+    }
+
+    #[test]
+    fn multi_observer_halts_exactly_when_a_part_does() {
+        assert!(!MultiObserver::new().halted());
+        for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (mut x, mut y) = (Halting(a), Halting(b));
+            let mut m = MultiObserver::new();
+            m.push(&mut x).push(&mut y);
+            assert_eq!(m.halted(), a || b, "parts {a} {b}");
+        }
+        assert!(!NullObserver.halted());
     }
 
     #[test]

@@ -2,7 +2,10 @@
 # Campaign resilience smoke: a tiny resilient campaign must survive a
 # forced-panic chunk (retried transparently, same bytes) and resume
 # from its checkpoint journal byte-identically. Exercises the retry,
-# checkpoint, and resume paths end to end through the real CLI.
+# checkpoint, and resume paths end to end through the real CLI, on a
+# single-launch kernel (SCAN, broken comparator) and a multi-launch one
+# (BFS, lane transients: detection passes that stop at the first
+# mismatch).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,21 +13,28 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 run() {
-  cargo run -q -p warped-cli -- campaign SCAN --site comparator \
-    --trials 4 --seed 7 --json "$@"
+  cargo run -q -p warped-cli -- campaign "$@" --json
 }
 
-run > "$tmp/base.json"
+# smoke NAME CAMPAIGN-ARGS...
+smoke() {
+  local name="$1"
+  shift
+  run "$@" > "$tmp/$name.base.json"
 
-# Chunk 0's first two attempts panic (inside the default retry budget);
-# the campaign must recover and produce identical bytes. The panic
-# backtraces on stderr are the point, not a problem.
-run --checkpoint "$tmp/camp.jsonl" --fail-chunk 0:2 > "$tmp/panic.json"
-cmp "$tmp/base.json" "$tmp/panic.json"
+  # Chunk 0's first two attempts panic (inside the default retry
+  # budget); the campaign must recover and produce identical bytes. The
+  # panic backtraces on stderr are the point, not a problem.
+  run "$@" --checkpoint "$tmp/$name.jsonl" --fail-chunk 0:2 > "$tmp/$name.panic.json"
+  cmp "$tmp/$name.base.json" "$tmp/$name.panic.json"
 
-# Resume replays the finished chunk from the journal — still identical,
-# at a different worker count.
-run --checkpoint "$tmp/camp.jsonl" --resume --threads 1 > "$tmp/resume.json"
-cmp "$tmp/base.json" "$tmp/resume.json"
+  # Resume replays the finished chunk from the journal — still
+  # identical, at a different worker count.
+  run "$@" --checkpoint "$tmp/$name.jsonl" --resume --threads 1 > "$tmp/$name.resume.json"
+  cmp "$tmp/$name.base.json" "$tmp/$name.resume.json"
+}
+
+smoke scan SCAN --site comparator --trials 4 --seed 7
+smoke bfs BFS --site lane_transient --trials 8 --seed 7
 
 echo "campaign smoke: clean"

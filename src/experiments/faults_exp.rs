@@ -128,7 +128,7 @@ pub fn complete_campaign(
 /// One resilient campaign: `trials` faults of the given site class on
 /// one benchmark, classified against a golden run into the full
 /// masked / detected / SDC / hang taxonomy. Injection runs at `Tiny`
-/// size, like [`run`] (each trial is two full simulations).
+/// size, like [`run`] (a trial runs up to two simulations).
 ///
 /// # Errors
 ///
