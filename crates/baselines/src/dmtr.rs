@@ -89,6 +89,12 @@ impl Dmtr {
         &self.errors
     }
 
+    /// SMs holding an instruction that still awaits its next-cycle
+    /// verification.
+    pub fn pending(&self) -> usize {
+        self.pending.iter().filter(|p| p.is_some()).count()
+    }
+
     fn slot(&mut self, sm: usize) -> &mut Option<Pending> {
         if self.pending.len() <= sm {
             self.pending.resize_with(sm + 1, || None);

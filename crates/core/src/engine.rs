@@ -219,6 +219,11 @@ impl WarpedDmr {
         &self.errors
     }
 
+    /// The per-SM Replay Checkers, indexed by SM.
+    pub fn checkers(&self) -> &[ReplayChecker] {
+        &self.checkers
+    }
+
     fn checker(&mut self, sm: usize) -> &mut ReplayChecker {
         let cap = self.config.replayq_entries;
         while self.checkers.len() <= sm {

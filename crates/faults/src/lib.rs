@@ -17,8 +17,11 @@
 //!   vs Fig. 9a, and the stuck-at faults DMTR's core affinity hides,
 //!   §3.2). It also models checker-internal fault sites
 //!   ([`model::CheckerFault`]), retries panicking chunks and keeps an
-//!   fsynced checkpoint [`journal`].
+//!   fsynced checkpoint [`journal`]. Each trial pass starts at the first
+//!   launch its fault can touch (`first_touch`) and replays the earlier
+//!   fault-free launches from a launch log.
 
+mod first_touch;
 pub mod injector;
 pub mod journal;
 pub mod model;

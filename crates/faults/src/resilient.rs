@@ -54,7 +54,34 @@
 //! * a detected trial runs no architectural run, since detection takes
 //!   precedence over every architectural result. A detection-only
 //!   campaign never runs it.
+//!
+//! ## Each pass starts at the first launch its fault can touch
+//!
+//! Once per campaign, a second fault-free run records a launch log
+//! ([`LaunchLog`]: each launch's identity, memory changes and statistics)
+//! and, for the strikes the seeded draws use, the first launch at which
+//! each fault key reaches a hook the fault acts through: the datapath
+//! hook for the architectural run, the engine's oracle for the detection
+//! run. A pass starting at launch `k` replays launches `0..k` from the
+//! log. The skip cannot change the class:
+//!
+//! * before launch `k` the fault transforms no value, so those launches
+//!   of the pass are the golden launches: same memory in, same schedule,
+//!   same memory out;
+//! * cycle budgets are per launch, and a golden launch never hangs;
+//! * both engines drain at the end of every launch (the ReplayChecker
+//!   queue and RF slot, DMTR's pending slots), so a fresh engine at a
+//!   launch boundary has the golden engine's timing state;
+//! * the trial reads only whether the comparator fired and the final
+//!   output, never the engine counters of skipped launches.
+//!
+//! A checker half that can raise a mismatch by itself (`rfu_mux`,
+//! `rf_slot`) is not indexed, so its detection run starts at launch 0.
+//! A pass whose fault no launch touches is decided without simulating:
+//! its detection run cannot fire, and its architectural run is the golden
+//! run (masked).
 
+use crate::first_touch::{FirstTouch, Hook, Recorder};
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 use crate::model::{CheckerFault, CompoundFault, FaultModel};
@@ -66,11 +93,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use warped_baselines::Dmtr;
 use warped_core::mapping::physical_lane;
-use warped_core::{DmrConfig, LaneSite, WarpedDmr};
+use warped_core::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
 use warped_sim::{
-    GpuConfig, IssueInfo, IssueObserver, LaneFault, MultiObserver, SimError, WARP_SIZE,
+    Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, LaunchLog, MultiObserver, SimError,
+    WARP_SIZE,
 };
 use warped_trace::{TraceEvent, TraceHandle};
 
@@ -517,15 +545,31 @@ impl Engine {
         gpu: &GpuConfig,
         fault: Option<&DrawnFault>,
     ) -> Engine {
-        match (protection, fault) {
+        let oracle = fault.map(|f| -> Box<dyn FaultOracle> {
+            match protection {
+                Protection::WarpedDmr => Box::new(f.detect),
+                Protection::Dmtr => Box::new(f.arch),
+            }
+        });
+        Engine::with_oracle(protection, dmr, gpu, oracle)
+    }
+
+    /// An engine for `protection` carrying `oracle`, if any.
+    fn with_oracle(
+        protection: Protection,
+        dmr: &DmrConfig,
+        gpu: &GpuConfig,
+        oracle: Option<Box<dyn FaultOracle>>,
+    ) -> Engine {
+        match (protection, oracle) {
             (Protection::WarpedDmr, None) => {
                 Engine::WarpedDmr(Box::new(WarpedDmr::new(dmr.clone(), gpu)))
             }
-            (Protection::WarpedDmr, Some(f)) => Engine::WarpedDmr(Box::new(
-                WarpedDmr::with_oracle(dmr.clone(), gpu, Box::new(f.detect)),
-            )),
+            (Protection::WarpedDmr, Some(o)) => {
+                Engine::WarpedDmr(Box::new(WarpedDmr::with_oracle(dmr.clone(), gpu, o)))
+            }
             (Protection::Dmtr, None) => Engine::Dmtr(Dmtr::new()),
-            (Protection::Dmtr, Some(f)) => Engine::Dmtr(Dmtr::with_oracle(Box::new(f.arch))),
+            (Protection::Dmtr, Some(o)) => Engine::Dmtr(Dmtr::with_oracle(o)),
         }
     }
 
@@ -565,6 +609,126 @@ fn golden_profile(
     Ok((run, sampler))
 }
 
+/// What a campaign records from its fault-free runs, once: the output
+/// every trial is classified against, the launch log trial passes replay
+/// their fault-free prefix from, and the first launch each drawn fault
+/// can act in.
+struct Golden {
+    run: ProgramRun,
+    /// `None` when no pass is indexed, so every pass starts at launch 0.
+    log: Option<Arc<LaunchLog>>,
+    touch: Arc<FirstTouch>,
+}
+
+impl Golden {
+    /// A GPU of `chip` that replays launches `0..start` from the log.
+    fn gpu_from(&self, chip: &GpuConfig, start: u32) -> Gpu {
+        let mut gpu = Gpu::new(chip.clone());
+        if let Some(log) = &self.log {
+            gpu.replay_launches(log.clone(), start);
+        }
+        gpu
+    }
+
+    /// The launch the detection run of `f` starts at, or `None` when it
+    /// cannot fire.
+    fn detection_from(&self, protection: Protection, f: &DrawnFault) -> Option<u32> {
+        match detection_start(protection, f) {
+            DetectionStart::Never => None,
+            DetectionStart::First => Some(0),
+            DetectionStart::Touch(lane) => self.touch.first(Hook::Detect, &lane),
+        }
+    }
+}
+
+/// The second fault-free run: record the launch log and the first-touch
+/// launches of `keys`, attaching a recording hook only where a key is
+/// watched (the recording hooks change no value). Its result must equal
+/// `profile`, the first run's. With no key at all, nothing is recorded.
+///
+/// # Panics
+///
+/// Panics if the two fault-free runs differ, which would make the
+/// simulator nondeterministic.
+fn golden_footprint(
+    workload: &Workload,
+    gpu: &GpuConfig,
+    dmr: &DmrConfig,
+    protection: Protection,
+    profile: ProgramRun,
+    keys: impl IntoIterator<Item = (Hook, FaultModel)>,
+) -> Result<Golden, SimError> {
+    let touch = FirstTouch::new(gpu.num_sms, keys);
+    if !touch.watches(Hook::Arch) && !touch.watches(Hook::Detect) {
+        return Ok(Golden {
+            run: profile,
+            log: None,
+            touch,
+        });
+    }
+    let mut chip = Gpu::new(gpu.clone());
+    chip.record_launches();
+    if touch.watches(Hook::Arch) {
+        chip.set_fault(Arc::new(Recorder(touch.clone())));
+    }
+    let oracle = touch
+        .watches(Hook::Detect)
+        .then(|| -> Box<dyn FaultOracle> { Box::new(Recorder(touch.clone())) });
+    let mut engine = Engine::with_oracle(protection, dmr, gpu, oracle);
+    let mut launches = Recorder(touch.clone());
+    let mut multi = MultiObserver::new();
+    multi.push(engine.observer()).push(&mut launches);
+    let run = workload.run_on(&mut chip, &mut multi)?;
+    assert_eq!(run, profile, "the two fault-free runs differ");
+    let log = chip
+        .take_launch_log()
+        .expect("every recorded launch finished");
+    Ok(Golden {
+        run,
+        log: Some(Arc::new(log)),
+        touch,
+    })
+}
+
+/// Where a trial's detection run starts.
+#[derive(Debug, Clone, Copy)]
+enum DetectionStart {
+    /// Nowhere: nothing can fire.
+    Never,
+    /// At launch 0.
+    First,
+    /// At the first launch the engine's oracle sees this lane fault.
+    Touch(FaultModel),
+}
+
+/// Where the detection run of `f` starts. Warped-DMR sees the lane half
+/// on its physical lane and DMTR on the thread's own lane (see
+/// [`Engine::new`]). Under Warped-DMR a fail-silent draw cannot fire; a
+/// fail-silent checker half only swallows or skips comparisons, so the
+/// lane half decides; any other checker half can raise a mismatch by
+/// itself and is not indexed.
+fn detection_start(protection: Protection, f: &DrawnFault) -> DetectionStart {
+    match protection {
+        Protection::Dmtr => DetectionStart::Touch(f.arch),
+        Protection::WarpedDmr if f.detect.is_fail_silent() => DetectionStart::Never,
+        Protection::WarpedDmr => match (f.detect.checker, f.detect.lane) {
+            (Some(c), _) if !c.is_fail_silent() => DetectionStart::First,
+            (_, Some(lane)) => DetectionStart::Touch(lane),
+            (_, None) => DetectionStart::Never,
+        },
+    }
+}
+
+/// The first-touch keys the passes of `f`'s trial look up.
+fn trial_keys(opts: &ResilientOptions, f: &DrawnFault) -> impl Iterator<Item = (Hook, FaultModel)> {
+    let detect = match detection_start(opts.protection, f) {
+        DetectionStart::Touch(lane) => Some((Hook::Detect, lane)),
+        DetectionStart::Never | DetectionStart::First => None,
+    };
+    let arch = (!opts.detect_only).then_some((Hook::Arch, f.arch));
+    detect.into_iter().chain(arch)
+}
+
 /// The chip the architectural passes run on: `gpu` with the campaign's
 /// cycle budget (auto: 8× the golden run plus slack) and wall budget.
 fn budgeted(gpu: &GpuConfig, golden: &ProgramRun, opts: &ResilientOptions) -> GpuConfig {
@@ -596,6 +760,10 @@ impl IssueObserver for UntilFired<'_> {
         self.0.observer().on_sm_done(sm_id, cycle)
     }
 
+    fn on_launch(&mut self, index: u32) {
+        self.0.observer().on_launch(index);
+    }
+
     fn halted(&self) -> bool {
         self.0.fired()
     }
@@ -603,7 +771,8 @@ impl IssueObserver for UntilFired<'_> {
 
 /// Run the simulations that decide one trial and classify it; `None`
 /// when a detection-only trial's comparator stayed silent
-/// (unclassified).
+/// (unclassified). Each pass starts at the first launch its fault can
+/// touch (see the module docs).
 ///
 /// Detection wins: a trial where the checker fired is `Detected` whatever
 /// the corrupted run would have done (hang, wrong output) — a real
@@ -616,21 +785,24 @@ fn run_trial(
     dmr: &DmrConfig,
     opts: &ResilientOptions,
     fault: &DrawnFault,
-    golden: &ProgramRun,
+    golden: &Golden,
 ) -> Result<Option<TrialOutcome>, SimError> {
     // 1. Detection run: clean datapath, faulty oracle, stopped at the
     //    first mismatch. A fail-silent draw cannot fire under Warped-DMR,
-    //    so it runs none. The sim is bit-identical to golden, so it runs
-    //    unbudgeted (it cannot hang) and any other SimError here is a
-    //    genuine bug to surface.
-    let detected = if opts.protection == Protection::WarpedDmr && fault.detect.is_fail_silent() {
-        false
-    } else {
-        let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
-        match workload.run_with(clean_gpu, &mut UntilFired(&mut engine)) {
-            Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
-            Err(e) => return Err(e),
+    //    and a draw no launch touches cannot fire at all, so they run
+    //    none. The sim is bit-identical to golden, so it runs unbudgeted
+    //    (it cannot hang) and any other SimError here is a genuine bug to
+    //    surface.
+    let detected = match golden.detection_from(opts.protection, fault) {
+        Some(k) => {
+            let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
+            let mut gpu = golden.gpu_from(clean_gpu, k);
+            match workload.run_on(&mut gpu, &mut UntilFired(&mut engine)) {
+                Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
+                Err(e) => return Err(e),
+            }
         }
+        None => false,
     };
     if detected {
         return Ok(Some(TrialOutcome::Detected));
@@ -642,21 +814,39 @@ fn run_trial(
     // 2. Architectural run: real corruption, budgets armed. The
     //    protection engine rides along (without an oracle) purely so the
     //    issue schedule matches the profile run's cycle numbering.
+    let Some(k) = golden.touch.first(Hook::Arch, &fault.arch) else {
+        return Ok(Some(TrialOutcome::Masked));
+    };
     let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
-    let arch = workload.run_faulted(
-        budgeted_gpu,
-        observer.observer(),
-        Arc::new(ArchFault(fault.arch)),
-    );
+    let mut gpu = golden.gpu_from(budgeted_gpu, k);
+    gpu.set_fault(Arc::new(ArchFault(fault.arch)));
+    let arch = workload.run_on(&mut gpu, observer.observer());
     Ok(Some(match arch {
+        Err(e @ SimError::ReplayMismatch { .. }) => return Err(e),
         Err(SimError::Hang { .. }) => TrialOutcome::Hang,
         // Any other trap (deadlock, bad access from a corrupted
         // address…) is an observable failure: a detected,
         // unrecoverable error rather than silent corruption.
         Err(_) => TrialOutcome::Detected,
-        Ok(run) if run.output != golden.output => TrialOutcome::Sdc,
+        Ok(run) if run.output != golden.run.output => TrialOutcome::Sdc,
         Ok(_) => TrialOutcome::Masked,
     }))
+}
+
+/// The faults chunk `c` of a campaign draws, in trial order: `n` draws
+/// from `StdRng::seed_from_u64(seed ^ c)`.
+fn chunk_faults(
+    class: FaultSiteClass,
+    samples: &[SampledIssue],
+    dmr: &DmrConfig,
+    seed: u64,
+    c: u32,
+    n: u32,
+) -> Vec<DrawnFault> {
+    let mut rng = StdRng::seed_from_u64(seed ^ u64::from(c));
+    (0..n)
+        .map(|_| draw_fault(class, samples, dmr, &mut rng))
+        .collect()
 }
 
 /// Run a resilient campaign: `trials` injections of `class` into
@@ -677,7 +867,8 @@ fn run_trial(
 ///
 /// # Panics
 ///
-/// Never panics itself; panics *inside* trial chunks (including the
+/// Panics only if the two fault-free runs differ (a nondeterministic
+/// simulator); panics *inside* trial chunks (including the
 /// [`ForcedPanic`] test hook) are caught and converted to retries.
 pub fn resilient_campaign(
     workload: &Workload,
@@ -689,7 +880,7 @@ pub fn resilient_campaign(
     opts: &ResilientOptions,
 ) -> Result<ResilientReport, CampaignError> {
     let chunk = opts.chunk_trials.max(1);
-    let (golden, sampler) = golden_profile(
+    let (profile, sampler) = golden_profile(
         workload,
         gpu,
         dmr,
@@ -744,8 +935,16 @@ pub fn resilient_campaign(
         None => (None, BTreeMap::new()),
     };
 
-    let budgeted_gpu = budgeted(gpu, &golden, opts);
+    // Draws are pure functions of `seed ^ chunk`, so the fault keys every
+    // chunk's trials will look up are known before any trial runs.
     let chunks = trials.div_ceil(chunk);
+    let trials_in = |c: u32| chunk.min(trials - c * chunk);
+    let keys = (0..chunks)
+        .flat_map(|c| chunk_faults(class, samples, dmr, seed, c, trials_in(c)))
+        .flat_map(|f| trial_keys(opts, &f));
+    let golden = golden_footprint(workload, gpu, dmr, opts.protection, profile, keys)
+        .map_err(CampaignError::Golden)?;
+    let budgeted_gpu = budgeted(gpu, &golden.run, opts);
     let journal = journal.map(Mutex::new);
     let cached = &done;
     let attempted = Runner::new(opts.threads).map_retry(
@@ -762,12 +961,9 @@ pub fn resilient_campaign(
             }
             // Re-seeded identically on every attempt, so a chunk that
             // panicked and recovered draws exactly the same faults.
-            let mut rng = StdRng::seed_from_u64(seed ^ u64::from(c));
             let mut counts = ChunkCounts::default();
-            let lo = c * chunk;
-            for t in 0..chunk.min(trials - lo) {
-                let trial = lo + t;
-                let fault = draw_fault(class, samples, dmr, &mut rng);
+            let faults = chunk_faults(class, samples, dmr, seed, c, trials_in(c));
+            for (trial, fault) in (c * chunk..).zip(&faults) {
                 opts.trace.emit(|| TraceEvent::FaultInjected {
                     sm: fault.sm as u32,
                     trial,
@@ -779,8 +975,8 @@ pub fn resilient_campaign(
                     },
                     cycle: fault.strike,
                 });
-                let outcome = run_trial(workload, gpu, &budgeted_gpu, dmr, opts, &fault, &golden)
-                    .unwrap_or_else(|e| panic!("trial {trial} detection run failed: {e}"));
+                let outcome = run_trial(workload, gpu, &budgeted_gpu, dmr, opts, fault, &golden)
+                    .unwrap_or_else(|e| panic!("trial {trial} failed: {e}"));
                 if let Some(outcome) = outcome {
                     opts.trace.emit(|| TraceEvent::TrialOutcome {
                         trial,
@@ -825,7 +1021,7 @@ pub fn resilient_campaign(
             Attempted::Failed { attempts, .. } => {
                 retries_used += attempts - 1;
                 failed_chunks.push(c);
-                skipped += chunk.min(trials - c * chunk);
+                skipped += trials_in(c);
                 if let Some(j) = &mut journal {
                     j.append(&ChunkRecord::Failed { index: c, attempts })?;
                 }
@@ -1197,9 +1393,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The trial loop without shortcuts: the detection pass always runs
-    /// to completion, and the architectural pass runs unless the
-    /// campaign is detection-only.
+    /// The trial loop without shortcuts: both passes simulate every
+    /// launch, the detection pass always runs to completion, and the
+    /// architectural pass runs unless the campaign is detection-only.
     fn full_trial(
         workload: &Workload,
         gpu: &GpuConfig,
@@ -1231,16 +1427,17 @@ mod tests {
     }
 
     /// `per_class` draws of every site class from the profile of `bench`
-    /// under `protection`, with the profile's golden run.
+    /// under `protection`, with the golden record a campaign drawing
+    /// them would keep.
     fn draws(
         bench: Benchmark,
         protection: Protection,
         per_class: usize,
-    ) -> (Workload, ProgramRun, Vec<(FaultSiteClass, DrawnFault)>) {
+    ) -> (Workload, Golden, Vec<(FaultSiteClass, DrawnFault)>) {
         let gpu = GpuConfig::small();
         let dmr = DmrConfig::default();
         let w = bench.build(WorkloadSize::Tiny).unwrap();
-        let (golden, sampler) = golden_profile(&w, &gpu, &dmr, protection, 5, 256).unwrap();
+        let (profile, sampler) = golden_profile(&w, &gpu, &dmr, protection, 5, 256).unwrap();
         let mut rng = StdRng::seed_from_u64(17);
         let mut out = Vec::new();
         for class in FaultSiteClass::ALL {
@@ -1248,6 +1445,12 @@ mod tests {
                 out.push((class, draw_fault(class, sampler.samples(), &dmr, &mut rng)));
             }
         }
+        let opts = ResilientOptions {
+            protection,
+            ..tiny_opts()
+        };
+        let keys = out.iter().flat_map(|(_, f)| trial_keys(&opts, f));
+        let golden = golden_footprint(&w, &gpu, &dmr, protection, profile, keys).unwrap();
         (w, golden, out)
     }
 
@@ -1264,10 +1467,10 @@ mod tests {
                         detect_only,
                         ..tiny_opts()
                     };
-                    let budgeted_gpu = budgeted(&gpu, &golden, &opts);
+                    let budgeted_gpu = budgeted(&gpu, &golden.run, &opts);
                     for (class, f) in &faults {
                         let fast = run_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden);
-                        let full = full_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden);
+                        let full = full_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden.run);
                         assert_eq!(
                             fast.unwrap(),
                             full,
@@ -1277,6 +1480,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The launches, in a full run of each pass, of the first value
+    /// `fault` corrupts (architectural) and of the first comparator
+    /// mismatch (detection).
+    fn first_effects(
+        w: &Workload,
+        gpu: &GpuConfig,
+        budgeted_gpu: &GpuConfig,
+        dmr: &DmrConfig,
+        protection: Protection,
+        fault: &DrawnFault,
+    ) -> (Option<u32>, Option<u32>) {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
+        /// The running launch and the first launch a value changed in.
+        struct Corrupted(AtomicU32, AtomicU32);
+        struct Watch(Arc<Corrupted>, ArchFault);
+        impl LaneFault for Watch {
+            fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
+                let out = self.1.corrupt(sm, lane, cycle, value);
+                if out != value && self.0 .1.load(Relaxed) == u32::MAX {
+                    self.0 .1.store(self.0 .0.load(Relaxed), Relaxed);
+                }
+                out
+            }
+        }
+        impl IssueObserver for Watch {
+            fn on_launch(&mut self, index: u32) {
+                self.0 .0.store(index, Relaxed);
+            }
+        }
+        let corrupted = Arc::new(Corrupted(AtomicU32::new(0), AtomicU32::new(u32::MAX)));
+        let mut launches = Watch(corrupted.clone(), ArchFault(fault.arch));
+        let mut engine = Engine::new(protection, dmr, budgeted_gpu, None);
+        let mut multi = MultiObserver::new();
+        multi.push(engine.observer()).push(&mut launches);
+        let datapath = Arc::new(Watch(corrupted.clone(), ArchFault(fault.arch)));
+        let _ = w.run_faulted(budgeted_gpu, &mut multi, datapath);
+        let first = corrupted.1.load(Relaxed);
+
+        /// The detection engine, noting the launch it first fired in.
+        struct FiredAt<'a>(&'a mut Engine, u32, Option<u32>);
+        impl FiredAt<'_> {
+            fn note(&mut self) {
+                if self.2.is_none() && self.0.fired() {
+                    self.2 = Some(self.1);
+                }
+            }
+        }
+        impl IssueObserver for FiredAt<'_> {
+            fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
+                let stalls = self.0.observer().on_issue(info);
+                self.note();
+                stalls
+            }
+            fn on_idle(&mut self, sm_id: usize, cycle: u64) {
+                self.0.observer().on_idle(sm_id, cycle);
+                self.note();
+            }
+            fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
+                let drain = self.0.observer().on_sm_done(sm_id, cycle);
+                self.note();
+                drain
+            }
+            fn on_launch(&mut self, index: u32) {
+                self.1 = index;
+            }
+        }
+        let mut engine = Engine::new(protection, dmr, gpu, Some(fault));
+        let mut fired = FiredAt(&mut engine, 0, None);
+        w.run_with(gpu, &mut fired).unwrap();
+        ((first != u32::MAX).then_some(first), fired.2)
+    }
+
+    #[test]
+    fn each_pass_starts_no_later_than_its_faults_first_effect() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        let mut late_starts = 0;
+        for bench in [Benchmark::Bfs, Benchmark::Scan] {
+            for protection in [Protection::WarpedDmr, Protection::Dmtr] {
+                let (w, golden, faults) = draws(bench, protection, 4);
+                let budgeted_gpu = budgeted(&gpu, &golden.run, &tiny_opts());
+                for (class, f) in &faults {
+                    let (corrupted, fired) =
+                        first_effects(&w, &gpu, &budgeted_gpu, &dmr, protection, f);
+                    let arch = golden.touch.first(Hook::Arch, &f.arch);
+                    let detect = golden.detection_from(protection, f);
+                    let ctx = format!(
+                        "{bench:?} {protection:?} {class}: arch {arch:?} vs first corrupted \
+                         {corrupted:?}, detection {detect:?} vs first mismatch {fired:?}"
+                    );
+                    // Sound: no pass starts after its fault's first effect.
+                    if let Some(l) = corrupted {
+                        assert!(arch.is_some_and(|k| k <= l), "{ctx}");
+                    }
+                    if let Some(l) = fired {
+                        assert!(detect.is_some_and(|k| k <= l), "{ctx}");
+                    }
+                    // Exact for a transient (every lane_transient and
+                    // comparator draw): its first touch flips a bit.
+                    if !f.arch.is_permanent() {
+                        assert_eq!(arch, corrupted, "{ctx}");
+                    }
+                    if bench == Benchmark::Scan {
+                        assert!(arch.unwrap_or(0) == 0, "SCAN has one launch: {ctx}");
+                    }
+                    late_starts += usize::from(arch.is_some_and(|k| k > 0));
+                }
+            }
+        }
+        assert!(late_starts > 0, "some BFS pass must start past launch 0");
     }
 
     #[test]
@@ -1314,7 +1630,7 @@ mod tests {
             let mut engine = Engine::new(Protection::WarpedDmr, &dmr, &gpu, Some(f));
             let res = w.run_with(&gpu, &mut UntilFired(&mut engine));
             match res {
-                Err(SimError::Stopped { cycle }) => assert!(cycle <= golden.stats.cycles),
+                Err(SimError::Stopped { cycle }) => assert!(cycle <= golden.run.stats.cycles),
                 other => panic!("SCAN detects every lane transient: {other:?}"),
             }
             assert!(engine.fired());

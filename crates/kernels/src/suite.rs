@@ -60,7 +60,7 @@ pub trait Program {
 }
 
 /// The result of executing a [`Workload`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramRun {
     /// Statistics accumulated over all launches of the program.
     pub stats: RunStats,
@@ -229,6 +229,24 @@ impl Workload {
         self.inner.name()
     }
 
+    /// Run the program on `gpu` under `observer`: the one entry point
+    /// every other `run_*` method wraps. The caller configures the GPU
+    /// (trace, datapath fault, block redundancy, launch-log recording or
+    /// replay); its memory is reset first. Launch-log indices count the
+    /// GPU's launches, so record or replay on a GPU that has not launched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub fn run_on(
+        &self,
+        gpu: &mut Gpu,
+        observer: &mut dyn IssueObserver,
+    ) -> Result<ProgramRun, SimError> {
+        gpu.reset_memory();
+        self.inner.execute(gpu, observer)
+    }
+
     /// Run on a fresh GPU of the given configuration under `observer`.
     ///
     /// # Errors
@@ -239,8 +257,7 @@ impl Workload {
         config: &GpuConfig,
         observer: &mut dyn IssueObserver,
     ) -> Result<ProgramRun, SimError> {
-        let mut gpu = Gpu::new(config.clone());
-        self.inner.execute(&mut gpu, observer)
+        self.run_on(&mut Gpu::new(config.clone()), observer)
     }
 
     /// Run on a fresh GPU with cycle-level tracing attached. Give the
@@ -258,15 +275,12 @@ impl Workload {
     ) -> Result<ProgramRun, SimError> {
         let mut gpu = Gpu::new(config.clone());
         gpu.set_trace(trace);
-        self.inner.execute(&mut gpu, observer)
+        self.run_on(&mut gpu, observer)
     }
 
     /// Run on a fresh GPU with a datapath fault attached: every unit
     /// output passes through `fault` before writeback (see
-    /// [`warped_sim::LaneFault`]). This is the injection entry point of
-    /// the resilient campaigns; the fault-free golden run uses the same
-    /// `config` (including cycle/wall budgets) through [`Workload::run_with`],
-    /// so any output divergence is attributable to the fault alone.
+    /// [`warped_sim::LaneFault`]).
     ///
     /// # Errors
     ///
@@ -281,21 +295,7 @@ impl Workload {
     ) -> Result<ProgramRun, SimError> {
         let mut gpu = Gpu::new(config.clone());
         gpu.set_fault(fault);
-        self.inner.execute(&mut gpu, observer)
-    }
-
-    /// Run on an existing GPU (memory is reset first).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn run_on(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        gpu.reset_memory();
-        self.inner.execute(gpu, observer)
+        self.run_on(&mut gpu, observer)
     }
 
     /// Validate a run against the CPU reference.
@@ -354,6 +354,62 @@ mod tests {
         let cats: std::collections::BTreeSet<&str> =
             Benchmark::ALL.iter().map(|b| b.category()).collect();
         assert_eq!(cats.len(), 6);
+    }
+
+    /// Run `w` on a fresh GPU of `config` set up by `configure`,
+    /// returning the run and the GPU.
+    fn run_on_fresh(
+        w: &Workload,
+        config: &GpuConfig,
+        configure: impl FnOnce(&mut Gpu),
+    ) -> (Result<ProgramRun, SimError>, Gpu) {
+        let mut gpu = Gpu::new(config.clone());
+        configure(&mut gpu);
+        let run = w.run_on(&mut gpu, &mut warped_sim::NullObserver);
+        (run, gpu)
+    }
+
+    #[test]
+    fn every_replayed_prefix_of_bfs_matches_the_full_run() {
+        let config = GpuConfig::small();
+        let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
+        let (full, mut recorder) = run_on_fresh(&w, &config, Gpu::record_launches);
+        let full = full.unwrap();
+        let log = std::sync::Arc::new(recorder.take_launch_log().unwrap());
+        assert!(full.launches >= 3, "BFS Tiny is a multi-launch program");
+        assert_eq!(log.len(), full.launches as usize);
+        for k in 0..=full.launches {
+            let (run, gpu) = run_on_fresh(&w, &config, |gpu| gpu.replay_launches(log.clone(), k));
+            assert_eq!(run.unwrap(), full, "replaying launches < {k}");
+            assert_eq!(gpu.global_mem(), recorder.global_mem(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn a_log_of_another_run_is_refused() {
+        let config = GpuConfig::small();
+        let bfs = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
+        let (_, mut recorder) = run_on_fresh(&bfs, &config, Gpu::record_launches);
+        let log = std::sync::Arc::new(recorder.take_launch_log().unwrap());
+        let mismatch = SimError::ReplayMismatch { launch: 0 };
+        let replay = |w: &Workload, config: &GpuConfig| {
+            run_on_fresh(w, config, |gpu| gpu.replay_launches(log.clone(), 2)).0
+        };
+        let scan = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
+        assert_eq!(
+            replay(&scan, &config),
+            Err(mismatch.clone()),
+            "another workload"
+        );
+        let bigger = Benchmark::Bfs.build(WorkloadSize::Small).unwrap();
+        assert_eq!(
+            replay(&bigger, &config),
+            Err(mismatch.clone()),
+            "another size"
+        );
+        let chip = GpuConfig::small().with_sms(1);
+        assert_eq!(replay(&bfs, &chip), Err(mismatch), "another chip");
+        assert!(replay(&bfs, &config).is_ok());
     }
 
     #[test]

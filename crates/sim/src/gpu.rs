@@ -5,6 +5,7 @@ use crate::fault::LaneFault;
 use crate::launch::{LaunchConfig, RunStats, SimError};
 use crate::memory::GlobalMemory;
 use crate::observer::IssueObserver;
+use crate::replay::LaunchLog;
 use crate::sm::{Sm, StepOutcome};
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,6 +47,11 @@ pub struct Gpu {
     trace: TraceHandle,
     fault: Option<Arc<dyn LaneFault>>,
     launch_seq: u32,
+    /// The log being recorded, if any ([`Gpu::record_launches`]).
+    recording: Option<LaunchLog>,
+    /// A log and the launch index before which launches replay from it
+    /// ([`Gpu::replay_launches`]).
+    replay: Option<(Arc<LaunchLog>, u32)>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -55,6 +61,8 @@ impl std::fmt::Debug for Gpu {
             .field("block_redundancy", &self.block_redundancy)
             .field("fault", &self.fault.is_some())
             .field("launch_seq", &self.launch_seq)
+            .field("recording", &self.recording.is_some())
+            .field("replay_until", &self.replay.as_ref().map(|r| r.1))
             .finish_non_exhaustive()
     }
 }
@@ -76,6 +84,8 @@ impl Gpu {
             trace: TraceHandle::disabled(),
             fault: None,
             launch_seq: 0,
+            recording: None,
+            replay: None,
         }
     }
 
@@ -106,6 +116,40 @@ impl Gpu {
     pub fn set_block_redundancy(&mut self, copies: u32) {
         assert!(copies > 0, "need at least one copy of each block");
         self.block_redundancy = copies;
+    }
+
+    /// Record a [`LaunchLog`] of every subsequent launch that finishes:
+    /// its kernel, geometry and parameters, the global words it changed
+    /// and its statistics. Entry `i` of the log is launch `i` of this GPU.
+    /// A launch that fails ends the recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this GPU has launched before.
+    pub fn record_launches(&mut self) {
+        assert_eq!(self.launch_seq, 0, "record a launch log from launch 0");
+        self.recording = Some(LaunchLog::new(&self.config, self.block_redundancy));
+    }
+
+    /// The log recorded since [`Gpu::record_launches`], or `None` when
+    /// not recording (or a launch failed). Recording stops.
+    pub fn take_launch_log(&mut self) -> Option<LaunchLog> {
+        self.recording.take()
+    }
+
+    /// Replay launches `0..until` of this GPU from `log` instead of
+    /// simulating them: each applies the recorded memory changes and
+    /// returns the recorded statistics, calling neither the observer nor
+    /// the fault and emitting no trace events. Launches from `until` on
+    /// are simulated. This is exact when launches before `until` see the
+    /// memory the recorded run's did, which holds when the host program
+    /// is the recorded one and nothing can differ before `until`.
+    ///
+    /// A replayed launch that is not the recorded one (another kernel,
+    /// geometry, parameter list or chip) fails with
+    /// [`SimError::ReplayMismatch`] instead of diverging silently.
+    pub fn replay_launches(&mut self, log: Arc<LaunchLog>, until: u32) {
+        self.replay = Some((log, until));
     }
 
     /// The chip configuration.
@@ -139,7 +183,7 @@ impl Gpu {
     }
 
     /// Execute `kernel` with geometry `launch`, reporting every issue slot
-    /// to `observer`.
+    /// to `observer` (or replay it, see [`Gpu::replay_launches`]).
     ///
     /// # Errors
     ///
@@ -153,6 +197,8 @@ impl Gpu {
     ///   trips.
     /// * [`SimError::Stopped`] at the first cycle boundary after
     ///   `observer` reports [`IssueObserver::halted`].
+    /// * [`SimError::ReplayMismatch`] when a launch to replay is not the
+    ///   recorded one.
     pub fn launch(
         &mut self,
         kernel: &Kernel,
@@ -171,11 +217,41 @@ impl Gpu {
             });
         }
 
-        let launch_index = self.launch_seq;
+        let index = self.launch_seq;
         self.launch_seq += 1;
-        self.trace.emit(|| TraceEvent::LaunchBegin {
-            index: launch_index,
-        });
+        if let Some((log, until)) = &self.replay {
+            if index < *until {
+                return log.replay(
+                    index,
+                    &self.config,
+                    self.block_redundancy,
+                    kernel,
+                    launch,
+                    &mut self.global,
+                );
+            }
+        }
+        let Some(mut log) = self.recording.take() else {
+            return self.simulate(index, kernel, launch, observer);
+        };
+        let before = self.global.clone();
+        let stats = self.simulate(index, kernel, launch, observer)?;
+        log.push(kernel, launch, &before, &self.global, &stats);
+        self.recording = Some(log);
+        Ok(stats)
+    }
+
+    /// Simulate launch `index` (already validated) cycle by cycle.
+    fn simulate(
+        &mut self,
+        index: u32,
+        kernel: &Kernel,
+        launch: &LaunchConfig,
+        observer: &mut dyn IssueObserver,
+    ) -> Result<RunStats, SimError> {
+        let wpb = launch.warps_per_block();
+        self.trace.emit(|| TraceEvent::LaunchBegin { index });
+        observer.on_launch(index);
 
         let mut sms: Vec<Sm> = (0..self.config.num_sms)
             .map(|i| {
@@ -485,6 +561,93 @@ mod tests {
             obs.cycles.is_empty(),
             "a halted observer stops the launch before cycle 0"
         );
+    }
+
+    /// Three launches of `y = 2x + y` over one buffer pair, each seeing
+    /// the previous one's output, on a GPU set up by `configure`.
+    /// Returns the launches' results, the observer's launch indices and
+    /// the GPU.
+    fn three_saxpys(
+        configure: impl FnOnce(&mut Gpu),
+    ) -> (Vec<Result<RunStats, SimError>>, Vec<u32>, Gpu) {
+        struct Launches(Vec<u32>);
+        impl IssueObserver for Launches {
+            fn on_launch(&mut self, index: u32) {
+                self.0.push(index);
+            }
+        }
+        let mut gpu = Gpu::new(GpuConfig::small());
+        configure(&mut gpu);
+        let n = 64usize;
+        let xb = gpu.alloc_words(n);
+        let yb = gpu.alloc_words(n);
+        let xs: Vec<u32> = (0..n).map(|i| (i as f32).to_bits()).collect();
+        gpu.write_words(xb, &xs);
+        let launch = LaunchConfig::linear(2, 32).with_params(vec![xb, yb, 2.0f32.to_bits()]);
+        let mut seen = Launches(Vec::new());
+        let results = (0..3)
+            .map(|_| gpu.launch(&saxpy_kernel(), &launch, &mut seen))
+            .collect();
+        (results, seen.0, gpu)
+    }
+
+    #[test]
+    fn replayed_launches_reproduce_memory_and_stats() {
+        let (full, seen, mut recorder) = three_saxpys(Gpu::record_launches);
+        assert_eq!(seen, vec![0, 1, 2], "observers learn each launch index");
+        let log = Arc::new(recorder.take_launch_log().expect("recorded"));
+        assert_eq!(log.len(), 3);
+        assert!(
+            recorder.take_launch_log().is_none(),
+            "taking ends recording"
+        );
+        for until in 0..=4 {
+            let (replayed, seen, gpu) = three_saxpys(|gpu| gpu.replay_launches(log.clone(), until));
+            assert_eq!(replayed, full, "until {until}");
+            assert_eq!(gpu.global_mem(), recorder.global_mem(), "until {until}");
+            let simulated: Vec<u32> = (until.min(3)..3).collect();
+            assert_eq!(seen, simulated, "replayed launches reach no observer");
+        }
+    }
+
+    #[test]
+    fn replaying_another_launch_is_a_typed_error() {
+        let (_, _, mut recorder) = three_saxpys(Gpu::record_launches);
+        let log = Arc::new(recorder.take_launch_log().unwrap());
+        let mismatch = Err(SimError::ReplayMismatch { launch: 0 });
+
+        // Another kernel.
+        let mut gpu = Gpu::new(GpuConfig::small());
+        gpu.replay_launches(log.clone(), 1);
+        let mut b = KernelBuilder::new("other");
+        let r = b.reg();
+        b.mov(r, 0u32);
+        let other = b.build().unwrap();
+        let l = LaunchConfig::linear(2, 32).with_params(vec![0, 64, 2.0f32.to_bits()]);
+        assert_eq!(gpu.launch(&other, &l, &mut NullObserver), mismatch);
+
+        // The same kernel with other parameters.
+        let mut gpu = Gpu::new(GpuConfig::small());
+        gpu.replay_launches(log.clone(), 1);
+        let l = LaunchConfig::linear(2, 32).with_params(vec![0, 64, 3.0f32.to_bits()]);
+        assert_eq!(gpu.launch(&saxpy_kernel(), &l, &mut NullObserver), mismatch);
+
+        // Another chip, and past the log's end.
+        let (results, _, _) = three_saxpys(|gpu| {
+            *gpu = Gpu::new(GpuConfig::small().with_sms(1));
+            gpu.replay_launches(log.clone(), 1);
+        });
+        assert_eq!(results[0], mismatch);
+        let mut gpu = Gpu::new(GpuConfig::small());
+        gpu.replay_launches(Arc::new(LaunchLog::new(gpu.config(), 1)), 1);
+        assert_eq!(gpu.launch(&saxpy_kernel(), &l, &mut NullObserver), mismatch);
+
+        // A budget is not part of a launch's identity.
+        let (results, _, _) = three_saxpys(|gpu| {
+            *gpu = Gpu::new(GpuConfig::small().with_cycle_budget(1 << 20));
+            gpu.replay_launches(log.clone(), 3);
+        });
+        assert!(results.iter().all(Result::is_ok));
     }
 
     #[test]

@@ -128,6 +128,15 @@ pub enum SimError {
         /// First cycle not simulated.
         cycle: u64,
     },
+    /// A launch the GPU was told to replay
+    /// ([`Gpu::replay_launches`](crate::Gpu::replay_launches)) does not
+    /// match the log: another kernel, geometry, parameter list or chip
+    /// than the recorded launch, or an index past the log's end.
+    /// Replaying it would not reproduce what the recorded run did.
+    ReplayMismatch {
+        /// Index of the launch in the GPU's launch sequence.
+        launch: u32,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -152,6 +161,12 @@ impl fmt::Display for SimError {
             }
             SimError::Stopped { cycle } => {
                 write!(f, "observer stopped the launch at cycle {cycle}")
+            }
+            SimError::ReplayMismatch { launch } => {
+                write!(
+                    f,
+                    "launch {launch} does not match the launch log it replays"
+                )
             }
         }
     }
@@ -291,6 +306,8 @@ mod tests {
             SimError::Deadlock { cycle: 9 },
             SimError::PcOutOfRange { pc: 1 },
             SimError::Hang { cycle: 77 },
+            SimError::Stopped { cycle: 5 },
+            SimError::ReplayMismatch { launch: 2 },
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -62,6 +62,7 @@ pub mod launch;
 pub mod memory;
 pub mod observer;
 pub mod regfile;
+pub mod replay;
 pub mod simt_stack;
 pub mod sm;
 pub mod value;
@@ -72,4 +73,5 @@ pub use fault::{LaneFault, NoFault};
 pub use gpu::Gpu;
 pub use launch::{LaunchConfig, RunStats, SimError};
 pub use observer::{IssueInfo, IssueObserver, MultiObserver, NullObserver};
+pub use replay::LaunchLog;
 pub use simt_stack::SimtStack;

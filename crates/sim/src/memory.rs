@@ -7,22 +7,34 @@
 //! [`GpuConfig`](crate::GpuConfig).
 
 use crate::launch::SimError;
+use std::collections::BTreeMap;
 use warped_isa::Space;
 
-/// Device-global memory: a flat array of 32-bit words with a bump
-/// allocator for buffer placement.
-#[derive(Debug, Clone)]
+/// Device-global memory: 32-bit words addressed `0..capacity`, with a
+/// bump allocator for buffer placement.
+///
+/// Allocated words live in a dense array that grows with each
+/// allocation. A store past the allocation (but inside the capacity),
+/// which only a corrupted address makes, lands in a sparse side map.
+/// Every word that differs from zero is therefore in one of two small
+/// places: a fresh chip costs no memory, and a launch log can diff a
+/// launch's effect exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalMemory {
+    /// Words `0..allocated`.
     words: Vec<u32>,
-    next_free: usize,
+    /// Non-zero words past the allocation, by address.
+    stray: BTreeMap<u32, u32>,
+    capacity: usize,
 }
 
 impl GlobalMemory {
     /// Create a zeroed global memory of `words` 32-bit words.
     pub fn new(words: usize) -> Self {
         GlobalMemory {
-            words: vec![0; words],
-            next_free: 0,
+            words: Vec::new(),
+            stray: BTreeMap::new(),
+            capacity: words,
         }
     }
 
@@ -33,16 +45,27 @@ impl GlobalMemory {
     /// Panics when the memory is exhausted (configuration error, not a
     /// simulated fault).
     pub fn alloc(&mut self, len: usize) -> u32 {
+        let base = self.words.len();
         assert!(
-            self.next_free + len <= self.words.len(),
+            base + len <= self.capacity,
             "global memory exhausted: {} + {} > {}",
-            self.next_free,
+            base,
             len,
-            self.words.len()
+            self.capacity
         );
-        let base = self.next_free as u32;
-        self.next_free += len;
-        base
+        // Exact growth: buffers are allocated once per run, and spare
+        // capacity would only raise the footprint.
+        self.words.reserve_exact(len);
+        self.words.resize(base + len, 0);
+        // Stray stores into the new range become allocated words.
+        let mut moved = self.stray.split_off(&(base as u32));
+        if let Ok(end) = u32::try_from(base + len) {
+            self.stray.append(&mut moved.split_off(&end));
+        }
+        for (addr, value) in moved {
+            self.words[addr as usize] = value;
+        }
+        base as u32
     }
 
     /// Read one word.
@@ -50,14 +73,24 @@ impl GlobalMemory {
     /// # Errors
     ///
     /// [`SimError::MemOutOfBounds`] when `addr` is past the end.
+    #[inline]
     pub fn read(&self, addr: u32) -> Result<u32, SimError> {
-        self.words
-            .get(addr as usize)
-            .copied()
-            .ok_or(SimError::MemOutOfBounds {
+        match self.words.get(addr as usize) {
+            Some(w) => Ok(*w),
+            None => self.read_stray(addr),
+        }
+    }
+
+    #[cold]
+    fn read_stray(&self, addr: u32) -> Result<u32, SimError> {
+        if (addr as usize) < self.capacity {
+            Ok(self.stray.get(&addr).copied().unwrap_or(0))
+        } else {
+            Err(SimError::MemOutOfBounds {
                 space: Space::Global,
                 addr,
             })
+        }
     }
 
     /// Write one word.
@@ -65,17 +98,31 @@ impl GlobalMemory {
     /// # Errors
     ///
     /// [`SimError::MemOutOfBounds`] when `addr` is past the end.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
         match self.words.get_mut(addr as usize) {
             Some(w) => {
                 *w = value;
                 Ok(())
             }
-            None => Err(SimError::MemOutOfBounds {
+            None => self.write_stray(addr, value),
+        }
+    }
+
+    #[cold]
+    fn write_stray(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
+        if (addr as usize) >= self.capacity {
+            return Err(SimError::MemOutOfBounds {
                 space: Space::Global,
                 addr,
-            }),
+            });
         }
+        if value == 0 {
+            self.stray.remove(&addr);
+        } else {
+            self.stray.insert(addr, value);
+        }
+        Ok(())
     }
 
     /// Bulk host → device copy.
@@ -85,7 +132,15 @@ impl GlobalMemory {
     /// Panics if the target range is out of bounds (host-side bug).
     pub fn write_slice(&mut self, base: u32, data: &[u32]) {
         let b = base as usize;
-        self.words[b..b + data.len()].copy_from_slice(data);
+        match self.words.get_mut(b..b + data.len()) {
+            Some(dst) => dst.copy_from_slice(data),
+            None => {
+                for (i, v) in data.iter().enumerate() {
+                    self.write(base + i as u32, *v)
+                        .expect("host write past the end of global memory");
+                }
+            }
+        }
     }
 
     /// Bulk device → host copy.
@@ -95,23 +150,59 @@ impl GlobalMemory {
     /// Panics if the source range is out of bounds (host-side bug).
     pub fn read_slice(&self, base: u32, len: usize) -> Vec<u32> {
         let b = base as usize;
-        self.words[b..b + len].to_vec()
+        match self.words.get(b..b + len) {
+            Some(src) => src.to_vec(),
+            None => (0..len)
+                .map(|i| {
+                    self.read(base + i as u32)
+                        .expect("host read past the end of global memory")
+                })
+                .collect(),
+        }
     }
 
     /// Total capacity in words.
     pub fn capacity(&self) -> usize {
-        self.words.len()
+        self.capacity
     }
 
     /// Words currently allocated.
     pub fn allocated(&self) -> usize {
-        self.next_free
+        self.words.len()
     }
 
     /// Release all allocations and zero memory (between experiments).
     pub fn reset(&mut self) {
-        self.words.fill(0);
-        self.next_free = 0;
+        self.words.clear();
+        self.stray.clear();
+    }
+
+    /// The words whose value differs from `before`, an earlier copy of
+    /// this memory with the same allocation, as `(address, value)` pairs
+    /// in address order.
+    pub(crate) fn changes_since(&self, before: &GlobalMemory) -> Vec<(u32, u32)> {
+        debug_assert_eq!(self.words.len(), before.words.len());
+        let mut out: Vec<(u32, u32)> = self
+            .words
+            .iter()
+            .zip(&before.words)
+            .enumerate()
+            .filter(|(_, (now, was))| now != was)
+            .map(|(a, (now, _))| (a as u32, *now))
+            .collect();
+        let was = |a: &u32| before.stray.get(a).copied().unwrap_or(0);
+        let now = |a: &u32| self.stray.get(a).copied().unwrap_or(0);
+        let mut stray: Vec<(u32, u32)> = self
+            .stray
+            .keys()
+            .chain(before.stray.keys())
+            .filter(|a| now(a) != was(a))
+            .map(|a| (*a, now(a)))
+            .collect();
+        stray.sort_unstable();
+        stray.dedup();
+        out.extend(stray);
+        out
     }
 }
 
@@ -234,6 +325,46 @@ mod tests {
     fn over_allocation_panics() {
         let mut m = GlobalMemory::new(4);
         m.alloc(5);
+    }
+
+    #[test]
+    fn stores_past_the_allocation_stay_sparse_and_exact() {
+        let mut m = GlobalMemory::new(1 << 20);
+        let base = m.alloc(4);
+        m.write(900_000, 7).unwrap();
+        assert_eq!(m.read(900_000).unwrap(), 7);
+        assert_eq!(m.read(900_001).unwrap(), 0);
+        assert_eq!(m.allocated(), 4, "a stray store allocates nothing");
+        assert_eq!(m.read_slice(899_999, 3), vec![0, 7, 0]);
+        m.write(900_000, 0).unwrap();
+        assert_eq!(m, {
+            let mut fresh = GlobalMemory::new(1 << 20);
+            fresh.alloc(4);
+            fresh
+        });
+        // An allocation over a stray word takes its value along.
+        m.write(6, 3).unwrap();
+        m.alloc(8);
+        assert_eq!(m.read_slice(base, 8), vec![0, 0, 0, 0, 0, 0, 3, 0]);
+        assert!(m.write(1 << 20, 1).is_err());
+    }
+
+    #[test]
+    fn changes_since_lists_exactly_the_changed_words() {
+        let mut m = GlobalMemory::new(64);
+        m.alloc(8);
+        m.write(40, 9).unwrap();
+        let before = m.clone();
+        m.write(2, 5).unwrap();
+        m.write(3, 0).unwrap(); // unchanged
+        m.write(40, 0).unwrap();
+        m.write(50, 1).unwrap();
+        assert_eq!(m.changes_since(&before), vec![(2, 5), (40, 0), (50, 1)]);
+        let mut replayed = before.clone();
+        for (a, v) in m.changes_since(&before) {
+            replayed.write(a, v).unwrap();
+        }
+        assert_eq!(replayed, m);
     }
 
     #[test]

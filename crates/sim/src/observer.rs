@@ -85,6 +85,14 @@ pub trait IssueObserver {
         0
     }
 
+    /// Called at the start of each simulated launch with its index in the
+    /// GPU's launch sequence (0 for a fresh GPU's first launch). Launches
+    /// replayed from a log ([`Gpu::replay_launches`](crate::Gpu::replay_launches))
+    /// are not simulated and call no observer method.
+    fn on_launch(&mut self, index: u32) {
+        let _ = index;
+    }
+
     /// Whether the observer has seen all it needs. Polled once per chip
     /// cycle; once it returns true the launch ends at the next cycle
     /// boundary with [`SimError::Stopped`](crate::SimError::Stopped).
@@ -144,6 +152,12 @@ impl IssueObserver for MultiObserver<'_> {
             .sum()
     }
 
+    fn on_launch(&mut self, index: u32) {
+        for p in &mut self.parts {
+            p.on_launch(index);
+        }
+    }
+
     fn halted(&self) -> bool {
         self.parts.iter().any(|p| p.halted())
     }
@@ -158,6 +172,7 @@ mod tests {
         issues: u64,
         idles: u64,
         stall_per_issue: u64,
+        launches: Vec<u32>,
     }
 
     impl IssueObserver for CountingObserver {
@@ -170,6 +185,9 @@ mod tests {
         }
         fn on_sm_done(&mut self, _sm: usize, _cycle: u64) -> u64 {
             7
+        }
+        fn on_launch(&mut self, index: u32) {
+            self.launches.push(index);
         }
     }
 
@@ -205,11 +223,13 @@ mod tests {
             issues: 0,
             idles: 0,
             stall_per_issue: 2,
+            launches: Vec::new(),
         };
         let mut c = CountingObserver {
             issues: 0,
             idles: 0,
             stall_per_issue: 3,
+            launches: Vec::new(),
         };
         let mut m = MultiObserver::new();
         m.push(&mut a).push(&mut c);
@@ -220,10 +240,12 @@ mod tests {
         assert_eq!(m.on_issue(&info), 5);
         m.on_idle(0, 9);
         assert_eq!(m.on_sm_done(0, 10), 14);
+        m.on_launch(3);
         drop(m);
         assert_eq!(a.issues, 1);
         assert_eq!(a.idles, 1);
         assert_eq!(c.issues, 1);
+        assert_eq!((a.launches, c.launches), (vec![3], vec![3]));
     }
 
     struct Halting(bool);

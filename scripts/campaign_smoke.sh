@@ -4,8 +4,11 @@
 # from its checkpoint journal byte-identically. Exercises the retry,
 # checkpoint, and resume paths end to end through the real CLI, on a
 # single-launch kernel (SCAN, broken comparator) and a multi-launch one
-# (BFS, lane transients: detection passes that stop at the first
-# mismatch).
+# (BFS). On BFS, trial passes start at the first launch their fault can
+# touch and replay the earlier launches: lane transients exercise
+# detection passes that stop at the first mismatch, a broken comparator
+# exercises architectural passes started past launch 0, and an RF-slot
+# fault exercises detection passes that must start at launch 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,5 +39,7 @@ smoke() {
 
 smoke scan SCAN --site comparator --trials 4 --seed 7
 smoke bfs BFS --site lane_transient --trials 8 --seed 7
+smoke bfs-cmp BFS --site comparator --trials 8 --seed 7
+smoke bfs-rfslot BFS --site rf_slot --trials 4 --seed 7
 
 echo "campaign smoke: clean"
