@@ -8,6 +8,7 @@ use crate::dataflow::{DefUse, Liveness};
 use crate::diag::{DataflowWarning, StructuralLint};
 use crate::predict::{BlockPressure, ExactPrediction};
 use std::fmt::Write as _;
+use warped_trace::json_str;
 
 /// Version of the JSON report schema emitted by [`Analysis::to_json`].
 ///
@@ -253,37 +254,5 @@ impl Analysis {
         }
         s.push('}');
         s
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

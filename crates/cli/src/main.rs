@@ -853,6 +853,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::parse_args;
+    use proptest::prelude::*;
 
     fn parse(words: &[&str]) -> Result<super::Args, String> {
         parse_args(words.iter().map(|w| w.to_string()))
@@ -996,6 +997,69 @@ mod tests {
         assert!(parse(&["certify", "SCAN", "--depth"]).is_err());
         assert!(parse(&["certify", "SCAN", "--depth", "x"]).is_err());
         assert!(parse(&["certify", "SCAN", "--depth", "0"]).is_err());
+    }
+
+    /// Every flag that takes a value, with a value it accepts.
+    const VALUE_FLAGS: [(&str, &str); 10] = [
+        ("--trials", "3"),
+        ("--count", "7"),
+        ("--threads", "2"),
+        ("--seed", "9"),
+        ("--format", "jsonl"),
+        ("--depth", "4"),
+        ("--fail-chunk", "1:2"),
+        ("--out", "t.json"),
+        ("--site", "comparator"),
+        ("--checkpoint", "j.jsonl"),
+    ];
+
+    /// The first seven flags above parse their value; the rest store it.
+    const PARSED_FLAGS: usize = 7;
+
+    /// `command`, then each picked flag with its accepted value.
+    fn valid_words(picks: &[usize]) -> Vec<String> {
+        let mut words = vec!["campaign".to_string()];
+        for &i in picks {
+            let (flag, value) = VALUE_FLAGS[i];
+            words.extend([flag.to_string(), value.to_string()]);
+        }
+        words
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A value-taking flag as the last word has no value.
+        #[test]
+        fn value_flag_last_is_an_error(
+            picks in prop::collection::vec(0usize..VALUE_FLAGS.len(), 0..5),
+            last in 0usize..VALUE_FLAGS.len(),
+        ) {
+            let mut words = valid_words(&picks);
+            prop_assert!(parse_args(words.clone().into_iter()).is_ok());
+            words.push(VALUE_FLAGS[last].0.to_string());
+            prop_assert!(parse_args(words.into_iter()).is_err());
+        }
+
+        /// A parsed flag's value holding a character no accepted value
+        /// holds (letter, sign, dot, space, slash, non-ASCII) is an error.
+        #[test]
+        fn unparsable_values_are_errors(
+            picks in prop::collection::vec(0usize..VALUE_FLAGS.len(), 0..5),
+            flag in 0usize..PARSED_FLAGS,
+            digits in prop::collection::vec(0u8..11, 0..8),
+            bad_at in (0usize..6, any::<usize>()),
+        ) {
+            let (bad, at) = bad_at;
+            let mut value: Vec<char> = digits
+                .iter()
+                .map(|&d| if d == 10 { ':' } else { char::from(b'0' + d) })
+                .collect();
+            value.insert(at % (value.len() + 1), ['x', '-', '.', ' ', '/', '\u{e9}'][bad]);
+            let mut words = valid_words(&picks);
+            words.extend([VALUE_FLAGS[flag].0.to_string(), value.into_iter().collect()]);
+            prop_assert!(parse_args(words.clone().into_iter()).is_err(), "{words:?} parsed");
+        }
     }
 
     #[test]

@@ -28,34 +28,8 @@
 use crate::replayq::{ReplayEntry, ReplayQ};
 use warped_isa::{Reg, UnitType};
 use warped_sim::WARP_SIZE;
+pub use warped_trace::{CheckerStats, VerifyKind};
 use warped_trace::{TraceEvent, TraceHandle};
-
-/// How an instruction got verified (for the coverage/overhead breakdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerifyKind {
-    /// Co-executed with a different-type successor (Algorithm 1 case 1).
-    CoExecute,
-    /// Dequeued from the ReplayQ alongside a different-type instruction
-    /// (case 2).
-    QueueCoExecute,
-    /// Verified in an idle issue slot.
-    IdleSlot,
-    /// ReplayQ full: eager re-execution behind a 1-cycle stall (case 3).
-    EagerStall,
-    /// Forced verification of an unverified producer before a dependent
-    /// consumer issues (RAW rule), 1 stall cycle each.
-    RawStall,
-    /// Drained at kernel end or into a spare slot.
-    Drain,
-}
-
-impl VerifyKind {
-    /// The trace-layer kind with the same meaning (both enums declare
-    /// the kinds in the same order).
-    fn trace_kind(self) -> warped_trace::VerifyKind {
-        warped_trace::VerifyKind::ALL[self as usize]
-    }
-}
 
 /// A verification event: `entry` was verified at `cycle` via `kind`.
 #[derive(Debug, Clone)]
@@ -88,33 +62,6 @@ pub struct Incoming {
     pub mask: u32,
     /// Per-lane fault-free results.
     pub results: [u32; WARP_SIZE],
-}
-
-/// Counters for the checker's behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckerStats {
-    /// Verifications by kind, indexed like [`VerifyKind`] declaration
-    /// order.
-    pub verified: [u64; 6],
-    /// Instructions that passed through the ReplayQ.
-    pub enqueued: u64,
-    /// Stall cycles charged (eager + RAW).
-    pub stall_cycles: u64,
-    /// Cycles spent draining at kernel end.
-    pub drain_cycles: u64,
-    /// High-water mark of queue occupancy.
-    pub max_queue: usize,
-}
-
-impl CheckerStats {
-    /// Total verified instructions.
-    pub fn total_verified(&self) -> u64 {
-        self.verified.iter().sum()
-    }
-
-    fn bump(&mut self, kind: VerifyKind) {
-        self.verified[kind as usize] += 1;
-    }
 }
 
 /// One unverified obligation as seen from outside the checker: either
@@ -233,14 +180,14 @@ impl ReplayChecker {
         events: &mut Vec<VerifyEvent>,
     ) {
         let cycle = cycle.max(entry.cycle + 1);
-        self.stats.bump(kind);
+        self.stats.verify(kind);
         self.trace.emit(|| TraceEvent::Verify {
             sm: self.sm_id,
             cycle,
             warp: entry.warp_uid,
             unit: entry.unit,
             dst: entry.dst,
-            kind: kind.trace_kind(),
+            kind,
             issued: entry.cycle,
             active: entry.mask.count_ones(),
         });
@@ -251,8 +198,8 @@ impl ReplayChecker {
     fn enqueue(&mut self, a: ReplayEntry, cycle: u64) {
         let (warp, unit, dst) = (a.warp_uid, a.unit, a.dst);
         self.queue.push(a);
-        self.stats.enqueued += 1;
-        let depth = self.queue.len() as u32;
+        let depth = self.queue.len();
+        self.stats.enqueue(depth);
         let capacity = self.queue.capacity() as u32;
         self.trace.emit(|| TraceEvent::Enqueue {
             sm: self.sm_id,
@@ -260,7 +207,7 @@ impl ReplayChecker {
             warp,
             unit,
             dst,
-            depth,
+            depth: depth as u32,
             capacity,
         });
     }
@@ -315,9 +262,8 @@ impl ReplayChecker {
                 results: b.results,
             });
         }
-        self.stats.max_queue = self.stats.max_queue.max(self.queue.len());
-        self.stats.stall_cycles += stalls;
         if stalls > 0 {
+            self.stats.stall(stalls);
             self.trace.emit(|| TraceEvent::Stall {
                 sm: self.sm_id,
                 cycle: b.cycle,
@@ -350,7 +296,7 @@ impl ReplayChecker {
             extra += 1;
             self.verify(q, VerifyKind::Drain, cycle + extra, events);
         }
-        self.stats.drain_cycles += extra;
+        self.stats.drain(extra);
         extra
     }
 }

@@ -1,7 +1,7 @@
 //! The Warped-DMR engine: ties intra-warp and inter-warp DMR to the
 //! simulator's issue stream.
 
-use crate::checker::{CheckerStats, Incoming, ReplayChecker, VerifyEvent};
+use crate::checker::{Incoming, ReplayChecker, VerifyEvent};
 use crate::comparator::{compare_staged, CompareStage, ErrorLog, FaultOracle};
 use crate::config::DmrConfig;
 use crate::intra::{self, IntraPlan};
@@ -9,119 +9,10 @@ use crate::mapping::physical_lane;
 use crate::shuffle::verify_lane;
 use std::collections::HashMap;
 use warped_sim::{GpuConfig, IssueInfo, IssueObserver, WARP_SIZE};
-// The Fig. 1 bucket edges live in the trace layer so the live engine and
-// the trace-replay path can never disagree on them.
-use warped_trace::{bucket_of, MetricsSink, TraceEvent, TraceHandle};
-
-/// Coverage and overhead summary of one protected run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DmrReport {
-    /// Thread-instructions that produced verifiable results.
-    pub total_thread_instrs: u64,
-    /// Thread-instructions verified by intra-warp DMR.
-    pub intra_covered: u64,
-    /// Thread-instructions verified by inter-warp DMR.
-    pub inter_covered: u64,
-    /// Warp-instructions issued with a partial active mask.
-    pub partial_instrs: u64,
-    /// Warp-instructions issued fully utilized.
-    pub full_instrs: u64,
-    /// Partial-mask warp-instructions where intra-warp DMR verified only
-    /// a strict subset of the active lanes (the paper's "<4% of cases it
-    /// checks only a partial number of inputs").
-    pub partially_checked_instrs: u64,
-    /// Partial-mask warp-instructions where no active lane could be
-    /// verified (saturated clusters).
-    pub unchecked_partial_instrs: u64,
-    /// Thread-instructions per active-count bucket (paper Fig. 1 edges:
-    /// 1, 2-11, 12-21, 22-31, 32).
-    pub bucket_total: [u64; 5],
-    /// Covered thread-instructions per active-count bucket — the §3.3
-    /// breakdown of where coverage is lost.
-    pub bucket_covered: [u64; 5],
-    /// Aggregated Replay Checker behaviour over all SMs.
-    pub checker: CheckerStats,
-    /// Mismatches flagged by the comparator.
-    pub errors_detected: u64,
-}
-
-impl DmrReport {
-    /// Fraction of executed thread-instructions verified, in percent —
-    /// the paper's error-coverage metric (Fig. 9a).
-    pub fn coverage_pct(&self) -> f64 {
-        if self.total_thread_instrs == 0 {
-            0.0
-        } else {
-            100.0 * (self.intra_covered + self.inter_covered) as f64
-                / self.total_thread_instrs as f64
-        }
-    }
-
-    /// Verified thread-instructions.
-    pub fn covered_thread_instrs(&self) -> u64 {
-        self.intra_covered + self.inter_covered
-    }
-
-    /// Share of the coverage provided by intra-warp DMR.
-    pub fn intra_share(&self) -> f64 {
-        let c = self.covered_thread_instrs();
-        if c == 0 {
-            0.0
-        } else {
-            self.intra_covered as f64 / c as f64
-        }
-    }
-
-    /// Total stall cycles the DMR machinery charged.
-    pub fn stall_cycles(&self) -> u64 {
-        self.checker.stall_cycles
-    }
-
-    /// Coverage within one active-count bucket, percent.
-    pub fn bucket_coverage_pct(&self, bucket: usize) -> f64 {
-        if self.bucket_total[bucket] == 0 {
-            0.0
-        } else {
-            100.0 * self.bucket_covered[bucket] as f64 / self.bucket_total[bucket] as f64
-        }
-    }
-
-    /// Fraction of issued warp-instructions verified with only a partial
-    /// set of inputs (paper §6 claims < 4% for its workloads).
-    pub fn partial_check_fraction(&self) -> f64 {
-        let total = self.partial_instrs + self.full_instrs;
-        if total == 0 {
-            0.0
-        } else {
-            self.partially_checked_instrs as f64 / total as f64
-        }
-    }
-
-    /// Rebuild a report from a replayed trace's metrics registry. For a
-    /// complete trace of a run this reproduces the live report
-    /// bit-for-bit (`warped invariants` asserts it per benchmark).
-    pub fn from_metrics(m: &MetricsSink) -> DmrReport {
-        DmrReport {
-            total_thread_instrs: m.total_thread_instrs,
-            intra_covered: m.intra_covered,
-            inter_covered: m.inter_covered,
-            partial_instrs: m.partial_instrs,
-            full_instrs: m.full_instrs,
-            partially_checked_instrs: m.partially_checked_instrs,
-            unchecked_partial_instrs: m.unchecked_partial_instrs,
-            bucket_total: m.bucket_total,
-            bucket_covered: m.bucket_covered,
-            checker: CheckerStats {
-                verified: m.verified,
-                enqueued: m.enqueued,
-                stall_cycles: m.stall_cycles,
-                drain_cycles: m.drain_cycles,
-                max_queue: m.max_queue as usize,
-            },
-            errors_detected: m.errors_detected,
-        }
-    }
-}
+use warped_trace::{TraceEvent, TraceHandle};
+// The report and its counter rules live in the trace layer, so the live
+// engine and the trace-replay path count through the same code.
+pub use warped_trace::DmrReport;
 
 /// The Warped-DMR engine. Attach it to a launch as an
 /// [`IssueObserver`]; see the [crate-level example](crate).
@@ -197,20 +88,9 @@ impl WarpedDmr {
     /// Coverage/overhead summary so far.
     pub fn report(&self) -> DmrReport {
         let mut r = self.report.clone();
-        r.checker = self
-            .checkers
-            .iter()
-            .fold(CheckerStats::default(), |mut acc, c| {
-                for i in 0..acc.verified.len() {
-                    acc.verified[i] += c.stats.verified[i];
-                }
-                acc.enqueued += c.stats.enqueued;
-                acc.stall_cycles += c.stats.stall_cycles;
-                acc.drain_cycles += c.stats.drain_cycles;
-                acc.max_queue = acc.max_queue.max(c.stats.max_queue);
-                acc
-            });
-        r.errors_detected = self.errors.total();
+        for c in &self.checkers {
+            r.checker.merge(&c.stats);
+        }
         r
     }
 
@@ -238,9 +118,7 @@ impl WarpedDmr {
     fn settle_events(&mut self, sm: usize) {
         let events = std::mem::take(&mut self.events);
         for ev in &events {
-            let n = ev.entry.mask.count_ones();
-            self.report.inter_covered += u64::from(n);
-            self.report.bucket_covered[bucket_of(n)] += u64::from(n);
+            self.report.inter_verify(ev.entry.mask.count_ones());
             if let Some(oracle) = self.oracle.as_deref() {
                 // A ReplayQ metadata fault can only *drop* mask bits: a
                 // phantom set bit would compare garbage the entry never
@@ -266,6 +144,7 @@ impl WarpedDmr {
                         ver,
                         ev.cycle,
                     ) {
+                        self.report.error();
                         self.trace.emit(|| TraceEvent::Error {
                             sm: sm as u32,
                             cycle: ev.cycle,
@@ -283,17 +162,9 @@ impl WarpedDmr {
 
 impl IssueObserver for WarpedDmr {
     fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
-        let active = u64::from(info.active_count());
         let full = info.is_full();
-        if info.has_result {
-            self.report.total_thread_instrs += active;
-            self.report.bucket_total[bucket_of(active as u32)] += active;
-            if full {
-                self.report.full_instrs += 1;
-            } else {
-                self.report.partial_instrs += 1;
-            }
-        }
+        self.report
+            .issue(info.active_count(), full, info.has_result);
 
         // Intra-warp DMR: spatial redundancy on idle lanes, zero cost.
         if info.has_result && !full && self.config.enable_intra {
@@ -301,14 +172,8 @@ impl IssueObserver for WarpedDmr {
                 .plan_cache
                 .entry(info.active_mask)
                 .or_insert_with(|| intra::plan(info.active_mask, &self.config, WARP_SIZE));
-            self.report.intra_covered += u64::from(plan.covered);
-            self.report.bucket_covered[bucket_of(plan.active)] += u64::from(plan.covered);
-            if plan.covered == 0 {
-                self.report.unchecked_partial_instrs += 1;
-            } else if plan.covered < plan.active {
-                self.report.partially_checked_instrs += 1;
-            }
             let (p_active, p_covered) = (plan.active, plan.covered);
+            self.report.intra_pair(p_active, p_covered);
             self.trace.emit(|| TraceEvent::IntraPair {
                 sm: info.sm_id as u32,
                 cycle: info.cycle,
@@ -330,6 +195,7 @@ impl IssueObserver for WarpedDmr {
                         *ver,
                         info.cycle,
                     ) {
+                        self.report.error();
                         self.trace.emit(|| TraceEvent::Error {
                             sm: info.sm_id as u32,
                             cycle: info.cycle,

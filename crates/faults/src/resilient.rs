@@ -30,7 +30,7 @@
 //! levels, so a trial may run twice from the same drawn fault:
 //!
 //! 1. a **detection run** — clean datapath, the protection engine
-//!    carries the fault as a [`FaultOracle`](warped_core::FaultOracle)
+//!    carries the fault as a [`FaultOracle`]
 //!    (this is where checker-internal faults act). Warped-DMR sees the
 //!    [`CompoundFault`] on the mapped physical lane; DMTR has no lane
 //!    mapping, so it sees the datapath fault on the thread's own lane;

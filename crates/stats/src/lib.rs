@@ -8,7 +8,6 @@
 //!   dependency distances, which span 1..&gt;1000 cycles).
 //! * [`RunLengthTracker`] — average run lengths of a keyed event stream
 //!   (paper Fig. 8a's instruction-type switching distances).
-//! * [`Summary`] — streaming mean/min/max.
 //! * [`Table`] — aligned text and CSV rendering for experiment output.
 //! * [`bars::stacked`] — ASCII stacked bar charts (terminal renditions of
 //!   the paper's Fig. 1 / Fig. 5).
@@ -30,10 +29,8 @@
 pub mod bars;
 pub mod histogram;
 pub mod runlength;
-pub mod summary;
 pub mod table;
 
 pub use histogram::{LogHistogram, RangeHistogram};
 pub use runlength::RunLengthTracker;
-pub use summary::Summary;
 pub use table::Table;

@@ -5,7 +5,7 @@
 //! so loading the file shows per-SM swimlanes with one row per warp.
 
 use crate::event::{unit_str, TraceEvent};
-use crate::jsonl::to_line;
+use crate::jsonl::{json_str, to_line};
 use crate::sink::TraceSink;
 use std::io::Write;
 
@@ -73,22 +73,6 @@ fn slice_name(ev: &TraceEvent) -> (String, u64) {
         TraceEvent::FaultInjected { trial, kind, .. } => (format!("fault {kind} t{trial}"), 0),
         TraceEvent::TrialOutcome { trial, outcome } => (format!("trial {trial} {outcome}"), 0),
     }
-}
-
-/// Quote a string as a JSON string literal (the JSONL lines we embed only
-/// need quote escaping).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl TraceSink for ChromeSink {

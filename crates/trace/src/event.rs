@@ -7,9 +7,8 @@
 
 use warped_isa::{Reg, UnitType};
 
-/// How an instruction got verified — mirrors the Replay Checker's
-/// `VerifyKind` in `warped-core`, declared in the same order so the two
-/// can be mapped by index.
+/// How an instruction got verified: the verification slot the Replay
+/// Checker in `warped-core` used (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyKind {
     /// Co-executed with a different-type successor (Algorithm 1 case 1).
@@ -21,7 +20,7 @@ pub enum VerifyKind {
     /// ReplayQ full: eager re-execution behind a stall (case 3).
     EagerStall,
     /// Forced verification of an unverified producer before a dependent
-    /// consumer proceeds (RAW rule).
+    /// consumer proceeds (RAW rule), 1 stall cycle each.
     RawStall,
     /// Drained at kernel end or into a spare slot.
     Drain,

@@ -258,7 +258,7 @@ impl InvariantSink {
         self.log.total
     }
 
-    /// The first [`MAX_STORED`] violations, in detection order.
+    /// The first 64 violations, in detection order.
     pub fn violations(&self) -> &[Violation] {
         &self.log.stored
     }

@@ -177,6 +177,26 @@ impl LineWriter {
     }
 }
 
+/// Quote `raw` as a JSON string literal, escaping quotes, backslashes
+/// and control characters.
+pub fn json_str(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len() + 2);
+    out.push('"');
+    for c in raw.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Why a JSONL line failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
@@ -532,6 +552,12 @@ impl TraceSink for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

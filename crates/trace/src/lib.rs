@@ -5,8 +5,8 @@
 //! validation discipline (Bakhoda et al., ISPASS 2009) and DIVA's
 //! checker-verifies-core philosophy (Austin, MICRO 1999).
 //!
-//! The simulator ([`warped-sim`]), the Replay Checker, and the Warped-DMR
-//! engine ([`warped-core`]) emit typed [`TraceEvent`]s through a
+//! The simulator (`warped-sim`), the Replay Checker, and the Warped-DMR
+//! engine (`warped-core`) emit typed [`TraceEvent`]s through a
 //! [`TraceHandle`]. A disabled handle (the default) is a single `Option`
 //! check per site and the event constructors are never run, so tracing
 //! costs nothing unless it is switched on.
@@ -16,9 +16,10 @@
 //! * [`JsonlSink`] — one JSON object per line, streaming to any writer or
 //!   ring-buffered in memory (last *N* events for post-mortems).
 //! * [`ChromeSink`] — a Chrome `about:tracing` / Perfetto export.
-//! * [`MetricsSink`] — a counter/histogram registry built on
-//!   [`warped_stats`]; replaying a recorded trace through it reproduces
-//!   the live `DmrReport` bit-for-bit (see `warped invariants`).
+//! * [`MetricsSink`] — rebuilds a [`DmrReport`] from the stream through
+//!   the same counter rules the live engine uses; replaying a recorded
+//!   trace through it reproduces the live report bit-for-bit (see
+//!   `warped invariants`).
 //! * [`InvariantSink`] — asserts Algorithm-1 properties online: every
 //!   inter-warp-eligible instruction is verified exactly once, verify
 //!   timestamps are strictly after issue and monotone per SM, ReplayQ
@@ -52,6 +53,6 @@ pub use chrome::ChromeSink;
 pub use event::{TraceEvent, VerifyKind};
 pub use handle::TraceHandle;
 pub use invariant::InvariantSink;
-pub use jsonl::{parse_flat, FieldMap, JsonlSink, ParseError, Scalar};
-pub use metrics::{bucket_of, MetricsSink};
+pub use jsonl::{json_str, parse_flat, FieldMap, JsonlSink, ParseError, Scalar};
+pub use metrics::{bucket_of, CheckerStats, DmrReport, MetricsSink};
 pub use sink::{CollectSink, Fanout, NullSink, TraceSink};

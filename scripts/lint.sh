@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Workspace lint gate: clippy (warnings are errors) + rustfmt check.
+# Workspace lint gate: clippy (warnings are errors) + rustfmt check +
+# rustdoc (warnings are errors).
 # Run from anywhere; operates on the repository the script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +10,10 @@ cd "$(dirname "$0")/.."
 # dropped from the workspace members list unnoticed.
 cargo clippy --workspace -p warped-runner --all-targets -- -D warnings
 cargo fmt --check
+
+# Rustdoc with warnings as errors: a moved or renamed item must not
+# leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Every crate's tests, not only the root package's that `cargo test`
 # runs: the unit tests of the trace sinks, checker, model checker,
