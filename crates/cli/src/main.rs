@@ -786,11 +786,7 @@ fn trace_full(
     };
     let mut payload = Vec::new();
     if format == "chrome" {
-        let mut chrome = trace::ChromeSink::new();
-        trace::replay::feed(&events, &mut chrome);
-        chrome
-            .write_to(&mut payload)
-            .map_err(io_err("trace buffer"))?;
+        trace::chrome::write(&events, &mut payload).map_err(io_err("trace buffer"))?;
     } else {
         for ev in &events {
             payload.extend_from_slice(trace::jsonl::to_line(ev).as_bytes());

@@ -63,8 +63,10 @@ impl WarpedDmr {
     }
 
     /// Route the engine's events (intra-warp pairings, checker activity,
-    /// comparator detections) to `trace`. Attach the same handle to the
-    /// [`Gpu`](warped_sim::Gpu) via `set_trace` for the full stream.
+    /// comparator detections) to `trace`. Run under
+    /// `Workload::run_traced` (in `warped-kernels`) with the same handle
+    /// for the full stream: it adds the simulator's launch, issue, idle
+    /// and SM-completion events around this engine's.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         for (i, c) in self.checkers.iter_mut().enumerate() {
             c.attach_trace(i, trace.clone());

@@ -4,7 +4,8 @@
 use crate::common::{CheckError, Footprint};
 use crate::{bfs, bitonic, fft, laplace, libor, matmul, mum, nqueen, radix, scan, sha};
 use warped_isa::KernelError;
-use warped_sim::{Gpu, GpuConfig, IssueObserver, RunStats, SimError};
+use warped_sim::{Gpu, GpuConfig, IssueInfo, IssueObserver, RunStats, SimError};
+use warped_trace::{TraceEvent, TraceHandle};
 
 /// Workload scale. The algorithms are identical across sizes; only input
 /// dimensions change.
@@ -231,7 +232,7 @@ impl Workload {
 
     /// Run the program on `gpu` under `observer`: the one entry point
     /// every other `run_*` method wraps. The caller configures the GPU
-    /// (trace, datapath fault, block redundancy, launch-log recording or
+    /// (datapath fault, block redundancy, launch-log recording or
     /// replay); its memory is reset first. Launch-log indices count the
     /// GPU's launches, so record or replay on a GPU that has not launched.
     ///
@@ -260,9 +261,11 @@ impl Workload {
         self.run_on(&mut Gpu::new(config.clone()), observer)
     }
 
-    /// Run on a fresh GPU with cycle-level tracing attached. Give the
-    /// observer (e.g. a `WarpedDmr` engine) a clone of the same handle
-    /// for the full stream.
+    /// Run on a fresh GPU with cycle-level tracing attached: `trace`
+    /// receives a `LaunchBegin`, `Issue`, `Idle` and `SmDone` event for
+    /// every launch, issue slot, idle slot and SM completion `observer`
+    /// sees. Give the observer (e.g. a `WarpedDmr` engine) a clone of the
+    /// same handle for the full stream.
     ///
     /// # Errors
     ///
@@ -271,11 +274,13 @@ impl Workload {
         &self,
         config: &GpuConfig,
         observer: &mut dyn IssueObserver,
-        trace: warped_trace::TraceHandle,
+        trace: TraceHandle,
     ) -> Result<ProgramRun, SimError> {
-        let mut gpu = Gpu::new(config.clone());
-        gpu.set_trace(trace);
-        self.run_on(&mut gpu, observer)
+        let mut traced = Traced {
+            inner: observer,
+            trace,
+        };
+        self.run_with(config, &mut traced)
     }
 
     /// Run on a fresh GPU with a datapath fault attached: every unit
@@ -320,6 +325,62 @@ impl Workload {
     /// Threads per block of every launch (fixed per program).
     pub fn block_threads(&self) -> u32 {
         self.inner.block_threads()
+    }
+}
+
+/// Turns what the simulator reports to `inner` into trace events.
+///
+/// `LaunchBegin`, `Issue` and `Idle` are emitted before `inner` sees the
+/// call, so the checker events of an issue slot follow its `Issue`.
+/// `SmDone` is emitted after `inner` returns, stamped at the finish time
+/// (drain included), so it sorts after the checker's drain verifies.
+struct Traced<'a> {
+    inner: &'a mut dyn IssueObserver,
+    trace: TraceHandle,
+}
+
+impl IssueObserver for Traced<'_> {
+    fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
+        self.trace.emit(|| TraceEvent::Issue {
+            sm: info.sm_id as u32,
+            cycle: info.cycle,
+            warp: info.warp_uid,
+            pc: info.pc.0,
+            unit: info.unit,
+            active: info.active_count(),
+            full: info.is_full(),
+            has_result: info.has_result,
+            dst: info.instr.dst(),
+            srcs: info.instr.src_regs(),
+        });
+        self.inner.on_issue(info)
+    }
+
+    fn on_idle(&mut self, sm_id: usize, cycle: u64) {
+        self.trace.emit(|| TraceEvent::Idle {
+            sm: sm_id as u32,
+            cycle,
+        });
+        self.inner.on_idle(sm_id, cycle);
+    }
+
+    fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
+        let drained = self.inner.on_sm_done(sm_id, cycle);
+        self.trace.emit(|| TraceEvent::SmDone {
+            sm: sm_id as u32,
+            cycle: cycle + drained,
+            drained,
+        });
+        drained
+    }
+
+    fn on_launch(&mut self, index: u32) {
+        self.trace.emit(|| TraceEvent::LaunchBegin { index });
+        self.inner.on_launch(index);
+    }
+
+    fn halted(&self) -> bool {
+        self.inner.halted()
     }
 }
 

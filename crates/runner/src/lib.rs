@@ -7,7 +7,7 @@
 //!
 //! ## Determinism contract
 //!
-//! A [`JobSet`] collects results **in submission order**, regardless of
+//! [`Runner::map`] collects results **in submission order**, regardless of
 //! which worker finishes first, so parallel output is bit-identical to a
 //! serial run of the same jobs. Nothing else is shared between jobs;
 //! any randomness must be seeded per job by the caller (the fault
@@ -23,14 +23,10 @@
 //! 3. [`std::thread::available_parallelism`].
 //!
 //! ```
-//! use warped_runner::{JobSet, Runner};
+//! use warped_runner::Runner;
 //!
 //! let runner = Runner::new(4);
-//! let mut jobs = JobSet::new();
-//! for i in 0..32u64 {
-//!     jobs.push(move || i * i);
-//! }
-//! let squares = runner.run(jobs);
+//! let squares = runner.map(0..32u64, |i| i * i);
 //! assert_eq!(squares, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
 //! ```
 
@@ -69,53 +65,8 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
     }
 }
 
-/// A boxed job: runs once, produces a `T`, may borrow from `'env`.
-type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// A batch of independent jobs whose results are collected in
-/// submission order. Jobs may borrow from the enclosing scope (the
-/// lifetime parameter): the borrow ends when [`Runner::run`] returns.
-pub struct JobSet<'env, T> {
-    jobs: Vec<Job<'env, T>>,
-}
-
-impl<T> std::fmt::Debug for JobSet<'_, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JobSet({} jobs)", self.jobs.len())
-    }
-}
-
-impl<T> Default for JobSet<'_, T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'env, T> JobSet<'env, T> {
-    /// An empty job set.
-    pub fn new() -> Self {
-        JobSet { jobs: Vec::new() }
-    }
-
-    /// Append a job. It runs at most once, on an arbitrary worker; its
-    /// result lands at this submission index.
-    pub fn push(&mut self, job: impl FnOnce() -> T + Send + 'env) {
-        self.jobs.push(Box::new(job));
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs have been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-}
-
 /// A worker pool of a fixed thread count. Creating a `Runner` spawns
-/// nothing; threads are scoped to each [`Runner::run`] call
+/// nothing; threads are scoped to each [`Runner::map`] call
 /// (`std::thread::scope`), so jobs may borrow local state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runner {
@@ -151,24 +102,31 @@ impl Runner {
         self.threads
     }
 
-    /// Execute every job and return the results in submission order.
+    /// Map `f` over `items` in parallel and return the results in item
+    /// order.
     ///
-    /// With one worker (or at most one job) everything runs inline on
-    /// the calling thread. A panicking job propagates its panic to the
+    /// With one worker (or at most one item) everything runs inline on
+    /// the calling thread. A panicking call propagates its panic to the
     /// caller after the remaining workers drain.
-    pub fn run<T: Send>(&self, jobs: JobSet<'_, T>) -> Vec<T> {
-        let n = jobs.jobs.len();
+    pub fn map<I, T, F>(&self, items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+    {
+        let items: Vec<I> = items.into_iter().collect();
+        let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            return jobs.jobs.into_iter().map(|job| job()).collect();
+            return items.into_iter().map(f).collect();
         }
 
         // Work-stealing by atomic index: each worker claims the next
-        // unclaimed submission slot, runs it, and parks the result in
-        // that slot. The per-slot mutexes are uncontended (a slot is
+        // unclaimed item, runs `f` on it, and parks the result in that
+        // item's slot. The per-slot mutexes are uncontended (a slot is
         // touched by exactly one worker).
-        let pending: Vec<Mutex<Option<Job<'_, T>>>> =
-            jobs.jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let pending: Vec<Mutex<Option<I>>> =
+            items.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let done: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
 
@@ -180,12 +138,12 @@ impl Runner {
                         if i >= n {
                             break;
                         }
-                        let job = pending[i]
+                        let item = pending[i]
                             .lock()
-                            .expect("job slot poisoned")
+                            .expect("item slot poisoned")
                             .take()
-                            .expect("job claimed twice");
-                        let out = job();
+                            .expect("item claimed twice");
+                        let out = f(item);
                         *done[i].lock().expect("result slot poisoned") = Some(out);
                     })
                 })
@@ -207,21 +165,6 @@ impl Runner {
                     .expect("job did not complete")
             })
             .collect()
-    }
-
-    /// Map `f` over `items` in parallel, preserving item order.
-    pub fn map<I, T, F>(&self, items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let mut jobs = JobSet::new();
-        for item in items {
-            let f = &f;
-            jobs.push(move || f(item));
-        }
-        self.run(jobs)
     }
 
     /// Map a fallible `f` over `items` in parallel. Every job runs to
@@ -276,14 +219,10 @@ mod tests {
     fn all_jobs_run_exactly_once() {
         let hits = AtomicU64::new(0);
         let runner = Runner::new(4);
-        let mut jobs = JobSet::new();
-        for _ in 0..250 {
-            jobs.push(|| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(jobs.len(), 250);
-        runner.run(jobs);
+        let out = runner.map(0..250, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(out.len(), 250);
         assert_eq!(hits.load(Ordering::Relaxed), 250);
     }
 
@@ -316,10 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_jobset_is_fine() {
-        let out: Vec<u8> = Runner::new(8).run(JobSet::new());
+    fn empty_input_is_fine() {
+        let out: Vec<u8> = Runner::new(8).map(std::iter::empty::<u8>(), |i| i);
         assert!(out.is_empty());
-        assert!(JobSet::<u8>::new().is_empty());
     }
 
     #[test]
@@ -343,15 +281,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn job_panic_propagates_to_the_caller() {
-        let runner = Runner::new(2);
-        let mut jobs = JobSet::new();
-        for i in 0..8 {
-            jobs.push(move || {
-                if i == 3 {
-                    panic!("boom");
-                }
-            });
-        }
-        runner.run(jobs);
+        Runner::new(2).map(0..8, |i| {
+            if i == 3 {
+                panic!("boom");
+            }
+        });
     }
 }

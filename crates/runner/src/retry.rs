@@ -14,7 +14,7 @@
 //! simply re-seeds identically every attempt — produces the same value
 //! no matter how many transient failures preceded success.
 
-use crate::{JobSet, Runner};
+use crate::Runner;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A panic captured from an isolated job attempt.
@@ -122,11 +122,6 @@ impl<T> Attempted<T> {
             Attempted::Done { attempts, .. } | Attempted::Failed { attempts, .. } => *attempts,
         }
     }
-
-    /// Whether the job ended in failure.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, Attempted::Failed { .. })
-    }
 }
 
 impl Runner {
@@ -150,39 +145,34 @@ impl Runner {
         T: Send,
         F: Fn(I, u32) -> T + Sync,
     {
-        let mut jobs = JobSet::new();
-        for item in items {
-            let f = &f;
-            jobs.push(move || {
-                let mut attempt = 0u32;
-                loop {
-                    let it = item.clone();
-                    match catch_unwind(AssertUnwindSafe(|| f(it, attempt))) {
-                        Ok(value) => {
-                            return Attempted::Done {
-                                value,
-                                attempts: attempt + 1,
-                            }
+        self.map(items, |item| {
+            let mut attempt = 0u32;
+            loop {
+                let it = item.clone();
+                match catch_unwind(AssertUnwindSafe(|| f(it, attempt))) {
+                    Ok(value) => {
+                        return Attempted::Done {
+                            value,
+                            attempts: attempt + 1,
                         }
-                        Err(payload) => {
-                            let last = JobPanic::from_payload(payload);
-                            if attempt >= policy.retries {
-                                return Attempted::Failed {
-                                    attempts: attempt + 1,
-                                    last,
-                                };
-                            }
-                            attempt += 1;
-                            let ms = policy.backoff_before(attempt);
-                            if ms > 0 {
-                                std::thread::sleep(std::time::Duration::from_millis(ms));
-                            }
+                    }
+                    Err(payload) => {
+                        let last = JobPanic::from_payload(payload);
+                        if attempt >= policy.retries {
+                            return Attempted::Failed {
+                                attempts: attempt + 1,
+                                last,
+                            };
+                        }
+                        attempt += 1;
+                        let ms = policy.backoff_before(attempt);
+                        if ms > 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(ms));
                         }
                     }
                 }
-            });
-        }
-        self.run(jobs)
+            }
+        })
     }
 }
 

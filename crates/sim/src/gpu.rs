@@ -10,7 +10,6 @@ use crate::sm::{Sm, StepOutcome};
 use std::sync::Arc;
 use std::time::Instant;
 use warped_isa::Kernel;
-use warped_trace::{TraceEvent, TraceHandle};
 
 /// The simulated GPU: configuration plus device-global memory.
 ///
@@ -44,7 +43,6 @@ pub struct Gpu {
     config: GpuConfig,
     global: GlobalMemory,
     block_redundancy: u32,
-    trace: TraceHandle,
     fault: Option<Arc<dyn LaneFault>>,
     launch_seq: u32,
     /// The log being recorded, if any ([`Gpu::record_launches`]).
@@ -81,7 +79,6 @@ impl Gpu {
             config,
             global,
             block_redundancy: 1,
-            trace: TraceHandle::disabled(),
             fault: None,
             launch_seq: 0,
             recording: None,
@@ -95,13 +92,6 @@ impl Gpu {
     /// become reachable outcomes.
     pub fn set_fault(&mut self, fault: Arc<dyn LaneFault>) {
         self.fault = Some(fault);
-    }
-
-    /// Route cycle-level events of subsequent launches to `trace`. SM
-    /// cycle counters restart at zero on every launch; a `LaunchBegin`
-    /// event marks each boundary.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// Execute every logical thread block `copies` times per launch
@@ -140,10 +130,10 @@ impl Gpu {
     /// Replay launches `0..until` of this GPU from `log` instead of
     /// simulating them: each applies the recorded memory changes and
     /// returns the recorded statistics, calling neither the observer nor
-    /// the fault and emitting no trace events. Launches from `until` on
-    /// are simulated. This is exact when launches before `until` see the
-    /// memory the recorded run's did, which holds when the host program
-    /// is the recorded one and nothing can differ before `until`.
+    /// the fault. Launches from `until` on are simulated. This is exact
+    /// when launches before `until` see the memory the recorded run's
+    /// did, which holds when the host program is the recorded one and
+    /// nothing can differ before `until`.
     ///
     /// A replayed launch that is not the recorded one (another kernel,
     /// geometry, parameter list or chip) fails with
@@ -250,13 +240,11 @@ impl Gpu {
         observer: &mut dyn IssueObserver,
     ) -> Result<RunStats, SimError> {
         let wpb = launch.warps_per_block();
-        self.trace.emit(|| TraceEvent::LaunchBegin { index });
         observer.on_launch(index);
 
         let mut sms: Vec<Sm> = (0..self.config.num_sms)
             .map(|i| {
                 let mut sm = Sm::new(i, self.config.clone());
-                sm.set_trace(self.trace.clone());
                 if let Some(fault) = &self.fault {
                     sm.set_fault(fault.clone());
                 }
@@ -319,13 +307,6 @@ impl Gpu {
                         let drain = observer.on_sm_done(i, cycle);
                         finish[i] = cycle + drain;
                         done[i] = true;
-                        // Stamped at the finish time (drain included) so
-                        // it sorts after the checker's drain verifies.
-                        self.trace.emit(|| TraceEvent::SmDone {
-                            sm: i as u32,
-                            cycle: cycle + drain,
-                            drained: drain,
-                        });
                     }
                     continue;
                 }
@@ -363,11 +344,6 @@ impl Gpu {
                 debug_assert!(!sm.has_work());
                 let drain = observer.on_sm_done(i, cycle);
                 finish[i] = cycle + drain;
-                self.trace.emit(|| TraceEvent::SmDone {
-                    sm: i as u32,
-                    cycle: cycle + drain,
-                    drained: drain,
-                });
             }
         }
 

@@ -26,7 +26,9 @@
 //! the simulator through the [`IssueObserver`] trait, which sees every
 //! issue slot (and idle slot) of every SM and may charge stall cycles —
 //! exactly the vantage point of the paper's Replay Checker sitting between
-//! the DEC and RF stages.
+//! the DEC and RF stages. The observer is the simulator's only output
+//! channel: cycle-level tracing wraps it from outside (`run_traced` in
+//! `warped-kernels`), so this crate does not depend on `warped-trace`.
 //!
 //! ```
 //! use warped_isa::{KernelBuilder, SpecialReg};

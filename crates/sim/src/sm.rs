@@ -24,7 +24,6 @@ use crate::observer::{IssueInfo, IssueObserver};
 use crate::warp::{Row, Warp};
 use std::sync::Arc;
 use warped_isa::{Instruction, Kernel, Operand, Reg, Space, SpecialReg, UnitType};
-use warped_trace::{TraceEvent, TraceHandle};
 
 /// A block resident on an SM.
 #[derive(Debug)]
@@ -88,7 +87,6 @@ pub struct Sm {
     block_slots: Vec<Option<BlockState>>,
     rr_next: usize,
     stall_cycles_left: u64,
-    trace: TraceHandle,
     fault: Option<Arc<dyn LaneFault>>,
     /// Statistics accumulated so far.
     pub stats: SmStats,
@@ -131,15 +129,9 @@ impl Sm {
             block_slots: (0..blocks).map(|_| None).collect(),
             rr_next: 0,
             stall_cycles_left: 0,
-            trace: TraceHandle::disabled(),
             fault: None,
             stats: SmStats::default(),
         }
-    }
-
-    /// Route this SM's cycle-level events to `trace`.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     /// Corrupt this SM's datapath with `fault` (fault-injection campaigns).
@@ -272,10 +264,6 @@ impl Sm {
             self.stall_cycles_left = total_stalls;
             return Ok(StepOutcome::Issued);
         }
-        self.trace.emit(|| TraceEvent::Idle {
-            sm: self.id as u32,
-            cycle,
-        });
         observer.on_idle(self.id, cycle);
         self.stats.idle_cycles += 1;
         Ok(StepOutcome::Idle)
@@ -508,20 +496,6 @@ impl Sm {
             has_result,
             raw_dists,
         };
-        // Emitted before the observers run so the checker events of this
-        // issue slot follow their Issue in the stream.
-        self.trace.emit(|| TraceEvent::Issue {
-            sm: self.id as u32,
-            cycle,
-            warp: info.warp_uid,
-            pc: pc.0,
-            unit,
-            active: mask.count_ones(),
-            full: mask == u32::MAX,
-            has_result,
-            dst: instr.dst(),
-            srcs: instr.src_regs(),
-        });
         let stalls = observer.on_issue(&info);
 
         if warp.is_done() {

@@ -6,56 +6,32 @@
 
 use crate::event::{unit_str, TraceEvent};
 use crate::jsonl::{json_str, to_line};
-use crate::sink::TraceSink;
 use std::io::Write;
 
-/// Collects events and writes them out in Chrome trace-event JSON.
-#[derive(Debug, Clone, Default)]
-pub struct ChromeSink {
-    events: Vec<TraceEvent>,
-}
-
-impl ChromeSink {
-    /// Create an empty exporter.
-    pub fn new() -> Self {
-        ChromeSink::default()
-    }
-
-    /// Number of collected events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was collected.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Write the collected events as a `{"traceEvents": [...]}` document.
-    pub fn write_to(&self, out: &mut dyn Write) -> std::io::Result<()> {
-        writeln!(out, "{{\"traceEvents\":[")?;
-        let mut launch = 0u32;
-        for (i, ev) in self.events.iter().enumerate() {
-            let comma = if i + 1 == self.events.len() { "" } else { "," };
-            if let TraceEvent::LaunchBegin { index } = ev {
-                launch = *index;
-                writeln!(
-                    out,
-                    "{{\"name\":\"launch {index}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"pid\":0,\"tid\":0}}{comma}"
-                )?;
-                continue;
-            }
-            let (name, tid) = slice_name(ev);
-            let sm = ev.sm().unwrap_or(0);
-            let ts = ev.cycle().unwrap_or(0);
+/// Write `events` as a Chrome `{"traceEvents": [...]}` document.
+pub fn write(events: &[TraceEvent], out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(out, "{{\"traceEvents\":[")?;
+    let mut launch = 0u32;
+    for (i, ev) in events.iter().enumerate() {
+        let comma = if i + 1 == events.len() { "" } else { "," };
+        if let TraceEvent::LaunchBegin { index } = ev {
+            launch = *index;
             writeln!(
                 out,
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":1,\"pid\":{sm},\"tid\":{tid},\"args\":{{\"launch\":{launch},\"event\":{}}}}}{comma}",
-                json_str(&to_line(ev)),
+                "{{\"name\":\"launch {index}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"pid\":0,\"tid\":0}}{comma}"
             )?;
+            continue;
         }
-        writeln!(out, "]}}")
+        let (name, tid) = slice_name(ev);
+        let sm = ev.sm().unwrap_or(0);
+        let ts = ev.cycle().unwrap_or(0);
+        writeln!(
+            out,
+            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":1,\"pid\":{sm},\"tid\":{tid},\"args\":{{\"launch\":{launch},\"event\":{}}}}}{comma}",
+            json_str(&to_line(ev)),
+        )?;
     }
+    writeln!(out, "]}}")
 }
 
 /// Slice label and thread id (warp uid, or 0 for SM-wide events).
@@ -75,29 +51,24 @@ fn slice_name(ev: &TraceEvent) -> (String, u64) {
     }
 }
 
-impl TraceSink for ChromeSink {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.events.push(ev.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn export_is_well_formed() {
-        let mut sink = ChromeSink::new();
-        sink.event(&TraceEvent::LaunchBegin { index: 0 });
-        sink.event(&TraceEvent::Idle { sm: 1, cycle: 3 });
-        sink.event(&TraceEvent::Stall {
-            sm: 0,
-            cycle: 5,
-            warp: 2,
-            cycles: 1,
-        });
+        let events = [
+            TraceEvent::LaunchBegin { index: 0 },
+            TraceEvent::Idle { sm: 1, cycle: 3 },
+            TraceEvent::Stall {
+                sm: 0,
+                cycle: 5,
+                warp: 2,
+                cycles: 1,
+            },
+        ];
         let mut buf = Vec::new();
-        sink.write_to(&mut buf).unwrap();
+        write(&events, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.trim_end().ends_with("]}"));

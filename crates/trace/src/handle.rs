@@ -8,9 +8,10 @@ use std::sync::{Arc, Mutex};
 ///
 /// The default handle is *disabled*: [`TraceHandle::emit`] is a single
 /// `Option` check and the event-constructor closure never runs, so an
-/// untraced simulation pays nothing (asserted by the zero-cost tests;
-/// the untraced figure-suite jobs of `perfbench` time that path). An
-/// enabled handle serializes events into one shared sink behind a
+/// untraced run pays nothing. `disabled_handle_never_builds_events`
+/// asserts that; `tracing_does_not_perturb_the_simulation` asserts that
+/// an enabled handle changes no result; the untraced figure-suite jobs
+/// of `perfbench` time the disabled path. An enabled handle serializes events into one shared sink behind a
 /// mutex: one uncontended lock per event, which the traced figure-suite
 /// job of `perfbench` times as `trace.sink_ns_per_event`.
 #[derive(Clone, Default)]

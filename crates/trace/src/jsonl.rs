@@ -6,10 +6,7 @@
 //! four issue source slots become `s0`..`s3`.
 
 use crate::event::{unit_from_str, unit_str, TraceEvent, VerifyKind};
-use crate::sink::TraceSink;
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use warped_isa::{Reg, UnitType};
 
 /// Serialize one event to its JSONL line (no trailing newline).
@@ -463,92 +460,6 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
     Ok(ev)
 }
 
-enum Mode {
-    /// Write every line straight to the writer.
-    Stream(Box<dyn Write + Send>),
-    /// Keep only the most recent `cap` lines in memory.
-    Ring { cap: usize, lines: VecDeque<String> },
-}
-
-/// A [`TraceSink`] producing the JSONL format.
-///
-/// Two modes: streaming (every event written to an `io::Write` as it
-/// happens) and ring-buffered (only the last *N* events retained, for
-/// low-overhead post-mortems of long runs).
-pub struct JsonlSink {
-    mode: Mode,
-    written: u64,
-}
-
-impl JsonlSink {
-    /// Stream every line to `out`.
-    pub fn stream(out: Box<dyn Write + Send>) -> Self {
-        JsonlSink {
-            mode: Mode::Stream(out),
-            written: 0,
-        }
-    }
-
-    /// Retain only the most recent `cap` lines in memory.
-    pub fn ring(cap: usize) -> Self {
-        JsonlSink {
-            mode: Mode::Ring {
-                cap: cap.max(1),
-                lines: VecDeque::new(),
-            },
-            written: 0,
-        }
-    }
-
-    /// Total events seen (including ones evicted from a ring).
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// The retained lines (ring mode; empty in stream mode).
-    pub fn lines(&self) -> Vec<String> {
-        match &self.mode {
-            Mode::Stream(_) => Vec::new(),
-            Mode::Ring { lines, .. } => lines.iter().cloned().collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.mode {
-            Mode::Stream(_) => write!(f, "JsonlSink::stream(written={})", self.written),
-            Mode::Ring { cap, lines } => {
-                write!(f, "JsonlSink::ring(cap={cap}, held={})", lines.len())
-            }
-        }
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.written += 1;
-        let line = to_line(ev);
-        match &mut self.mode {
-            Mode::Stream(out) => {
-                let _ = writeln!(out, "{line}");
-            }
-            Mode::Ring { cap, lines } => {
-                if lines.len() == *cap {
-                    lines.pop_front();
-                }
-                lines.push_back(line);
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Mode::Stream(out) = &mut self.mode {
-            let _ = out.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,49 +577,5 @@ mod tests {
             parse_line("{\"ev\":\"idle\",\"sm\":\"zero\",\"cycle\":1}"),
             Err(ParseError::BadValue("sm"))
         ));
-    }
-
-    #[test]
-    fn ring_keeps_only_last_n() {
-        let mut sink = JsonlSink::ring(2);
-        for c in 0..5 {
-            sink.event(&TraceEvent::Idle { sm: 0, cycle: c });
-        }
-        assert_eq!(sink.written(), 5);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            parse_line(&lines[0]),
-            Ok(TraceEvent::Idle { sm: 0, cycle: 3 })
-        );
-        assert_eq!(
-            parse_line(&lines[1]),
-            Ok(TraceEvent::Idle { sm: 0, cycle: 4 })
-        );
-    }
-
-    #[test]
-    fn stream_writes_lines() {
-        let buf: Vec<u8> = Vec::new();
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(buf));
-        struct W(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for W {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonlSink::stream(Box::new(W(shared.clone())));
-        sink.event(&TraceEvent::Idle { sm: 0, cycle: 1 });
-        sink.event(&TraceEvent::Idle { sm: 0, cycle: 2 });
-        sink.flush();
-        let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            parse_line(line).unwrap();
-        }
     }
 }

@@ -5,17 +5,17 @@
 //! validation discipline (Bakhoda et al., ISPASS 2009) and DIVA's
 //! checker-verifies-core philosophy (Austin, MICRO 1999).
 //!
-//! The simulator (`warped-sim`), the Replay Checker, and the Warped-DMR
-//! engine (`warped-core`) emit typed [`TraceEvent`]s through a
-//! [`TraceHandle`]. A disabled handle (the default) is a single `Option`
-//! check per site and the event constructors are never run, so tracing
-//! costs nothing unless it is switched on.
+//! The Replay Checker and the Warped-DMR engine (`warped-core`) emit
+//! typed [`TraceEvent`]s through a [`TraceHandle`]. The simulator's own
+//! facts (launch boundaries, issue and idle slots, SM completion) reach
+//! the trace through the one channel the simulator has, its issue-stream
+//! observer: `Workload::run_traced` in `warped-kernels` wraps the run's
+//! observer and emits those events. A disabled handle (the default) is a
+//! single `Option` check per site and the event constructors are never
+//! run, so tracing costs nothing unless it is switched on.
 //!
 //! Built-in [`TraceSink`]s:
 //!
-//! * [`JsonlSink`] — one JSON object per line, streaming to any writer or
-//!   ring-buffered in memory (last *N* events for post-mortems).
-//! * [`ChromeSink`] — a Chrome `about:tracing` / Perfetto export.
 //! * [`MetricsSink`] — rebuilds a [`DmrReport`] from the stream through
 //!   the same counter rules the live engine uses; replaying a recorded
 //!   trace through it reproduces the live report bit-for-bit (see
@@ -28,6 +28,10 @@
 //!   stall-verification.
 //! * [`CollectSink`] / [`Fanout`] — in-memory capture and sink
 //!   composition.
+//!
+//! A collected stream is written out with [`jsonl::to_line`] (one flat
+//! JSON object per line, read back by [`replay::read_jsonl`]) or
+//! [`chrome::write`] (a Chrome `about:tracing` / Perfetto document).
 //!
 //! ```
 //! use warped_trace::{CollectSink, TraceEvent, TraceHandle};
@@ -49,10 +53,9 @@ pub mod metrics;
 pub mod replay;
 pub mod sink;
 
-pub use chrome::ChromeSink;
 pub use event::{TraceEvent, VerifyKind};
 pub use handle::TraceHandle;
 pub use invariant::InvariantSink;
-pub use jsonl::{json_str, parse_flat, FieldMap, JsonlSink, ParseError, Scalar};
+pub use jsonl::{json_str, parse_flat, FieldMap, ParseError, Scalar};
 pub use metrics::{bucket_of, CheckerStats, DmrReport, MetricsSink};
-pub use sink::{CollectSink, Fanout, NullSink, TraceSink};
+pub use sink::{CollectSink, Fanout, TraceSink};

@@ -16,14 +16,6 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 }
 
-/// A sink that discards everything (placeholders and overhead tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn event(&mut self, _ev: &TraceEvent) {}
-}
-
 /// In-memory capture of the full event stream (trace-then-replay and
 /// tests).
 #[derive(Debug, Clone, Default)]
@@ -55,7 +47,7 @@ impl TraceSink for CollectSink {
 }
 
 /// Duplicates the stream to several [`TraceHandle`]s, so one run can feed
-/// e.g. an invariant checker, a metrics registry, and a JSONL writer at
+/// e.g. an invariant checker, a metrics registry, and a collector at
 /// once while each stays independently accessible. Each output borrows
 /// the event ([`TraceHandle::forward`]); nothing is cloned.
 #[derive(Clone, Default)]

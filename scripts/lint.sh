@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 cargo clippy --workspace -p warped-runner --all-targets -- -D warnings
 cargo fmt --check
 
+# The simulator reports only through its issue-stream observer; tracing
+# wraps that observer from outside. A warped-trace dependency would let
+# the simulator regrow a second output channel unnoticed.
+if cargo tree -p warped-sim -e normal --offline | grep -q warped-trace; then
+    echo "lint: warped-sim must not depend on warped-trace" >&2
+    exit 1
+fi
+
 # Rustdoc with warnings as errors: a moved or renamed item must not
 # leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

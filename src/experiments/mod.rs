@@ -149,8 +149,8 @@ impl ExperimentConfig {
         }
     }
 
-    /// Test setting: tiny inputs on a 2-SM chip (integration tests and
-    /// Criterion benches).
+    /// Test setting: tiny inputs on a 2-SM chip (unit and integration
+    /// tests).
     pub fn test_tiny() -> Self {
         ExperimentConfig {
             size: WorkloadSize::Tiny,

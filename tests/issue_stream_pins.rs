@@ -7,6 +7,10 @@
 //! were captured before the issue loop moved to scalar scheduling and a
 //! warp-wide datapath; any change to scheduling order, timing, results or
 //! fault application moves at least one digest.
+//!
+//! Two more digests pin the bytes of a traced Warped-DMR run: its JSONL
+//! lines and its Chrome document, for a multi-launch program (BFS) and a
+//! straight-line one (SHA).
 
 use std::sync::Arc;
 use warped::dmr::{DmrConfig, WarpedDmr};
@@ -14,8 +18,9 @@ use warped::kernels::{Benchmark, ProgramRun, WorkloadSize};
 use warped::sim::{
     GpuConfig, IssueInfo, IssueObserver, LaneFault, MultiObserver, SchedulerPolicy, SimError,
 };
+use warped::trace::{self, CollectSink, TraceEvent, TraceHandle};
 
-/// FNV-1a over little-endian 64-bit words.
+/// FNV-1a over bytes; a word is its eight little-endian bytes.
 struct Fnv(u64);
 
 impl Fnv {
@@ -24,7 +29,11 @@ impl Fnv {
     }
 
     fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn bytes(&mut self, data: &[u8]) {
+        for &b in data {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
@@ -266,5 +275,54 @@ fn lane_fault_stream_is_pinned() {
             0x7c2a973946025b81,
             0x9c5d1357099af945,
         ],
+    );
+}
+
+/// The full event stream of a traced Warped-DMR run, as `warped trace`
+/// records it.
+fn traced_events(bench: Benchmark) -> Vec<TraceEvent> {
+    let w = bench.build(WorkloadSize::Tiny).unwrap();
+    let gpu = GpuConfig::small();
+    let mut engine = WarpedDmr::new(DmrConfig::default(), &gpu);
+    let (store, handle) = TraceHandle::shared(CollectSink::new());
+    engine.set_trace(handle.clone());
+    let run = w.run_traced(&gpu, &mut engine, handle).unwrap();
+    w.check(&run).unwrap();
+    let events = store.lock().unwrap().take();
+    events
+}
+
+/// Digests of the JSONL lines and of the Chrome document.
+fn trace_digests(bench: Benchmark) -> [u64; 2] {
+    let events = traced_events(bench);
+    let mut jsonl = Fnv::new();
+    for ev in &events {
+        jsonl.bytes(trace::jsonl::to_line(ev).as_bytes());
+        jsonl.bytes(b"\n");
+    }
+    let mut doc = Vec::new();
+    trace::chrome::write(&events, &mut doc).unwrap();
+    let mut chrome = Fnv::new();
+    chrome.bytes(&doc);
+    [jsonl.0, chrome.0]
+}
+
+#[test]
+fn traced_bfs_bytes_are_pinned() {
+    let got = trace_digests(Benchmark::Bfs);
+    assert_eq!(
+        got,
+        [0x7dc436b470c8ad84, 0x5b80c9da08b6d899],
+        "BFS trace digests moved; now {got:#018x?}"
+    );
+}
+
+#[test]
+fn traced_sha_bytes_are_pinned() {
+    let got = trace_digests(Benchmark::Sha);
+    assert_eq!(
+        got,
+        [0x07417612c48fe2ec, 0x786a89b4a88ae5e8],
+        "SHA trace digests moved; now {got:#018x?}"
     );
 }
