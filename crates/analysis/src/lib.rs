@@ -12,11 +12,11 @@
 //!   definitions, [`liveness`] computes per-block live sets, and
 //!   [`maybe_uninit_reads`] / [`dead_writes`] flag reads of
 //!   never-written registers and writes no one observes.
-//! * **DMR cost** — [`predict_exact`] replays the single-warp issue
-//!   timing against the real [`warped_core::checker::ReplayChecker`]
-//!   and, for straight-line kernels, reproduces the simulator's
-//!   ReplayQ stall counters exactly; [`block_pressure`] bounds the
-//!   per-block queue pressure for kernels with control flow.
+//! * **DMR cost** — for straight-line kernels, [`predict_exact`]
+//!   launches one warp on a one-SM chip under Warped-DMR, so its cycle
+//!   count and ReplayQ stall counters are the simulator's own;
+//!   [`block_pressure`] bounds the per-block queue pressure for kernels
+//!   with control flow.
 //! * **Certification** — [`model_check`] explores every Replay Checker
 //!   behaviour up to a depth bound differentially against the real
 //!   implementation (invariants I1–I5, divergences reported as

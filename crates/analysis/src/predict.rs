@@ -3,24 +3,27 @@
 //! Two tiers:
 //!
 //! * **Exact** — for straight-line kernels (no branches or jumps), the
-//!   single-warp issue timing is fully determined by the scoreboard, so
-//!   the predictor replays the simulator's issue loop against the real
-//!   [`ReplayChecker`] and reproduces its stall/queue counters *exactly*.
+//!   single-warp issue timing depends on nothing but the instruction
+//!   sequence, so the predictor launches the kernel as one warp on a
+//!   one-SM chip under Warped-DMR and reports the run's cycle, issue and
+//!   ReplayQ counters. The simulator's issue loop is the only timing
+//!   model; nothing here repeats its latencies.
 //! * **Per-block estimate** — for general kernels, each basic block is
 //!   fed through a fresh checker at one instruction per cycle (the
 //!   densest schedule the SM can produce), bounding the ReplayQ pressure
 //!   and queue-full stalls the block can generate per visit.
 
 use crate::cfg::Cfg;
-use warped_core::checker::{CheckerStats, Incoming, ReplayChecker, VerifyEvent, VerifyKind};
-use warped_core::DmrConfig;
-use warped_isa::{Instruction, Kernel, Space, UnitType};
-use warped_sim::{GpuConfig, WARP_SIZE};
+use warped_core::checker::{CheckerStats, Incoming, ReplayChecker, VerifyKind};
+use warped_core::{DmrConfig, WarpedDmr};
+use warped_isa::{Instruction, Kernel, UnitType};
+use warped_sim::{Gpu, GpuConfig, LaunchConfig, WARP_SIZE};
 
 /// Machine parameters the predictor models.
 #[derive(Debug, Clone)]
 pub struct PredictConfig {
-    /// Pipeline latencies (only the latency fields are consulted).
+    /// The chip [`predict_exact`] runs on, reduced to one SM.
+    /// [`block_pressure`] does not read it.
     pub gpu: GpuConfig,
     /// ReplayQ capacity, as in [`DmrConfig::replayq_entries`].
     pub replayq_entries: usize,
@@ -64,22 +67,6 @@ pub fn is_straight_line(kernel: &Kernel) -> bool {
     body_ok && matches!(code.last(), Some(Instruction::Exit))
 }
 
-fn exe_latency(gpu: &GpuConfig, instr: &Instruction) -> u64 {
-    match instr {
-        Instruction::Sfu { .. } => gpu.sfu_latency,
-        Instruction::Ld {
-            space: Space::Shared,
-            ..
-        }
-        | Instruction::St {
-            space: Space::Shared,
-            ..
-        } => gpu.shared_latency,
-        Instruction::Ld { .. } | Instruction::St { .. } => gpu.global_latency,
-        _ => gpu.sp_latency,
-    }
-}
-
 fn incoming(instr: &Instruction, cycle: u64) -> Incoming {
     let has_result = !matches!(
         instr,
@@ -99,60 +86,33 @@ fn incoming(instr: &Instruction, cycle: u64) -> Incoming {
     }
 }
 
-/// Replay the SM issue loop for a straight-line kernel and return the
-/// checker counters it will produce, or `None` if the kernel is not
-/// straight-line.
+/// Run a straight-line kernel as one warp of 32 threads on a one-SM
+/// copy of `config.gpu` under Warped-DMR, and return what the run
+/// measured. `None` if the kernel is not straight-line, or if the launch
+/// fails (a load or store past the chip's memory, for example).
 ///
-/// The model mirrors the simulator cycle-for-cycle: scoreboard-blocked
-/// cycles hand the checker an idle slot, checker stalls freeze the SM
-/// with no callbacks, and the final drain adds one cycle per queued
-/// entry after the SM empties.
+/// No memory is set up: every parameter is 0, and reads of words the
+/// fresh chip never allocated return 0. A straight-line kernel's timing
+/// does not depend on the values it computes, so the prediction holds
+/// for any parameters and inputs.
 pub fn predict_exact(kernel: &Kernel, config: &PredictConfig) -> Option<ExactPrediction> {
     if !is_straight_line(kernel) {
         return None;
     }
-    let gpu = &config.gpu;
-    let mut checker = ReplayChecker::new(config.replayq_entries);
-    let mut events: Vec<VerifyEvent> = Vec::new();
-    let mut pending = vec![0u64; kernel.num_regs() as usize];
-
-    let mut cycle: u64 = 0;
-    let mut idle_cycles: u64 = 0;
-
-    for (i, instr) in kernel.code().iter().enumerate() {
-        // Scoreboard: destination (WAW) and sources (RAW) must have
-        // completed writeback. Each blocked cycle is an idle issue slot.
-        let ready_at = instr
-            .dst()
-            .iter()
-            .chain(instr.src_regs().iter().flatten())
-            .map(|r| pending[r.index()])
-            .max()
-            .unwrap_or(0);
-        while cycle < ready_at {
-            checker.on_idle(cycle, &mut events);
-            idle_cycles += 1;
-            cycle += 1;
-        }
-
-        let stalls = checker.on_issue(&incoming(instr, cycle), &mut events);
-        if let Some(dst) = instr.dst() {
-            pending[dst.index()] = cycle + gpu.writeback_latency(exe_latency(gpu, instr));
-        }
-        if matches!(instr, Instruction::Exit) {
-            // The GPU notices the empty SM on the next cycle and drains
-            // the queue one entry per cycle.
-            let drain = checker.on_done(cycle + 1, &mut events);
-            return Some(ExactPrediction {
-                cycles: cycle + 1 + drain,
-                issued: i as u64 + 1,
-                idle_cycles,
-                checker: checker.stats,
-            });
-        }
-        cycle += 1 + stalls;
-    }
-    unreachable!("straight-line kernels end in Exit");
+    let chip = config.gpu.clone().with_sms(1);
+    let mut engine = WarpedDmr::new(
+        DmrConfig::default().with_replayq(config.replayq_entries),
+        &chip,
+    );
+    // A `Param` index is a `u8`, so 256 zeros satisfy every kernel.
+    let launch = LaunchConfig::linear(1, WARP_SIZE as u32).with_params(vec![0; 256]);
+    let stats = Gpu::new(chip).launch(kernel, &launch, &mut engine).ok()?;
+    Some(ExactPrediction {
+        cycles: stats.cycles,
+        issued: stats.warp_instructions,
+        idle_cycles: stats.idle_cycles,
+        checker: engine.report().checker,
+    })
 }
 
 /// Static ReplayQ pressure bound for one basic block.
@@ -340,5 +300,38 @@ mod tests {
         // Dense same-type run: queue grows with each resolved pair.
         assert!(pressure[0].peak_queue >= 3, "{pressure:?}");
         assert_eq!(pressure[0].eager_stalls, 0);
+    }
+
+    #[test]
+    fn straight_line_kernel_with_barriers() {
+        // `is_straight_line` admits `Bar`. With one warp every barrier
+        // releases at once, so each costs only its issue slot; the RAW
+        // wait of `sin` on r0 still spans the first barrier.
+        let code = vec![
+            addi(0, 1),
+            Instruction::Bar,
+            sin(1, 0),
+            addi(2, 3),
+            Instruction::Bar,
+            addi(3, 4),
+            Instruction::Exit,
+        ];
+        let k = Kernel::new("k", code, 4, 0).unwrap();
+        assert!(is_straight_line(&k));
+        let predict = |replayq_entries| {
+            let cfg = PredictConfig {
+                replayq_entries,
+                ..Default::default()
+            };
+            predict_exact(&k, &cfg).unwrap()
+        };
+        let p = predict(10);
+        assert_eq!((p.cycles, p.issued, p.idle_cycles), (15, 7, 6));
+        assert_eq!(p.checker.verified, [1, 0, 0, 0, 0, 3]);
+        assert_eq!((p.checker.enqueued, p.checker.drain_cycles), (3, 2));
+        let p = predict(0);
+        assert_eq!((p.cycles, p.issued, p.idle_cycles), (14, 7, 5));
+        assert_eq!(p.checker.verified, [1, 0, 0, 3, 0, 0]);
+        assert_eq!(p.checker.stall_cycles, 3);
     }
 }

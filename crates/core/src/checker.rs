@@ -147,27 +147,6 @@ impl ReplayChecker {
         }
     }
 
-    /// Whether any instruction of `warp_uid` is still unverified (pending
-    /// RF slot or buffered). Register-agnostic; for the RAW-rule
-    /// predicate see [`ReplayChecker::has_unverified_write`].
-    pub fn has_unverified(&self, warp_uid: u64) -> bool {
-        self.prev.as_ref().is_some_and(|p| p.warp_uid == warp_uid)
-            || self.queue.iter().any(|e| e.warp_uid == warp_uid)
-    }
-
-    /// Whether an instruction of `warp_uid` writing `reg` is still
-    /// unverified (pending RF slot or buffered) — a consumer of `reg`
-    /// would trigger the RAW rule.
-    pub fn has_unverified_write(&self, warp_uid: u64, reg: Reg) -> bool {
-        self.prev
-            .as_ref()
-            .is_some_and(|p| p.warp_uid == warp_uid && p.dst == Some(reg))
-            || self
-                .queue
-                .iter()
-                .any(|e| e.warp_uid == warp_uid && e.dst == Some(reg))
-    }
-
     /// Record one verification: bump counters, emit the trace event, and
     /// push the comparator event. The timestamp is clamped strictly after
     /// the verified instruction's issue (dual-issue can resolve the RF
@@ -401,15 +380,20 @@ mod tests {
         c.on_issue(&producer, &mut ev);
         // Another same-type instruction pushes the producer into the queue.
         c.on_issue(&incoming(7, UnitType::Sp, 1, true), &mut ev);
-        assert!(c.has_unverified(7));
-        assert!(c.has_unverified_write(7, Reg(5)));
+        let s = c.snapshot();
+        assert_eq!(s.queue.len(), 1);
+        assert_eq!((s.queue[0].warp_uid, s.queue[0].dst), (7, Some(Reg(5))));
         // A consumer of r5 in the same warp must stall.
         let mut consumer = incoming(7, UnitType::Sp, 9, true);
         consumer.srcs = [Some(Reg(5)), None, None, None];
         let stalls = c.on_issue(&consumer, &mut ev);
         assert_eq!(stalls, 1);
         assert_eq!(c.stats.verified[VerifyKind::RawStall as usize], 1);
-        assert!(!c.has_unverified_write(7, Reg(5)));
+        let s = c.snapshot();
+        assert!(
+            s.prev.iter().chain(&s.queue).all(|e| e.dst != Some(Reg(5))),
+            "the producer of r5 is verified: {s:?}"
+        );
     }
 
     #[test]
@@ -423,7 +407,9 @@ mod tests {
         let mut producer = incoming(7, UnitType::Sp, 0, true);
         producer.dst = Some(Reg(5));
         c.on_issue(&producer, &mut ev);
-        assert!(c.has_unverified_write(7, Reg(5)));
+        let s = c.snapshot();
+        assert_eq!(s.prev.map(|p| (p.warp_uid, p.dst)), Some((7, Some(Reg(5)))));
+        assert!(s.queue.is_empty());
 
         let mut consumer = incoming(7, UnitType::Sp, 1, true);
         consumer.srcs = [Some(Reg(5)), None, None, None];
@@ -585,7 +571,7 @@ mod tests {
         assert_eq!(extra, 3);
         assert_eq!(c.stats.drain_cycles, 3);
         assert_eq!(c.stats.total_verified(), 4);
-        assert!(!c.has_unverified(0));
+        assert_eq!(c.snapshot(), CheckerSnapshot::default(), "nothing left");
     }
 
     #[test]

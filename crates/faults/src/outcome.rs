@@ -8,8 +8,8 @@
 //! * [`TrialOutcome::Detected`] — the DMR comparator fired, or the
 //!   machine trapped with a non-hang simulator error (a detected,
 //!   unrecoverable error — DUE).
-//! * [`TrialOutcome::Hang`] — the injected run exceeded its cycle or
-//!   wall-clock budget without the checker firing.
+//! * [`TrialOutcome::Hang`] — the injected run exceeded its cycle
+//!   budget without the checker firing.
 //! * [`TrialOutcome::Sdc`] — the run completed, nothing fired, and the
 //!   output differs from golden: silent data corruption.
 //! * [`TrialOutcome::Masked`] — the run completed bit-identical to
@@ -33,7 +33,7 @@ pub enum TrialOutcome {
     Detected,
     /// Silent data corruption: clean completion, wrong output.
     Sdc,
-    /// Cycle/wall-clock budget exceeded without detection.
+    /// Cycle budget exceeded without detection.
     Hang,
 }
 
@@ -87,7 +87,7 @@ pub struct CampaignResult {
     pub masked: u32,
     /// Silent data corruptions (clean completion, wrong output).
     pub sdc: u32,
-    /// Trials that exceeded their cycle/wall budget undetected.
+    /// Trials that exceeded their cycle budget undetected.
     pub hangs: u32,
     /// Trials the campaign planned (`trials + skipped`).
     pub planned: u32,

@@ -15,10 +15,10 @@
 //!   retried with capped backoff, and — if it keeps failing — *skipped*,
 //!   degrading the campaign to a partial result with honestly widened
 //!   confidence intervals instead of losing everything.
-//! * **Watchdogs** — injected runs execute under a cycle budget
-//!   (default: 8× the golden run plus slack) and an optional wall-clock
-//!   budget, so a fault that wedges the simulated machine classifies as
-//!   [`TrialOutcome::Hang`] instead of wedging the campaign.
+//! * **Watchdog** — injected runs execute under a cycle budget
+//!   (default: 8× the golden run plus slack), so a fault that wedges the
+//!   simulated machine classifies as [`TrialOutcome::Hang`] instead of
+//!   wedging the campaign, at the same cycle on every host.
 //! * **Crash-safe checkpointing** — with a [`Journal`] attached, every
 //!   finished chunk is durably recorded; resuming replays finished
 //!   chunks from disk and produces **bit-identical** results to an
@@ -219,11 +219,6 @@ pub struct ResilientOptions {
     /// Cycle budget per injected launch; `0` = auto (8× the golden
     /// run's total cycles, plus 10 000 slack).
     pub cycle_budget: u64,
-    /// Wall-clock budget per injected launch in milliseconds; `0`
-    /// disables it. See `GpuConfig::wall_budget_ms` for the
-    /// determinism caveat (the *hang cycle* becomes timing-dependent;
-    /// the hang classification itself remains correct).
-    pub wall_budget_ms: u64,
     /// Journal path for crash-safe checkpointing (`--checkpoint`).
     pub checkpoint: Option<PathBuf>,
     /// Replay finished chunks from the journal instead of truncating
@@ -251,7 +246,6 @@ impl Default for ResilientOptions {
             threads: warped_runner::default_threads(),
             retry: RetryPolicy::default(),
             cycle_budget: 0,
-            wall_budget_ms: 0,
             checkpoint: None,
             resume: false,
             forced_panic: None,
@@ -270,7 +264,6 @@ impl std::fmt::Debug for ResilientOptions {
             .field("threads", &self.threads)
             .field("retry", &self.retry)
             .field("cycle_budget", &self.cycle_budget)
-            .field("wall_budget_ms", &self.wall_budget_ms)
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
             .field("forced_panic", &self.forced_panic)
@@ -730,16 +723,14 @@ fn trial_keys(opts: &ResilientOptions, f: &DrawnFault) -> impl Iterator<Item = (
 }
 
 /// The chip the architectural passes run on: `gpu` with the campaign's
-/// cycle budget (auto: 8× the golden run plus slack) and wall budget.
+/// cycle budget (auto: 8× the golden run plus slack).
 fn budgeted(gpu: &GpuConfig, golden: &ProgramRun, opts: &ResilientOptions) -> GpuConfig {
     let budget = if opts.cycle_budget != 0 {
         opts.cycle_budget
     } else {
         golden.stats.cycles.saturating_mul(8).saturating_add(10_000)
     };
-    gpu.clone()
-        .with_cycle_budget(budget)
-        .with_wall_budget_ms(opts.wall_budget_ms)
+    gpu.clone().with_cycle_budget(budget)
 }
 
 /// A detection pass's engine, halting the launch at the first comparator

@@ -76,18 +76,7 @@ impl ProgramRun {
     /// (cycles add up because launches are sequential).
     pub fn absorb(&mut self, s: &RunStats) {
         self.stats.cycles += s.cycles;
-        self.stats.warp_instructions += s.warp_instructions;
-        self.stats.thread_instructions += s.thread_instructions;
-        self.stats.idle_cycles += s.idle_cycles;
-        self.stats.stall_cycles += s.stall_cycles;
-        for u in 0..3 {
-            self.stats.unit_instructions[u] += s.unit_instructions[u];
-            self.stats.unit_thread_instructions[u] += s.unit_thread_instructions[u];
-        }
-        self.stats.reg_reads += s.reg_reads;
-        self.stats.reg_writes += s.reg_writes;
-        self.stats.blocks += s.blocks;
-        self.stats.dual_issues += s.dual_issues;
+        self.stats.add_counters(s);
         self.launches += 1;
     }
 }
@@ -291,7 +280,7 @@ impl Workload {
     ///
     /// Propagates simulator errors — including
     /// [`SimError::Hang`](warped_sim::SimError) when the corrupted run
-    /// exceeds the config's cycle or wall-clock budget.
+    /// exceeds the config's cycle budget.
     pub fn run_faulted(
         &self,
         config: &GpuConfig,

@@ -67,12 +67,6 @@ pub struct GpuConfig {
     /// from the golden run so a fault-induced livelock (e.g. a corrupted
     /// branch predicate) is classified instead of running forever.
     pub max_cycles: u64,
-    /// Wall-clock budget for one launch in milliseconds; `0` means
-    /// unlimited. Checked every 4096 cycles; tripping it also aborts with
-    /// [`SimError::Hang`](crate::SimError::Hang). Unlike `max_cycles` this
-    /// depends on host speed, so enabling it trades determinism of the
-    /// *error cycle* for liveness — campaigns keep it off by default.
-    pub wall_budget_ms: u64,
 }
 
 impl Default for GpuConfig {
@@ -91,7 +85,6 @@ impl Default for GpuConfig {
             scheduler: SchedulerPolicy::default(),
             dual_issue: false,
             max_cycles: 0,
-            wall_budget_ms: 0,
         }
     }
 }
@@ -137,14 +130,6 @@ impl GpuConfig {
     #[must_use]
     pub fn with_cycle_budget(mut self, max_cycles: u64) -> Self {
         self.max_cycles = max_cycles;
-        self
-    }
-
-    /// A copy with a per-launch wall-clock budget in milliseconds
-    /// (`0` = unlimited).
-    #[must_use]
-    pub fn with_wall_budget_ms(mut self, ms: u64) -> Self {
-        self.wall_budget_ms = ms;
         self
     }
 
@@ -208,12 +193,8 @@ mod tests {
     fn budgets_default_unlimited() {
         let c = GpuConfig::default();
         assert_eq!(c.max_cycles, 0);
-        assert_eq!(c.wall_budget_ms, 0);
-        let b = GpuConfig::small()
-            .with_cycle_budget(1_000)
-            .with_wall_budget_ms(50);
+        let b = GpuConfig::small().with_cycle_budget(1_000);
         assert_eq!(b.max_cycles, 1_000);
-        assert_eq!(b.wall_budget_ms, 50);
         b.assert_valid();
     }
 

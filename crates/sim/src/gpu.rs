@@ -8,7 +8,6 @@ use crate::observer::IssueObserver;
 use crate::replay::LaunchLog;
 use crate::sm::{Sm, StepOutcome};
 use std::sync::Arc;
-use std::time::Instant;
 use warped_isa::Kernel;
 
 /// The simulated GPU: configuration plus device-global memory.
@@ -183,8 +182,8 @@ impl Gpu {
     ///   surfaced from any lane.
     /// * [`SimError::Deadlock`] if no instruction issues for an
     ///   implausibly long time (barrier deadlock).
-    /// * [`SimError::Hang`] when the config's cycle or wall-clock budget
-    ///   trips.
+    /// * [`SimError::Hang`] when the config's cycle budget
+    ///   ([`GpuConfig::max_cycles`]) trips.
     /// * [`SimError::Stopped`] at the first cycle boundary after
     ///   `observer` reports [`IssueObserver::halted`].
     /// * [`SimError::ReplayMismatch`] when a launch to replay is not the
@@ -287,8 +286,6 @@ impl Gpu {
 
         let watchdog = self.config.global_latency + 10_000;
         let cycle_budget = self.config.max_cycles;
-        let wall_budget_ms = self.config.wall_budget_ms;
-        let started = (wall_budget_ms != 0).then(Instant::now);
         let mut cycle: u64 = 0;
         let mut last_progress: u64 = 0;
         let mut finish: Vec<u64> = vec![0; sms.len()];
@@ -329,14 +326,6 @@ impl Gpu {
             if cycle_budget != 0 && cycle >= cycle_budget {
                 return Err(SimError::Hang { cycle });
             }
-            // The wall-clock watchdog is a liveness backstop on top of the
-            // cycle budget; polled sparsely so the Instant read stays off
-            // the per-cycle path.
-            if let Some(start) = started {
-                if cycle & 0xFFF == 0 && start.elapsed().as_millis() as u64 > wall_budget_ms {
-                    return Err(SimError::Hang { cycle });
-                }
-            }
         }
         // Report completion for SMs that finished exactly at loop exit.
         for (i, sm) in sms.iter().enumerate() {
@@ -348,23 +337,12 @@ impl Gpu {
         }
 
         let mut stats = RunStats {
-            sm_cycles: finish.clone(),
             cycles: finish.iter().copied().max().unwrap_or(0),
+            sm_cycles: finish,
             ..Default::default()
         };
         for sm in &sms {
-            stats.warp_instructions += sm.stats.warp_instructions;
-            stats.thread_instructions += sm.stats.thread_instructions;
-            stats.idle_cycles += sm.stats.idle_cycles;
-            stats.stall_cycles += sm.stats.stall_cycles;
-            for u in 0..3 {
-                stats.unit_instructions[u] += sm.stats.unit_instructions[u];
-                stats.unit_thread_instructions[u] += sm.stats.unit_thread_instructions[u];
-            }
-            stats.reg_reads += sm.stats.reg_reads;
-            stats.reg_writes += sm.stats.reg_writes;
-            stats.blocks += sm.stats.blocks;
-            stats.dual_issues += sm.stats.dual_issues;
+            stats.add_counters(&sm.stats);
         }
         Ok(stats)
     }

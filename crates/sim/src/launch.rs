@@ -111,8 +111,7 @@ pub enum SimError {
         /// The bad program counter value.
         pc: u32,
     },
-    /// The launch exceeded its cycle or wall-clock budget
-    /// ([`GpuConfig::max_cycles`] / [`GpuConfig::wall_budget_ms`]).
+    /// The launch exceeded its cycle budget ([`GpuConfig::max_cycles`]).
     /// Distinct from [`SimError::Deadlock`]: the machine was still making
     /// progress, it just ran implausibly long — how an injected fault that
     /// corrupts a loop bound or branch predicate manifests.
@@ -207,6 +206,23 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Add `other`'s counters (everything but `cycles` and
+    /// `sm_cycles`) to this record's.
+    pub fn add_counters(&mut self, other: &RunStats) {
+        self.warp_instructions += other.warp_instructions;
+        self.thread_instructions += other.thread_instructions;
+        self.idle_cycles += other.idle_cycles;
+        self.stall_cycles += other.stall_cycles;
+        for u in 0..3 {
+            self.unit_instructions[u] += other.unit_instructions[u];
+            self.unit_thread_instructions[u] += other.unit_thread_instructions[u];
+        }
+        self.reg_reads += other.reg_reads;
+        self.reg_writes += other.reg_writes;
+        self.blocks += other.blocks;
+        self.dual_issues += other.dual_issues;
+    }
+
     /// Kernel wall time in nanoseconds under `config`'s clock.
     pub fn time_ns(&self, config: &GpuConfig) -> f64 {
         self.cycles as f64 * config.clock_ns

@@ -31,7 +31,7 @@ struct Entry {
 /// [`Gpu::replay_launches`](crate::Gpu::replay_launches).
 #[derive(Debug, Clone)]
 pub struct LaunchLog {
-    /// The recording chip with its budgets cleared: a budget never
+    /// The recording chip with its cycle budget cleared: a budget never
     /// changes a launch that finished, so a replay under another budget
     /// is still exact.
     chip: GpuConfig,
@@ -39,11 +39,10 @@ pub struct LaunchLog {
     entries: Vec<Entry>,
 }
 
-/// `config` without its cycle and wall-clock budgets.
+/// `config` without its cycle budget.
 fn unbudgeted(config: &GpuConfig) -> GpuConfig {
     GpuConfig {
         max_cycles: 0,
-        wall_budget_ms: 0,
         ..config.clone()
     }
 }

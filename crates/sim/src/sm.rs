@@ -18,7 +18,7 @@ use crate::fault::LaneFault;
 use crate::functional::{
     bin_vec, cmp_vec, eval_ffma, eval_imad, eval_sel, eval_sfu, map1, map3, un_vec,
 };
-use crate::launch::{LaunchConfig, SimError};
+use crate::launch::{LaunchConfig, RunStats, SimError};
 use crate::memory::{GlobalMemory, SharedMemory};
 use crate::observer::{IssueInfo, IssueObserver};
 use crate::warp::{Row, Warp};
@@ -38,32 +38,6 @@ pub struct BlockState {
     pub live_warps: usize,
     /// Warp-slot indices occupied by this block.
     pub warp_slots: Vec<usize>,
-}
-
-/// Per-SM statistics, summed by the GPU into
-/// [`RunStats`](crate::launch::RunStats).
-#[derive(Debug, Clone, Default)]
-pub struct SmStats {
-    /// Warp-instructions issued.
-    pub warp_instructions: u64,
-    /// Active-lane executions.
-    pub thread_instructions: u64,
-    /// Cycles with resident work but no issue.
-    pub idle_cycles: u64,
-    /// Observer-charged stall cycles.
-    pub stall_cycles: u64,
-    /// Issues per unit type.
-    pub unit_instructions: [u64; 3],
-    /// Active-lane executions per unit type.
-    pub unit_thread_instructions: [u64; 3],
-    /// Register reads (thread granularity).
-    pub reg_reads: u64,
-    /// Register writes (thread granularity).
-    pub reg_writes: u64,
-    /// Blocks completed.
-    pub blocks: u64,
-    /// Cycles in which both schedulers issued (dual-issue mode).
-    pub dual_issues: u64,
 }
 
 /// One streaming multiprocessor.
@@ -88,8 +62,9 @@ pub struct Sm {
     rr_next: usize,
     stall_cycles_left: u64,
     fault: Option<Arc<dyn LaneFault>>,
-    /// Statistics accumulated so far.
-    pub stats: SmStats,
+    /// Counters accumulated so far. `cycles` and `sm_cycles` stay 0:
+    /// the GPU knows when each SM finished.
+    pub stats: RunStats,
 }
 
 impl std::fmt::Debug for Sm {
@@ -130,7 +105,7 @@ impl Sm {
             rr_next: 0,
             stall_cycles_left: 0,
             fault: None,
-            stats: SmStats::default(),
+            stats: RunStats::default(),
         }
     }
 

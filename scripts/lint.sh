@@ -19,6 +19,19 @@ if cargo tree -p warped-sim -e normal --offline | grep -q warped-trace; then
     exit 1
 fi
 
+# The SM issue loop is the only timing model: a crate outside the
+# simulator that reads a pipeline latency is growing a second one.
+# (src/experiments/config_tables.rs prints them for Table 3; it is not
+# under crates/.)
+latency_readers=$(grep -rlwE --include='*.rs' \
+    'sp_latency|sfu_latency|shared_latency|global_latency|rf_latency|writeback_latency' \
+    crates | grep -v '^crates/sim/' || true)
+if [ -n "$latency_readers" ]; then
+    echo "lint: only crates/sim may read pipeline latencies, not:" >&2
+    echo "$latency_readers" >&2
+    exit 1
+fi
+
 # Rustdoc with warnings as errors: a moved or renamed item must not
 # leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

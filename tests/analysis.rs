@@ -2,7 +2,8 @@
 //! kernel is structurally clean, and on straight-line kernels the DMR
 //! cost predictor reproduces the simulator's ReplayQ counters exactly.
 
-use warped::analysis::{analyze, is_straight_line, predict_exact, PredictConfig};
+use warped::analysis::{analyze, is_straight_line, predict_exact, ExactPrediction, PredictConfig};
+use warped::dmr::checker::CheckerStats;
 use warped::dmr::{DmrConfig, WarpedDmr};
 use warped::isa::UnitType;
 use warped::isa::{Kernel, KernelBuilder};
@@ -98,6 +99,53 @@ fn predictor_matches_simulator_on_sha() {
 }
 
 #[test]
+fn sha_exact_prediction_is_pinned() {
+    // Recorded from the hand-written scoreboard replay that predicted
+    // these numbers before `predict_exact` ran the simulator itself, so
+    // the predictor still has a reference outside the simulator.
+    let w = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
+    let predict = |replayq_entries| {
+        let cfg = PredictConfig {
+            replayq_entries,
+            ..PredictConfig::default()
+        };
+        predict_exact(w.kernel(), &cfg).expect("SHA is straight-line")
+    };
+    // verified: co-execute, queue co-execute, idle slot, eager stall,
+    // RAW stall, drain.
+    assert_eq!(
+        predict(10),
+        ExactPrediction {
+            cycles: 15728,
+            issued: 1837,
+            idle_cycles: 13891,
+            checker: CheckerStats {
+                verified: [279, 0, 1023, 0, 0, 534],
+                enqueued: 534,
+                stall_cycles: 0,
+                drain_cycles: 0,
+                max_queue: 4,
+            },
+        }
+    );
+    assert_eq!(
+        predict(0),
+        ExactPrediction {
+            cycles: 15890,
+            issued: 1837,
+            idle_cycles: 13519,
+            checker: CheckerStats {
+                verified: [279, 0, 1023, 534, 0, 0],
+                enqueued: 0,
+                stall_cycles: 534,
+                drain_cycles: 0,
+                max_queue: 0,
+            },
+        }
+    );
+}
+
+#[test]
 fn predictor_matches_simulator_on_sp_sfu_mix() {
     // A dense SP burst followed by dependent SFU work: long same-type
     // runs pressure the ReplayQ while the RAW chain opens idle slots.
@@ -127,7 +175,9 @@ fn predictor_matches_simulator_on_sp_sfu_mix() {
 #[test]
 fn predictor_matches_simulator_on_memory_kernel() {
     // Global loads and stores bring the 200-cycle memory latency into
-    // the scoreboard replay.
+    // the prediction. The predictor's own run allocates nothing, so its
+    // loads read zeros from words this run allocates first; the timing
+    // must not care.
     let gpu_cfg = GpuConfig::small();
     let mut gpu = Gpu::new(gpu_cfg.clone());
     let buf = gpu.alloc_words(64);
