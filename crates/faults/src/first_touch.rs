@@ -1,25 +1,27 @@
-//! The first launch at which each drawn fault can act, recorded once per
-//! campaign from a fault-free run, so that every trial pass can start at
-//! that launch and replay the earlier ones (see [`crate::resilient`]).
+//! The launches in which each drawn fault can act, recorded once per
+//! campaign from a fault-free run, so that every trial pass simulates
+//! only those launches and replays the others (see [`crate::resilient`]).
 //!
 //! A drawn fault acts only through two hooks: the simulator's datapath
 //! hook ([`LaneFault::corrupt`], the architectural pass) and the
 //! protection engine's [`FaultOracle`] (the detection pass). A lane fault
 //! keys both on `(sm, lane, cycle)` when it is a transient and on
 //! `(sm, lane)` when it is stuck-at. The recording run attaches identity
-//! hooks that note, per watched key, the first launch that calls them
-//! with it. Until that launch the fault transforms nothing, so a trial's
-//! launches before it are the fault-free launches.
+//! hooks that note, per watched key, the set of launches that call them
+//! with it ([`LaunchSet`]; launch 63 stands for every later one). In a
+//! launch outside that set the fault transforms nothing, so while a
+//! trial's memory is the fault-free run's, that launch is the fault-free
+//! launch.
 //!
 //! Only the keys the campaign's trials will look up are watched, so
 //! memory stays proportional to the distinct drawn strikes.
 
 use crate::model::FaultModel;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use warped_core::{FaultOracle, LaneSite};
-use warped_sim::{IssueObserver, LaneFault, WARP_SIZE};
+use warped_sim::{IssueObserver, LaneFault, LaunchSet, WARP_SIZE};
 
 /// The hook a fault key is looked up through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,22 +32,22 @@ pub(crate) enum Hook {
     Detect,
 }
 
-/// A key no launch touched.
-const NEVER: u32 = u32::MAX;
-
-fn never() -> [AtomicU32; WARP_SIZE] {
-    std::array::from_fn(|_| AtomicU32::new(NEVER))
+/// The [`LaunchSet`] bits of one key per lane, all empty.
+fn untouched() -> [AtomicU64; WARP_SIZE] {
+    std::array::from_fn(|_| AtomicU64::new(0))
 }
 
-/// Keep the first launch that touched `cell`. Launches only grow, so the
-/// first store is final.
-fn touch(cell: &AtomicU32, launch: u32) {
-    if cell.load(Relaxed) == NEVER {
-        cell.store(launch, Relaxed);
+/// Add `launch` to the set in `cell`. A key is usually touched many
+/// times per launch, so only the first touch pays the read-modify-write.
+fn touch(cell: &AtomicU64, launch: u32) {
+    let bit = LaunchSet::of(launch).bits();
+    if cell.load(Relaxed) & bit == 0 {
+        cell.fetch_or(bit, Relaxed);
     }
 }
 
-/// The watched keys of one hook and their first-touch launches, per lane.
+/// The watched keys of one hook and the launches that touch them, per
+/// lane.
 struct Table {
     /// A bit per hash bucket of the watched strikes: most hook calls are
     /// at an unwatched `(sm, cycle)` and stop at one bit test.
@@ -53,9 +55,9 @@ struct Table {
     /// Watched transient strikes `(sm, cycle)`, sorted.
     strikes: Vec<(usize, u64)>,
     /// Per watched strike.
-    at_strike: Vec<[AtomicU32; WARP_SIZE]>,
+    at_strike: Vec<[AtomicU64; WARP_SIZE]>,
     /// Per SM, at any cycle; empty unless a stuck-at key is watched.
-    any_cycle: Vec<[AtomicU32; WARP_SIZE]>,
+    any_cycle: Vec<[AtomicU64; WARP_SIZE]>,
 }
 
 /// Filter bucket of a strike, for a filter of `buckets` (a power of two).
@@ -75,8 +77,8 @@ impl Table {
         Table {
             filter,
             strikes: strikes.iter().copied().collect(),
-            at_strike: strikes.iter().map(|_| never()).collect(),
-            any_cycle: (0..stuck_sms).map(|_| never()).collect(),
+            at_strike: strikes.iter().map(|_| untouched()).collect(),
+            any_cycle: (0..stuck_sms).map(|_| untouched()).collect(),
         }
     }
 
@@ -93,7 +95,7 @@ impl Table {
         }
     }
 
-    fn first(&self, fault: &FaultModel) -> Option<u32> {
+    fn touches(&self, fault: &FaultModel) -> LaunchSet {
         let cell = match *fault {
             FaultModel::TransientFlip { site, cycle, .. } => self
                 .strikes
@@ -104,21 +106,22 @@ impl Table {
                 self.any_cycle.get(site.sm).map(|lanes| &lanes[site.lane])
             }
         };
-        // An unwatched key has no bound: start at launch 0.
-        let launch = cell.map_or(0, |c| c.load(Relaxed));
-        (launch != NEVER).then_some(launch)
+        // An unwatched key has no bound: every launch.
+        cell.map_or(LaunchSet::from(0), |c| {
+            LaunchSet::from_bits(c.load(Relaxed))
+        })
     }
 }
 
-/// The first launch at which each watched fault key is touched, per hook.
-pub(crate) struct FirstTouch {
+/// The launches that touch each watched fault key, per hook.
+pub(crate) struct Touches {
     /// The launch being simulated.
     launch: AtomicU32,
     /// Per [`Hook`]; `None` when the hook has no watched key.
     tables: [Option<Table>; 2],
 }
 
-impl FirstTouch {
+impl Touches {
     /// An index for a chip of `sms` SMs watching `keys`.
     pub(crate) fn new(sms: usize, keys: impl IntoIterator<Item = (Hook, FaultModel)>) -> Arc<Self> {
         let mut strikes: [BTreeSet<(usize, u64)>; 2] = Default::default();
@@ -136,7 +139,7 @@ impl FirstTouch {
         }
         let table =
             |h: usize| watched[h].then(|| Table::new(&strikes[h], if stuck[h] { sms } else { 0 }));
-        Arc::new(FirstTouch {
+        Arc::new(Touches {
             launch: AtomicU32::new(0),
             tables: [table(0), table(1)],
         })
@@ -153,20 +156,20 @@ impl FirstTouch {
         }
     }
 
-    /// The first launch in which `fault` can change a value through
-    /// `hook`: `None` when no launch reaches its key, `Some(0)` when the
-    /// key was not watched.
-    pub(crate) fn first(&self, hook: Hook, fault: &FaultModel) -> Option<u32> {
+    /// The launches in which `fault` can change a value through `hook`:
+    /// empty when no launch reaches its key, every launch when the key
+    /// was not watched.
+    pub(crate) fn touches(&self, hook: Hook, fault: &FaultModel) -> LaunchSet {
         self.tables[hook as usize]
             .as_ref()
-            .map_or(Some(0), |t| t.first(fault))
+            .map_or(LaunchSet::from(0), |t| t.touches(fault))
     }
 }
 
 /// The recording hooks of a fault-free run: the datapath hook for the
 /// GPU, the oracle for the protection engine, and the observer that
 /// tells both which launch is running. None of them changes a value.
-pub(crate) struct Recorder(pub(crate) Arc<FirstTouch>);
+pub(crate) struct Recorder(pub(crate) Arc<Touches>);
 
 impl LaneFault for Recorder {
     fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
@@ -202,15 +205,20 @@ mod tests {
         }
     }
 
+    /// The set of `launches`.
+    fn set(launches: &[u32]) -> LaunchSet {
+        LaunchSet::from_bits(launches.iter().fold(0, |s, &k| s | LaunchSet::of(k).bits()))
+    }
+
     #[test]
-    fn keeps_the_first_launch_per_hook_and_key() {
+    fn keeps_every_touching_launch_per_hook_and_key() {
         let stuck = FaultModel::StuckAt {
             site: SITE,
             bit: 3,
             value: true,
         };
         let lane8 = LaneSite { sm: 1, lane: 8 };
-        let index = FirstTouch::new(
+        let index = Touches::new(
             2,
             [
                 (Hook::Arch, transient(SITE, 40)),
@@ -221,28 +229,36 @@ mod tests {
             ],
         );
         let mut rec = Recorder(index.clone());
-        assert_eq!(index.first(Hook::Arch, &stuck), None, "nothing ran yet");
-        assert_eq!(index.first(Hook::Arch, &transient(SITE, 40)), None);
+        assert!(index.touches(Hook::Arch, &stuck).is_empty(), "nothing ran");
+        assert!(index.touches(Hook::Arch, &transient(SITE, 40)).is_empty());
 
         rec.on_launch(2);
         assert_eq!(rec.corrupt(1, 7, 40, 5), 5, "recording changes nothing");
         rec.on_launch(3);
-        rec.corrupt(1, 7, 40, 5);
         rec.corrupt(1, 7, 41, 5);
         assert_eq!(rec.transform(lane8, 40, 6), 6);
         rec.transform(SITE, 40, 6);
+        rec.on_launch(5);
+        rec.corrupt(1, 7, 40, 5);
+        rec.transform(lane8, 40, 6);
+        rec.on_launch(70);
+        rec.corrupt(1, 7, 40, 5);
 
-        assert_eq!(index.first(Hook::Arch, &transient(SITE, 40)), Some(2));
-        assert_eq!(index.first(Hook::Arch, &stuck), Some(2));
-        assert_eq!(index.first(Hook::Detect, &transient(lane8, 40)), Some(3));
+        let at40 = index.touches(Hook::Arch, &transient(SITE, 40));
+        assert_eq!(at40, set(&[2, 5, 63]), "a gap at 3 and 4, and past 63");
+        assert!(at40.contains(1000), "launch 63 stands for every later one");
+        assert_eq!(index.touches(Hook::Arch, &stuck), set(&[2, 3, 5, 63]));
+        let detect = index.touches(Hook::Detect, &transient(lane8, 40));
+        assert_eq!(detect, set(&[3, 5]));
         let sm0 = transient(LaneSite { sm: 0, lane: 7 }, 9);
-        assert_eq!(index.first(Hook::Arch, &sm0), None);
+        assert!(index.touches(Hook::Arch, &sm0).is_empty());
         // Unwatched keys have no bound.
-        assert_eq!(index.first(Hook::Arch, &transient(SITE, 41)), Some(0));
-        assert_eq!(index.first(Hook::Detect, &stuck), Some(0));
+        let every = LaunchSet::from(0);
+        assert_eq!(index.touches(Hook::Arch, &transient(SITE, 41)), every);
+        assert_eq!(index.touches(Hook::Detect, &stuck), every);
         assert!(index.watches(Hook::Detect));
-        let arch_only = FirstTouch::new(2, [(Hook::Arch, stuck)]);
+        let arch_only = Touches::new(2, [(Hook::Arch, stuck)]);
         assert!(!arch_only.watches(Hook::Detect));
-        assert_eq!(arch_only.first(Hook::Detect, &stuck), Some(0));
+        assert_eq!(arch_only.touches(Hook::Detect, &stuck), every);
     }
 }

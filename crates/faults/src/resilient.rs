@@ -55,33 +55,41 @@
 //!   precedence over every architectural result. A detection-only
 //!   campaign never runs it.
 //!
-//! ## Each pass starts at the first launch its fault can touch
+//! ## Each pass simulates only the launches its fault touches
 //!
 //! Once per campaign, a second fault-free run records a launch log
 //! ([`LaunchLog`]: each launch's identity, memory changes and statistics)
-//! and, for the strikes the seeded draws use, the first launch at which
-//! each fault key reaches a hook the fault acts through: the datapath
-//! hook for the architectural run, the engine's oracle for the detection
-//! run. A pass starting at launch `k` replays launches `0..k` from the
-//! log. The skip cannot change the class:
+//! and, for the strikes the seeded draws use, the set of launches in
+//! which each fault key reaches a hook the fault acts through: the
+//! datapath hook for the architectural run, the engine's oracle for the
+//! detection run. A pass follows the log ([`Gpu::follow_launches`]): it
+//! simulates the launches in its fault's set and replays the others,
+//! until a simulated launch changes memory otherwise than the log says;
+//! from then on it simulates every launch. The replays cannot change the
+//! class:
 //!
-//! * before launch `k` the fault transforms no value, so those launches
-//!   of the pass are the golden launches: same memory in, same schedule,
-//!   same memory out;
+//! * a replayed launch sees the golden memory (the run is on track) and
+//!   the fault transforms no value in it, so it is the golden launch:
+//!   same memory in, same schedule, same memory out;
+//! * a simulated launch stays on track only if its identity and its
+//!   memory changes equal the log's, word for word, so the next launch
+//!   again sees the golden memory;
 //! * cycle budgets are per launch, and a golden launch never hangs;
 //! * both engines drain at the end of every launch (the ReplayChecker
 //!   queue and RF slot, DMTR's pending slots), so a fresh engine at a
 //!   launch boundary has the golden engine's timing state;
 //! * the trial reads only whether the comparator fired and the final
-//!   output, never the engine counters of skipped launches.
+//!   output, never the engine counters of replayed launches.
 //!
-//! A checker half that can raise a mismatch by itself (`rfu_mux`,
-//! `rf_slot`) is not indexed, so its detection run starts at launch 0.
-//! A pass whose fault no launch touches is decided without simulating:
-//! its detection run cannot fire, and its architectural run is the golden
-//! run (masked).
+//! A transient masked in the launch it touches therefore replays the
+//! rest of the program, and a detection run, whose datapath is clean,
+//! simulates only the launches its fault touches. A checker half that
+//! can raise a mismatch by itself (`rfu_mux`, `rf_slot`) is not indexed,
+//! so its detection run simulates every launch. A pass whose fault no
+//! launch touches is decided without simulating: its detection run
+//! cannot fire, and its architectural run is the golden run (masked).
 
-use crate::first_touch::{FirstTouch, Hook, Recorder};
+use crate::first_touch::{Hook, Recorder, Touches};
 use crate::injector::{random_bit, ExecutionSampler, SampledIssue};
 use crate::journal::{ChunkCounts, ChunkRecord, Journal, JournalError, JournalHeader};
 use crate::model::{CheckerFault, CompoundFault, FaultModel};
@@ -97,8 +105,8 @@ use warped_core::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
 use warped_sim::{
-    Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, LaunchLog, MultiObserver, SimError,
-    WARP_SIZE,
+    Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, LaunchLog, LaunchSet, MultiObserver,
+    SimError, WARP_SIZE,
 };
 use warped_trace::{TraceEvent, TraceHandle};
 
@@ -603,39 +611,39 @@ fn golden_profile(
 }
 
 /// What a campaign records from its fault-free runs, once: the output
-/// every trial is classified against, the launch log trial passes replay
-/// their fault-free prefix from, and the first launch each drawn fault
-/// can act in.
+/// every trial is classified against, the launch log trial passes
+/// follow, and the launches each drawn fault can act in.
 struct Golden {
     run: ProgramRun,
-    /// `None` when no pass is indexed, so every pass starts at launch 0.
+    /// `None` when no pass is indexed, so every pass simulates every
+    /// launch.
     log: Option<Arc<LaunchLog>>,
-    touch: Arc<FirstTouch>,
+    touch: Arc<Touches>,
 }
 
 impl Golden {
-    /// A GPU of `chip` that replays launches `0..start` from the log.
-    fn gpu_from(&self, chip: &GpuConfig, start: u32) -> Gpu {
+    /// A GPU of `chip` that follows the log, simulating `simulate`.
+    fn gpu_following(&self, chip: &GpuConfig, simulate: LaunchSet) -> Gpu {
         let mut gpu = Gpu::new(chip.clone());
         if let Some(log) = &self.log {
-            gpu.replay_launches(log.clone(), start);
+            gpu.follow_launches(log.clone(), simulate);
         }
         gpu
     }
 
-    /// The launch the detection run of `f` starts at, or `None` when it
+    /// The launches the detection run of `f` simulates; empty when it
     /// cannot fire.
-    fn detection_from(&self, protection: Protection, f: &DrawnFault) -> Option<u32> {
-        match detection_start(protection, f) {
-            DetectionStart::Never => None,
-            DetectionStart::First => Some(0),
-            DetectionStart::Touch(lane) => self.touch.first(Hook::Detect, &lane),
+    fn detection_launches(&self, protection: Protection, f: &DrawnFault) -> LaunchSet {
+        match detection_touch(protection, f) {
+            DetectionTouch::Never => LaunchSet::EMPTY,
+            DetectionTouch::Every => LaunchSet::from(0),
+            DetectionTouch::Key(lane) => self.touch.touches(Hook::Detect, &lane),
         }
     }
 }
 
-/// The second fault-free run: record the launch log and the first-touch
-/// launches of `keys`, attaching a recording hook only where a key is
+/// The second fault-free run: record the launch log and the launches
+/// that touch each of `keys`, attaching a recording hook only where a key is
 /// watched (the recording hooks change no value). Its result must equal
 /// `profile`, the first run's. With no key at all, nothing is recorded.
 ///
@@ -651,7 +659,7 @@ fn golden_footprint(
     profile: ProgramRun,
     keys: impl IntoIterator<Item = (Hook, FaultModel)>,
 ) -> Result<Golden, SimError> {
-    let touch = FirstTouch::new(gpu.num_sms, keys);
+    let touch = Touches::new(gpu.num_sms, keys);
     if !touch.watches(Hook::Arch) && !touch.watches(Hook::Detect) {
         return Ok(Golden {
             run: profile,
@@ -683,40 +691,40 @@ fn golden_footprint(
     })
 }
 
-/// Where a trial's detection run starts.
+/// Which launches can make a trial's detection run fire.
 #[derive(Debug, Clone, Copy)]
-enum DetectionStart {
-    /// Nowhere: nothing can fire.
+enum DetectionTouch {
+    /// None: nothing can fire.
     Never,
-    /// At launch 0.
-    First,
-    /// At the first launch the engine's oracle sees this lane fault.
-    Touch(FaultModel),
+    /// Any launch.
+    Every,
+    /// The launches in which the engine's oracle sees this lane fault.
+    Key(FaultModel),
 }
 
-/// Where the detection run of `f` starts. Warped-DMR sees the lane half
-/// on its physical lane and DMTR on the thread's own lane (see
-/// [`Engine::new`]). Under Warped-DMR a fail-silent draw cannot fire; a
-/// fail-silent checker half only swallows or skips comparisons, so the
-/// lane half decides; any other checker half can raise a mismatch by
-/// itself and is not indexed.
-fn detection_start(protection: Protection, f: &DrawnFault) -> DetectionStart {
+/// Which launches can make the detection run of `f` fire. Warped-DMR
+/// sees the lane half on its physical lane and DMTR on the thread's own
+/// lane (see [`Engine::new`]). Under Warped-DMR a fail-silent draw cannot
+/// fire; a fail-silent checker half only swallows or skips comparisons,
+/// so the lane half decides; any other checker half can raise a mismatch
+/// by itself and is not indexed.
+fn detection_touch(protection: Protection, f: &DrawnFault) -> DetectionTouch {
     match protection {
-        Protection::Dmtr => DetectionStart::Touch(f.arch),
-        Protection::WarpedDmr if f.detect.is_fail_silent() => DetectionStart::Never,
+        Protection::Dmtr => DetectionTouch::Key(f.arch),
+        Protection::WarpedDmr if f.detect.is_fail_silent() => DetectionTouch::Never,
         Protection::WarpedDmr => match (f.detect.checker, f.detect.lane) {
-            (Some(c), _) if !c.is_fail_silent() => DetectionStart::First,
-            (_, Some(lane)) => DetectionStart::Touch(lane),
-            (_, None) => DetectionStart::Never,
+            (Some(c), _) if !c.is_fail_silent() => DetectionTouch::Every,
+            (_, Some(lane)) => DetectionTouch::Key(lane),
+            (_, None) => DetectionTouch::Never,
         },
     }
 }
 
-/// The first-touch keys the passes of `f`'s trial look up.
+/// The fault keys the passes of `f`'s trial look up.
 fn trial_keys(opts: &ResilientOptions, f: &DrawnFault) -> impl Iterator<Item = (Hook, FaultModel)> {
-    let detect = match detection_start(opts.protection, f) {
-        DetectionStart::Touch(lane) => Some((Hook::Detect, lane)),
-        DetectionStart::Never | DetectionStart::First => None,
+    let detect = match detection_touch(opts.protection, f) {
+        DetectionTouch::Key(lane) => Some((Hook::Detect, lane)),
+        DetectionTouch::Never | DetectionTouch::Every => None,
     };
     let arch = (!opts.detect_only).then_some((Hook::Arch, f.arch));
     detect.into_iter().chain(arch)
@@ -762,8 +770,8 @@ impl IssueObserver for UntilFired<'_> {
 
 /// Run the simulations that decide one trial and classify it; `None`
 /// when a detection-only trial's comparator stayed silent
-/// (unclassified). Each pass starts at the first launch its fault can
-/// touch (see the module docs).
+/// (unclassified). Each pass simulates the launches its fault touches
+/// and replays the others while it stays on track (see the module docs).
 ///
 /// Detection wins: a trial where the checker fired is `Detected` whatever
 /// the corrupted run would have done (hang, wrong output) — a real
@@ -784,16 +792,14 @@ fn run_trial(
     //    none. The sim is bit-identical to golden, so it runs unbudgeted
     //    (it cannot hang) and any other SimError here is a genuine bug to
     //    surface.
-    let detected = match golden.detection_from(opts.protection, fault) {
-        Some(k) => {
-            let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
-            let mut gpu = golden.gpu_from(clean_gpu, k);
-            match workload.run_on(&mut gpu, &mut UntilFired(&mut engine)) {
-                Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
-                Err(e) => return Err(e),
-            }
+    let launches = golden.detection_launches(opts.protection, fault);
+    let detected = !launches.is_empty() && {
+        let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
+        let mut gpu = golden.gpu_following(clean_gpu, launches);
+        match workload.run_on(&mut gpu, &mut UntilFired(&mut engine)) {
+            Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
+            Err(e) => return Err(e),
         }
-        None => false,
     };
     if detected {
         return Ok(Some(TrialOutcome::Detected));
@@ -805,11 +811,12 @@ fn run_trial(
     // 2. Architectural run: real corruption, budgets armed. The
     //    protection engine rides along (without an oracle) purely so the
     //    issue schedule matches the profile run's cycle numbering.
-    let Some(k) = golden.touch.first(Hook::Arch, &fault.arch) else {
+    let launches = golden.touch.touches(Hook::Arch, &fault.arch);
+    if launches.is_empty() {
         return Ok(Some(TrialOutcome::Masked));
-    };
+    }
     let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
-    let mut gpu = golden.gpu_from(budgeted_gpu, k);
+    let mut gpu = golden.gpu_following(budgeted_gpu, launches);
     gpu.set_fault(Arc::new(ArchFault(fault.arch)));
     let arch = workload.run_on(&mut gpu, observer.observer());
     Ok(Some(match arch {
@@ -1451,7 +1458,7 @@ mod tests {
         let dmr = DmrConfig::default();
         for bench in [Benchmark::Bfs, Benchmark::Scan] {
             for protection in [Protection::WarpedDmr, Protection::Dmtr] {
-                let (w, golden, faults) = draws(bench, protection, 4);
+                let (w, golden, faults) = draws(bench, protection, 12);
                 for detect_only in [false, true] {
                     let opts = ResilientOptions {
                         protection,
@@ -1473,55 +1480,88 @@ mod tests {
         }
     }
 
-    /// The launches, in a full run of each pass, of the first value
-    /// `fault` corrupts (architectural) and of the first comparator
-    /// mismatch (detection).
-    fn first_effects(
+    /// What `fault` does in each pass of its trial.
+    struct Effects {
+        /// Launches in which the architectural pass corrupts a value,
+        /// simulating every launch.
+        corrupted: LaunchSet,
+        /// The same, following the golden log as [`run_trial`] does.
+        corrupted_following: LaunchSet,
+        /// The launches that following pass simulates, and how many
+        /// launches its program ran if it finished.
+        simulated: Vec<u32>,
+        launches: Option<u32>,
+        /// Launches in which the detection pass, simulating every launch,
+        /// mismatches.
+        fired: LaunchSet,
+    }
+
+    fn effects(
         w: &Workload,
         gpu: &GpuConfig,
         budgeted_gpu: &GpuConfig,
         dmr: &DmrConfig,
         protection: Protection,
         fault: &DrawnFault,
-    ) -> (Option<u32>, Option<u32>) {
-        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+        golden: &Golden,
+    ) -> Effects {
+        use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 
-        /// The running launch and the first launch a value changed in.
-        struct Corrupted(AtomicU32, AtomicU32);
+        /// The running launch and the launches a value changed in.
+        #[derive(Default)]
+        struct Corrupted(AtomicU32, AtomicU64);
         struct Watch(Arc<Corrupted>, ArchFault);
         impl LaneFault for Watch {
             fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
                 let out = self.1.corrupt(sm, lane, cycle, value);
-                if out != value && self.0 .1.load(Relaxed) == u32::MAX {
-                    self.0 .1.store(self.0 .0.load(Relaxed), Relaxed);
+                if out != value {
+                    let launch = LaunchSet::of(self.0 .0.load(Relaxed));
+                    self.0 .1.fetch_or(launch.bits(), Relaxed);
                 }
                 out
             }
         }
-        impl IssueObserver for Watch {
+        /// Tells [`Watch`] the running launch; notes the simulated ones.
+        struct Launches(Arc<Corrupted>, Vec<u32>);
+        impl IssueObserver for Launches {
             fn on_launch(&mut self, index: u32) {
                 self.0 .0.store(index, Relaxed);
+                self.1.push(index);
             }
         }
-        let corrupted = Arc::new(Corrupted(AtomicU32::new(0), AtomicU32::new(u32::MAX)));
-        let mut launches = Watch(corrupted.clone(), ArchFault(fault.arch));
-        let mut engine = Engine::new(protection, dmr, budgeted_gpu, None);
-        let mut multi = MultiObserver::new();
-        multi.push(engine.observer()).push(&mut launches);
-        let datapath = Arc::new(Watch(corrupted.clone(), ArchFault(fault.arch)));
-        let _ = w.run_faulted(budgeted_gpu, &mut multi, datapath);
-        let first = corrupted.1.load(Relaxed);
+        let arch_pass = |mut chip: Gpu| {
+            let corrupted = Arc::new(Corrupted::default());
+            chip.set_fault(Arc::new(Watch(corrupted.clone(), ArchFault(fault.arch))));
+            let mut engine = Engine::new(protection, dmr, budgeted_gpu, None);
+            let mut launches = Launches(corrupted.clone(), Vec::new());
+            let mut multi = MultiObserver::new();
+            multi.push(engine.observer()).push(&mut launches);
+            let run = w.run_on(&mut chip, &mut multi);
+            let simulated = launches.1;
+            let set = LaunchSet::from_bits(corrupted.1.load(Relaxed));
+            (set, simulated, run.ok().map(|r| r.launches))
+        };
+        let (corrupted, _, _) = arch_pass(Gpu::new(budgeted_gpu.clone()));
+        let following = golden.touch.touches(Hook::Arch, &fault.arch);
+        let (corrupted_following, simulated, launches) =
+            arch_pass(golden.gpu_following(budgeted_gpu, following));
 
-        /// The detection engine, noting the launch it first fired in.
-        struct FiredAt<'a>(&'a mut Engine, u32, Option<u32>);
-        impl FiredAt<'_> {
+        /// The detection engine, the running launch, the launches the
+        /// engine mismatched in and its mismatches so far.
+        struct FiredIn<'a>(&'a mut Engine, u32, u64, u64);
+        impl FiredIn<'_> {
             fn note(&mut self) {
-                if self.2.is_none() && self.0.fired() {
-                    self.2 = Some(self.1);
+                let total = match &*self.0 {
+                    Engine::WarpedDmr(e) => e.errors().total(),
+                    Engine::Dmtr(e) => e.errors().total(),
+                };
+                if total > self.3 {
+                    self.2 |= LaunchSet::of(self.1).bits();
+                    self.3 = total;
                 }
             }
         }
-        impl IssueObserver for FiredAt<'_> {
+        impl IssueObserver for FiredIn<'_> {
             fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
                 let stalls = self.0.observer().on_issue(info);
                 self.note();
@@ -1537,53 +1577,73 @@ mod tests {
                 drain
             }
             fn on_launch(&mut self, index: u32) {
+                self.0.observer().on_launch(index);
                 self.1 = index;
             }
         }
         let mut engine = Engine::new(protection, dmr, gpu, Some(fault));
-        let mut fired = FiredAt(&mut engine, 0, None);
+        let mut fired = FiredIn(&mut engine, 0, 0, 0);
         w.run_with(gpu, &mut fired).unwrap();
-        ((first != u32::MAX).then_some(first), fired.2)
+        Effects {
+            corrupted,
+            corrupted_following,
+            simulated,
+            launches,
+            fired: LaunchSet::from_bits(fired.2),
+        }
     }
 
     #[test]
-    fn each_pass_starts_no_later_than_its_faults_first_effect() {
+    fn every_launch_a_fault_acts_in_is_simulated() {
         let gpu = GpuConfig::small();
         let dmr = DmrConfig::default();
-        let mut late_starts = 0;
+        let mut gaps = 0;
         for bench in [Benchmark::Bfs, Benchmark::Scan] {
             for protection in [Protection::WarpedDmr, Protection::Dmtr] {
                 let (w, golden, faults) = draws(bench, protection, 4);
                 let budgeted_gpu = budgeted(&gpu, &golden.run, &tiny_opts());
                 for (class, f) in &faults {
-                    let (corrupted, fired) =
-                        first_effects(&w, &gpu, &budgeted_gpu, &dmr, protection, f);
-                    let arch = golden.touch.first(Hook::Arch, &f.arch);
-                    let detect = golden.detection_from(protection, f);
+                    let e = effects(&w, &gpu, &budgeted_gpu, &dmr, protection, f, &golden);
+                    let arch = golden.touch.touches(Hook::Arch, &f.arch);
+                    let detect = golden.detection_launches(protection, f);
                     let ctx = format!(
-                        "{bench:?} {protection:?} {class}: arch {arch:?} vs first corrupted \
-                         {corrupted:?}, detection {detect:?} vs first mismatch {fired:?}"
+                        "{bench:?} {protection:?} {class}: arch {arch:?} vs corrupted {:?}, \
+                         detection {detect:?} vs mismatches {:?}",
+                        e.corrupted, e.fired
                     );
-                    // Sound: no pass starts after its fault's first effect.
-                    if let Some(l) = corrupted {
-                        assert!(arch.is_some_and(|k| k <= l), "{ctx}");
+                    // Sound: the architectural pass simulates every launch
+                    // in which its fault changes a value. On track those
+                    // are in its set; past the first launch that leaves
+                    // the log (which is in the set), every launch is
+                    // simulated.
+                    assert_eq!(e.corrupted_following, e.corrupted, "{ctx}");
+                    let first = |s: LaunchSet| (0..64).find(|&k| s.contains(k));
+                    if let Some(k) = first(e.corrupted) {
+                        assert!(arch.contains(k), "{ctx}");
                     }
-                    if let Some(l) = fired {
-                        assert!(detect.is_some_and(|k| k <= l), "{ctx}");
-                    }
+                    // A detection pass never leaves the log (its datapath
+                    // is clean), so every launch that mismatches is in
+                    // its set.
+                    assert_eq!(e.fired.bits() & !detect.bits(), 0, "{ctx}");
                     // Exact for a transient (every lane_transient and
                     // comparator draw): its first touch flips a bit.
                     if !f.arch.is_permanent() {
-                        assert_eq!(arch, corrupted, "{ctx}");
+                        assert_eq!(first(arch), first(e.corrupted), "{ctx}");
                     }
                     if bench == Benchmark::Scan {
-                        assert!(arch.unwrap_or(0) == 0, "SCAN has one launch: {ctx}");
+                        assert!(arch.bits() <= 1, "SCAN has one launch: {ctx}");
                     }
-                    late_starts += usize::from(arch.is_some_and(|k| k > 0));
+                    // A launch replayed after a simulated one.
+                    if let (Some(&k), Some(n)) = (e.simulated.first(), e.launches) {
+                        gaps += usize::from(e.simulated != (k..n).collect::<Vec<_>>());
+                    }
                 }
             }
         }
-        assert!(late_starts > 0, "some BFS pass must start past launch 0");
+        assert!(
+            gaps > 0,
+            "some BFS pass must replay a launch after simulating one"
+        );
     }
 
     #[test]

@@ -376,6 +376,8 @@ impl IssueObserver for Traced<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use warped_sim::{LaneFault, LaunchLog, LaunchSet};
 
     #[test]
     fn names_are_unique_and_paper_spelled() {
@@ -407,43 +409,128 @@ mod tests {
     }
 
     /// Run `w` on a fresh GPU of `config` set up by `configure`,
-    /// returning the run and the GPU.
+    /// returning the run, the GPU and the launches it simulated.
     fn run_on_fresh(
         w: &Workload,
         config: &GpuConfig,
         configure: impl FnOnce(&mut Gpu),
-    ) -> (Result<ProgramRun, SimError>, Gpu) {
+    ) -> (Result<ProgramRun, SimError>, Gpu, Vec<u32>) {
+        struct Simulated(Vec<u32>);
+        impl IssueObserver for Simulated {
+            fn on_launch(&mut self, index: u32) {
+                self.0.push(index);
+            }
+        }
         let mut gpu = Gpu::new(config.clone());
         configure(&mut gpu);
-        let run = w.run_on(&mut gpu, &mut warped_sim::NullObserver);
-        (run, gpu)
+        let mut simulated = Simulated(Vec::new());
+        let run = w.run_on(&mut gpu, &mut simulated);
+        (run, gpu, simulated.0)
+    }
+
+    /// BFS Tiny, its fault-free run on `config`, the run's launch log and
+    /// the GPU that recorded it.
+    fn recorded_bfs(config: &GpuConfig) -> (Workload, ProgramRun, Arc<LaunchLog>, Gpu) {
+        let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
+        let (full, mut recorder, _) = run_on_fresh(&w, config, Gpu::record_launches);
+        let full = full.unwrap();
+        let log = Arc::new(recorder.take_launch_log().unwrap());
+        assert!(full.launches >= 3, "BFS Tiny is a multi-launch program");
+        assert_eq!(log.len(), full.launches as usize);
+        (w, full, log, recorder)
     }
 
     #[test]
-    fn every_replayed_prefix_of_bfs_matches_the_full_run() {
+    fn every_followed_launch_set_of_bfs_matches_the_full_run() {
         let config = GpuConfig::small();
-        let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
-        let (full, mut recorder) = run_on_fresh(&w, &config, Gpu::record_launches);
-        let full = full.unwrap();
-        let log = std::sync::Arc::new(recorder.take_launch_log().unwrap());
-        assert!(full.launches >= 3, "BFS Tiny is a multi-launch program");
-        assert_eq!(log.len(), full.launches as usize);
-        for k in 0..=full.launches {
-            let (run, gpu) = run_on_fresh(&w, &config, |gpu| gpu.replay_launches(log.clone(), k));
-            assert_eq!(run.unwrap(), full, "replaying launches < {k}");
-            assert_eq!(gpu.global_mem(), recorder.global_mem(), "k = {k}");
+        let (w, full, log, recorder) = recorded_bfs(&config);
+        let n = full.launches;
+        // Every replayed prefix, every one-launch set, and every
+        // two-launch set with a gap.
+        let prefixes = (0..=n).map(LaunchSet::from);
+        let singles = (0..n).map(LaunchSet::of);
+        let gapped =
+            (0..n).flat_map(|i| (i + 2..n).map(move |j| LaunchSet::from_bits(1 << i | 1 << j)));
+        for set in prefixes.chain(singles).chain(gapped) {
+            let (run, gpu, simulated) =
+                run_on_fresh(&w, &config, |gpu| gpu.follow_launches(log.clone(), set));
+            assert_eq!(run.unwrap(), full, "simulating {set:?}");
+            assert_eq!(gpu.global_mem(), recorder.global_mem(), "{set:?}");
+            let expected: Vec<u32> = (0..n).filter(|&k| set.contains(k)).collect();
+            assert_eq!(simulated, expected, "{set:?}: on track throughout");
         }
+    }
+
+    #[test]
+    fn a_launch_that_writes_otherwise_leaves_the_log() {
+        use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
+        /// Flips bit 0 of every value lane 0 produces in launch `.1`;
+        /// `.0` is the running launch.
+        struct FlipIn(AtomicU32, u32);
+        impl LaneFault for FlipIn {
+            fn corrupt(&self, _sm: usize, lane: usize, _cycle: u64, value: u32) -> u32 {
+                if lane == 0 && self.0.load(Relaxed) == self.1 {
+                    value ^ 1
+                } else {
+                    value
+                }
+            }
+        }
+        /// Tells the fault which launch runs; notes the simulated ones.
+        struct Launches(Arc<FlipIn>, Vec<u32>);
+        impl IssueObserver for Launches {
+            fn on_launch(&mut self, index: u32) {
+                self.0 .0.store(index, Relaxed);
+                self.1.push(index);
+            }
+        }
+        // BFS with launch `k` faulty, following `log` with `{k}` if given.
+        let run = |w: &Workload, k: u32, log: Option<&Arc<LaunchLog>>| {
+            let fault = Arc::new(FlipIn(AtomicU32::new(u32::MAX), k));
+            let mut gpu = Gpu::new(GpuConfig::small());
+            gpu.set_fault(fault.clone());
+            if let Some(log) = log {
+                gpu.follow_launches(log.clone(), LaunchSet::of(k));
+            }
+            let mut launches = Launches(fault, Vec::new());
+            let run = w.run_on(&mut gpu, &mut launches).unwrap();
+            (run, gpu, launches.1)
+        };
+
+        let (w, full, log, recorder) = recorded_bfs(&GpuConfig::small());
+        let n = full.launches;
+        let (mut on_track, mut off_track) = (0, 0);
+        for k in 0..n {
+            let (reference, faulty, _) = run(&w, k, None);
+            let (followed, gpu, simulated) = run(&w, k, Some(&log));
+            assert_eq!(followed, reference, "launch {k} faulty");
+            assert_eq!(gpu.global_mem(), faulty.global_mem(), "launch {k} faulty");
+            let rest: Vec<u32> = (k..reference.launches).collect();
+            if faulty.global_mem() != recorder.global_mem() || reference.launches != n {
+                // Launch k wrote otherwise than the log says, so every
+                // later launch is simulated.
+                assert_eq!(simulated, rest, "launch {k} faulty");
+                off_track += usize::from(rest.len() > 1);
+            } else if simulated == [k] {
+                on_track += 1;
+            } else {
+                assert_eq!(simulated, rest, "launch {k} faulty");
+            }
+        }
+        assert!(on_track > 0 && off_track > 0, "{on_track}, {off_track}");
     }
 
     #[test]
     fn a_log_of_another_run_is_refused() {
         let config = GpuConfig::small();
-        let bfs = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
-        let (_, mut recorder) = run_on_fresh(&bfs, &config, Gpu::record_launches);
-        let log = std::sync::Arc::new(recorder.take_launch_log().unwrap());
+        let (bfs, _, log, _) = recorded_bfs(&config);
         let mismatch = SimError::ReplayMismatch { launch: 0 };
         let replay = |w: &Workload, config: &GpuConfig| {
-            run_on_fresh(w, config, |gpu| gpu.replay_launches(log.clone(), 2)).0
+            run_on_fresh(w, config, |gpu| {
+                gpu.follow_launches(log.clone(), LaunchSet::from(2))
+            })
+            .0
         };
         let scan = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
         assert_eq!(

@@ -5,7 +5,7 @@ use crate::fault::LaneFault;
 use crate::launch::{LaunchConfig, RunStats, SimError};
 use crate::memory::GlobalMemory;
 use crate::observer::IssueObserver;
-use crate::replay::LaunchLog;
+use crate::replay::{LaunchLog, LaunchSet};
 use crate::sm::{Sm, StepOutcome};
 use std::sync::Arc;
 use warped_isa::Kernel;
@@ -46,9 +46,17 @@ pub struct Gpu {
     launch_seq: u32,
     /// The log being recorded, if any ([`Gpu::record_launches`]).
     recording: Option<LaunchLog>,
-    /// A log and the launch index before which launches replay from it
-    /// ([`Gpu::replay_launches`]).
-    replay: Option<(Arc<LaunchLog>, u32)>,
+    /// The log being followed, if any ([`Gpu::follow_launches`]).
+    follow: Option<Follow>,
+}
+
+/// A run following a [`LaunchLog`].
+struct Follow {
+    log: Arc<LaunchLog>,
+    /// The launches simulated while on track.
+    simulate: LaunchSet,
+    /// Whether global memory is the recorded run's at the next launch.
+    on_track: bool,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -59,7 +67,10 @@ impl std::fmt::Debug for Gpu {
             .field("fault", &self.fault.is_some())
             .field("launch_seq", &self.launch_seq)
             .field("recording", &self.recording.is_some())
-            .field("replay_until", &self.replay.as_ref().map(|r| r.1))
+            .field(
+                "follow",
+                &self.follow.as_ref().map(|f| (f.simulate, f.on_track)),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -81,7 +92,7 @@ impl Gpu {
             fault: None,
             launch_seq: 0,
             recording: None,
-            replay: None,
+            follow: None,
         }
     }
 
@@ -126,19 +137,30 @@ impl Gpu {
         self.recording.take()
     }
 
-    /// Replay launches `0..until` of this GPU from `log` instead of
-    /// simulating them: each applies the recorded memory changes and
-    /// returns the recorded statistics, calling neither the observer nor
-    /// the fault. Launches from `until` on are simulated. This is exact
-    /// when launches before `until` see the memory the recorded run's
-    /// did, which holds when the host program is the recorded one and
-    /// nothing can differ before `until`.
+    /// Follow `log`: while the run is on track, simulate the launches in
+    /// `simulate` and replay every other launch from the log instead of
+    /// simulating it. A replayed launch applies the recorded memory
+    /// changes and returns the recorded statistics, calling neither the
+    /// observer nor the fault. `LaunchSet::from(k)` replays the prefix
+    /// `0..k` and simulates the rest.
+    ///
+    /// The run starts on track. A simulated launch keeps it on track only
+    /// if it is the recorded launch and changes global memory exactly as
+    /// the log says, word for word; once off track, every later launch is
+    /// simulated. Following is therefore exact when each launch outside
+    /// `simulate` would, on the recorded memory, do what the recorded
+    /// launch did: the host program is the recorded one and no fault acts
+    /// in that launch.
     ///
     /// A replayed launch that is not the recorded one (another kernel,
     /// geometry, parameter list or chip) fails with
     /// [`SimError::ReplayMismatch`] instead of diverging silently.
-    pub fn replay_launches(&mut self, log: Arc<LaunchLog>, until: u32) {
-        self.replay = Some((log, until));
+    pub fn follow_launches(&mut self, log: Arc<LaunchLog>, simulate: LaunchSet) {
+        self.follow = Some(Follow {
+            log,
+            simulate,
+            on_track: true,
+        });
     }
 
     /// The chip configuration.
@@ -172,7 +194,7 @@ impl Gpu {
     }
 
     /// Execute `kernel` with geometry `launch`, reporting every issue slot
-    /// to `observer` (or replay it, see [`Gpu::replay_launches`]).
+    /// to `observer` (or replay it, see [`Gpu::follow_launches`]).
     ///
     /// # Errors
     ///
@@ -208,25 +230,41 @@ impl Gpu {
 
         let index = self.launch_seq;
         self.launch_seq += 1;
-        if let Some((log, until)) = &self.replay {
-            if index < *until {
-                return log.replay(
-                    index,
-                    &self.config,
-                    self.block_redundancy,
-                    kernel,
-                    launch,
-                    &mut self.global,
-                );
-            }
+        let follow = self.follow.as_ref().filter(|f| f.on_track);
+        if let Some(f) = follow.filter(|f| !f.simulate.contains(index)) {
+            return f.log.replay(
+                index,
+                &self.config,
+                self.block_redundancy,
+                kernel,
+                launch,
+                &mut self.global,
+            );
         }
-        let Some(mut log) = self.recording.take() else {
+        if follow.is_none() && self.recording.is_none() {
             return self.simulate(index, kernel, launch, observer);
-        };
+        }
+        // Recording and following both need the words this launch changes.
         let before = self.global.clone();
-        let stats = self.simulate(index, kernel, launch, observer)?;
-        log.push(kernel, launch, &before, &self.global, &stats);
-        self.recording = Some(log);
+        let stats = self.simulate(index, kernel, launch, observer);
+        let Ok(stats) = stats else {
+            self.recording = None;
+            return stats;
+        };
+        let writes = self.global.changes_since(&before);
+        if let Some(f) = self.follow.as_mut().filter(|f| f.on_track) {
+            f.on_track = f.log.is_logged(
+                index,
+                &self.config,
+                self.block_redundancy,
+                kernel,
+                launch,
+                &writes,
+            );
+        }
+        if let Some(log) = &mut self.recording {
+            log.push(kernel, launch, writes, &stats);
+        }
         Ok(stats)
     }
 
@@ -556,7 +594,8 @@ mod tests {
             "taking ends recording"
         );
         for until in 0..=4 {
-            let (replayed, seen, gpu) = three_saxpys(|gpu| gpu.replay_launches(log.clone(), until));
+            let (replayed, seen, gpu) =
+                three_saxpys(|gpu| gpu.follow_launches(log.clone(), LaunchSet::from(until)));
             assert_eq!(replayed, full, "until {until}");
             assert_eq!(gpu.global_mem(), recorder.global_mem(), "until {until}");
             let simulated: Vec<u32> = (until.min(3)..3).collect();
@@ -572,7 +611,7 @@ mod tests {
 
         // Another kernel.
         let mut gpu = Gpu::new(GpuConfig::small());
-        gpu.replay_launches(log.clone(), 1);
+        gpu.follow_launches(log.clone(), LaunchSet::from(1));
         let mut b = KernelBuilder::new("other");
         let r = b.reg();
         b.mov(r, 0u32);
@@ -582,24 +621,27 @@ mod tests {
 
         // The same kernel with other parameters.
         let mut gpu = Gpu::new(GpuConfig::small());
-        gpu.replay_launches(log.clone(), 1);
+        gpu.follow_launches(log.clone(), LaunchSet::from(1));
         let l = LaunchConfig::linear(2, 32).with_params(vec![0, 64, 3.0f32.to_bits()]);
         assert_eq!(gpu.launch(&saxpy_kernel(), &l, &mut NullObserver), mismatch);
 
         // Another chip, and past the log's end.
         let (results, _, _) = three_saxpys(|gpu| {
             *gpu = Gpu::new(GpuConfig::small().with_sms(1));
-            gpu.replay_launches(log.clone(), 1);
+            gpu.follow_launches(log.clone(), LaunchSet::from(1));
         });
         assert_eq!(results[0], mismatch);
         let mut gpu = Gpu::new(GpuConfig::small());
-        gpu.replay_launches(Arc::new(LaunchLog::new(gpu.config(), 1)), 1);
+        gpu.follow_launches(
+            Arc::new(LaunchLog::new(gpu.config(), 1)),
+            LaunchSet::from(1),
+        );
         assert_eq!(gpu.launch(&saxpy_kernel(), &l, &mut NullObserver), mismatch);
 
         // A budget is not part of a launch's identity.
         let (results, _, _) = three_saxpys(|gpu| {
             *gpu = Gpu::new(GpuConfig::small().with_cycle_budget(1 << 20));
-            gpu.replay_launches(log.clone(), 3);
+            gpu.follow_launches(log.clone(), LaunchSet::from(3));
         });
         assert!(results.iter().all(Result::is_ok));
     }

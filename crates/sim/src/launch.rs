@@ -128,7 +128,7 @@ pub enum SimError {
         cycle: u64,
     },
     /// A launch the GPU was told to replay
-    /// ([`Gpu::replay_launches`](crate::Gpu::replay_launches)) does not
+    /// ([`Gpu::follow_launches`](crate::Gpu::follow_launches)) does not
     /// match the log: another kernel, geometry, parameter list or chip
     /// than the recorded launch, or an index past the log's end.
     /// Replaying it would not reproduce what the recorded run did.

@@ -75,5 +75,5 @@ pub use fault::{LaneFault, NoFault};
 pub use gpu::Gpu;
 pub use launch::{LaunchConfig, RunStats, SimError};
 pub use observer::{IssueInfo, IssueObserver, MultiObserver, NullObserver};
-pub use replay::LaunchLog;
+pub use replay::{LaunchLog, LaunchSet};
 pub use simt_stack::SimtStack;

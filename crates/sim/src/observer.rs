@@ -87,7 +87,7 @@ pub trait IssueObserver {
 
     /// Called at the start of each simulated launch with its index in the
     /// GPU's launch sequence (0 for a fresh GPU's first launch). Launches
-    /// replayed from a log ([`Gpu::replay_launches`](crate::Gpu::replay_launches))
+    /// replayed from a log ([`Gpu::follow_launches`](crate::Gpu::follow_launches))
     /// are not simulated and call no observer method.
     fn on_launch(&mut self, index: u32) {
         let _ = index;

@@ -4,11 +4,12 @@
 # from its checkpoint journal byte-identically. Exercises the retry,
 # checkpoint, and resume paths end to end through the real CLI, on a
 # single-launch kernel (SCAN, broken comparator) and a multi-launch one
-# (BFS). On BFS, trial passes start at the first launch their fault can
-# touch and replay the earlier launches: lane transients exercise
-# detection passes that stop at the first mismatch, a broken comparator
-# exercises architectural passes started past launch 0, and an RF-slot
-# fault exercises detection passes that must start at launch 0.
+# (BFS). On BFS, trial passes simulate only the launches their fault
+# touches and replay the others from the golden launch log: lane
+# transients exercise detection passes that stop at the first mismatch,
+# a broken comparator exercises architectural passes that replay
+# launches around the ones they simulate, and an RF-slot fault exercises
+# detection passes that must simulate every launch.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -374,3 +374,32 @@ fn partial_detection_campaign_is_an_error() {
     let r = complete_campaign(&w, &gpu(), &dmr, class, 6, 5, &opts).unwrap();
     assert_eq!((r.trials, r.planned, r.skipped), (6, 6, 0));
 }
+
+#[test]
+fn timed_fault_campaign_is_pinned() {
+    // The campaigns perfbench's fault-campaign workload times: BFS at the
+    // quick size on the quick chip, one worker, seed 1. A speedup that
+    // reclassifies any timed trial moves a count here.
+    let cfg = ExperimentConfig::quick();
+    let w = Benchmark::Bfs.build(cfg.size).unwrap();
+    let opts = ResilientOptions::default().with_threads(1);
+    let dmr = DmrConfig::default();
+    let got: Vec<String> = [
+        FaultSiteClass::LaneTransient,
+        FaultSiteClass::ComparatorVerdict,
+    ]
+    .into_iter()
+    .map(|class| {
+        resilient_campaign(&w, &cfg.gpu, &dmr, class, 32, 1, &opts)
+            .unwrap()
+            .to_json()
+    })
+    .collect();
+    assert_eq!(
+        got,
+        [
+            r#"{"bench":"BFS","class":"lane_transient","seed":1,"chunk_trials":8,"chunks":4,"planned":32,"completed":32,"skipped":0,"masked":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":10.7183},"detected":{"count":32,"pct":100.0000,"ci_lo_pct":89.2817,"ci_hi_pct":100.0000},"sdc":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":10.7183},"hang":{"count":0,"pct":0.0000,"ci_lo_pct":0.0000,"ci_hi_pct":10.7183},"failed_chunks":[]}"#,
+            r#"{"bench":"BFS","class":"comparator","seed":1,"chunk_trials":8,"chunks":4,"planned":32,"completed":32,"skipped":0,"masked":{"count":21,"pct":65.6250,"ci_lo_pct":48.3108,"ci_hi_pct":79.5898},"detected":{"count":4,"pct":12.5000,"ci_lo_pct":4.9701,"ci_hi_pct":28.0686},"sdc":{"count":6,"pct":18.7500,"ci_lo_pct":8.8894,"ci_hi_pct":35.3095},"hang":{"count":1,"pct":3.1250,"ci_lo_pct":0.5538,"ci_hi_pct":15.7446},"failed_chunks":[]}"#,
+        ]
+    );
+}
