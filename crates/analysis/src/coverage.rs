@@ -27,7 +27,7 @@
 use crate::cfg::Cfg;
 use crate::mask::{analyze_masks, AbstractMask, MaskFlowConfig};
 use warped_core::{mapping, rfu, DmrConfig};
-use warped_isa::{Instruction, Kernel};
+use warped_isa::Kernel;
 use warped_sim::WARP_SIZE;
 
 const FULL: u32 = u32::MAX;
@@ -53,6 +53,15 @@ pub enum InstrClass {
 }
 
 impl InstrClass {
+    /// Every class, in report order.
+    pub const ALL: [InstrClass; 5] = [
+        InstrClass::InterVerified,
+        InstrClass::IntraVerifiable,
+        InstrClass::Unverifiable,
+        InstrClass::NoResult,
+        InstrClass::Unreachable,
+    ];
+
     /// Stable lowercase tag for reports and JSON.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -188,15 +197,6 @@ pub fn min_fraction(m: AbstractMask, dmr: &DmrConfig) -> f64 {
     }
 }
 
-fn has_result(instr: &Instruction) -> bool {
-    // Mirrors the SM's `has_result` (instructions without a verifiable
-    // result stay outside both DMR paths and the coverage denominator).
-    !matches!(
-        instr,
-        Instruction::Jump { .. } | Instruction::Bar | Instruction::Exit
-    )
-}
-
 /// Certify `kernel` under `dmr` for a launch whose blocks hold
 /// `block_threads` threads.
 pub fn certify_coverage(
@@ -228,7 +228,7 @@ pub fn certify_coverage(
     let mut bound = f64::INFINITY;
     for (pc, masks) in masks_per_pc.iter().enumerate() {
         let instr = &kernel.code()[pc];
-        let (class, frac) = if !has_result(instr) {
+        let (class, frac) = if !instr.has_result() {
             (InstrClass::NoResult, 1.0)
         } else if masks.is_empty() {
             (InstrClass::Unreachable, 1.0)

@@ -64,7 +64,7 @@ pub use modelcheck::{
 pub use predict::{
     block_pressure, is_straight_line, predict_exact, BlockPressure, ExactPrediction, PredictConfig,
 };
-pub use report::{Analysis, SCHEMA_VERSION};
+pub use report::{certify_json, Analysis, SCHEMA_VERSION};
 
 use warped_isa::Kernel;
 

@@ -68,10 +68,6 @@ pub fn is_straight_line(kernel: &Kernel) -> bool {
 }
 
 fn incoming(instr: &Instruction, cycle: u64) -> Incoming {
-    let has_result = !matches!(
-        instr,
-        Instruction::Jump { .. } | Instruction::Bar | Instruction::Exit
-    );
     Incoming {
         warp_uid: 0,
         unit: instr.unit(),
@@ -80,7 +76,7 @@ fn incoming(instr: &Instruction, cycle: u64) -> Incoming {
         cycle,
         // One fully-populated warp: every result-producing instruction
         // enters inter-warp DMR.
-        needs_inter: has_result,
+        needs_inter: instr.has_result(),
         mask: u32::MAX,
         results: [0; WARP_SIZE],
     }

@@ -1,16 +1,22 @@
-//! Rendering of a full analysis into text and JSON.
+//! Rendering of the analyzer's results into text and JSON: the
+//! `warped analyze` report ([`Analysis`]) and the `warped certify`
+//! document ([`certify_json`]).
 //!
-//! The workspace deliberately carries no serde dependency, so the JSON
-//! emitter is hand-rolled over the small, fixed report shape.
+//! Both JSON documents are built with the workspace's one JSON writer,
+//! [`warped_trace::json::Obj`], and carry [`SCHEMA_VERSION`].
 
 use crate::cfg::Cfg;
+use crate::coverage::{CoverageCert, InstrClass};
 use crate::dataflow::{DefUse, Liveness};
 use crate::diag::{DataflowWarning, StructuralLint};
+use crate::modelcheck::ModelCheckReport;
 use crate::predict::{BlockPressure, ExactPrediction};
 use std::fmt::Write as _;
-use warped_trace::json_str;
+use warped_isa::Pc;
+use warped_trace::json::Obj;
 
-/// Version of the JSON report schema emitted by [`Analysis::to_json`].
+/// Version of the JSON schema of [`Analysis::to_json`] and
+/// [`certify_json`].
 ///
 /// Version 1 introduced the `schema_version` field itself and per-diagnostic
 /// pc spans (`span: {lo, hi}`, inclusive instruction indices) on every lint
@@ -147,112 +153,103 @@ impl Analysis {
 
     /// Machine-readable JSON report.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push('{');
-        let _ = write!(
-            s,
-            "\"schema_version\":{SCHEMA_VERSION},\"kernel\":{},\"num_instrs\":{},\"clean\":{}",
-            json_str(&self.name),
-            self.num_instrs,
-            self.is_clean(),
-        );
-
-        s.push_str(",\"blocks\":[");
-        for (i, b) in self.cfg.blocks().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let succs: Vec<String> = b.succs.iter().map(|x| x.to_string()).collect();
-            let _ = write!(
-                s,
-                "{{\"id\":{},\"start\":{},\"end\":{},\"succs\":[{}],\"reachable\":{}}}",
-                b.id,
-                b.start,
-                b.end,
-                succs.join(","),
-                self.cfg.is_reachable(b.id),
-            );
-        }
-        s.push(']');
-
-        s.push_str(",\"lints\":[");
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let (lo, hi) = l.span();
-            let _ = write!(
-                s,
-                "{{\"kind\":{},\"message\":{},\"span\":{{\"lo\":{},\"hi\":{}}}}}",
-                json_str(l.kind()),
-                json_str(&l.to_string()),
-                lo.0,
-                hi.0,
-            );
-        }
-        s.push(']');
-
-        s.push_str(",\"warnings\":[");
-        for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let (lo, hi) = w.span();
-            let _ = write!(
-                s,
-                "{{\"kind\":{},\"message\":{},\"span\":{{\"lo\":{},\"hi\":{}}}}}",
-                json_str(w.kind()),
-                json_str(&w.to_string()),
-                lo.0,
-                hi.0,
-            );
-        }
-        s.push(']');
-
-        s.push_str(",\"pressure\":[");
-        for (i, p) in self.pressure.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let runs: Vec<String> = p
+        let diag = |kind: &str, message: String, (lo, hi): (Pc, Pc)| {
+            Obj::default()
+                .str("kind", kind)
+                .str("message", &message)
+                .val("span", Obj::default().val("lo", lo.0).val("hi", hi.0))
+        };
+        let blocks = self.cfg.blocks().iter().map(|b| {
+            Obj::default()
+                .val("id", b.id)
+                .val("start", b.start)
+                .val("end", b.end)
+                .arr("succs", &b.succs)
+                .val("reachable", self.cfg.is_reachable(b.id))
+        });
+        let lints = self
+            .lints
+            .iter()
+            .map(|l| diag(l.kind(), l.to_string(), l.span()));
+        let warnings = self
+            .warnings
+            .iter()
+            .map(|w| diag(w.kind(), w.to_string(), w.span()));
+        let pressure = self.pressure.iter().map(|p| {
+            let runs = p
                 .runs
                 .iter()
-                .map(|(u, n)| format!("{{\"unit\":{},\"len\":{}}}", json_str(&format!("{u:?}")), n))
-                .collect();
-            let _ = write!(
-                s,
-                "{{\"block\":{},\"instrs\":{},\"runs\":[{}],\"peak_queue\":{},\
-                 \"eager_stalls\":{},\"raw_stalls\":{}}}",
-                p.block,
-                p.instrs,
-                runs.join(","),
-                p.peak_queue,
-                p.eager_stalls,
-                p.raw_stalls,
-            );
-        }
-        s.push(']');
-
-        match &self.exact {
-            Some(e) => {
-                let _ = write!(
-                    s,
-                    ",\"exact\":{{\"cycles\":{},\"issued\":{},\"idle_cycles\":{},\
-                     \"stall_cycles\":{},\"enqueued\":{},\"drain_cycles\":{},\
-                     \"max_queue\":{},\"verified\":{}}}",
-                    e.cycles,
-                    e.issued,
-                    e.idle_cycles,
-                    e.checker.stall_cycles,
-                    e.checker.enqueued,
-                    e.checker.drain_cycles,
-                    e.checker.max_queue,
-                    e.checker.total_verified(),
-                );
-            }
-            None => s.push_str(",\"exact\":null"),
-        }
-        s.push('}');
-        s
+                .map(|(u, n)| Obj::default().str("unit", &format!("{u:?}")).val("len", n));
+            Obj::default()
+                .val("block", p.block)
+                .val("instrs", p.instrs)
+                .arr("runs", runs)
+                .val("peak_queue", p.peak_queue)
+                .val("eager_stalls", p.eager_stalls)
+                .val("raw_stalls", p.raw_stalls)
+        });
+        let exact = self.exact.as_ref().map(|e| {
+            Obj::default()
+                .val("cycles", e.cycles)
+                .val("issued", e.issued)
+                .val("idle_cycles", e.idle_cycles)
+                .val("stall_cycles", e.checker.stall_cycles)
+                .val("enqueued", e.checker.enqueued)
+                .val("drain_cycles", e.checker.drain_cycles)
+                .val("max_queue", e.checker.max_queue)
+                .val("verified", e.checker.total_verified())
+        });
+        Obj::default()
+            .val("schema_version", SCHEMA_VERSION)
+            .str("kernel", &self.name)
+            .val("num_instrs", self.num_instrs)
+            .val("clean", self.is_clean())
+            .arr("blocks", blocks)
+            .arr("lints", lints)
+            .arr("warnings", warnings)
+            .arr("pressure", pressure)
+            .opt("exact", exact)
+            .to_string()
     }
+}
+
+/// The `warped certify --json` document: the Replay Checker model check
+/// `mc`, the static coverage certificate `cert` of `bench`'s kernel, and
+/// the coverage a simulated run measured (percent).
+pub fn certify_json(
+    bench: &str,
+    mc: &ModelCheckReport,
+    cert: &CoverageCert,
+    measured_pct: f64,
+) -> String {
+    let capacities = mc.per_capacity.iter().map(|c| {
+        Obj::default()
+            .val("capacity", c.capacity)
+            .val("states", c.states)
+            .val("transitions", c.transitions)
+    });
+    let model = Obj::default()
+        .val("depth", mc.depth)
+        .val("states", mc.states())
+        .val("transitions", mc.transitions())
+        .val("violations", mc.violations.len())
+        .val("truncated", mc.truncated)
+        .arr("per_capacity", capacities);
+    let classes = InstrClass::ALL
+        .into_iter()
+        .fold(Obj::default(), |o, c| o.val(c.tag(), cert.count(c)));
+    let coverage = Obj::default()
+        .str("kernel", &cert.kernel)
+        .val("shapes", cert.shapes.len())
+        .val("abstract_states", cert.states)
+        .val("overflowed", cert.overflowed)
+        .val("classes", classes)
+        .val("bound_pct", format_args!("{:.4}", cert.bound_pct))
+        .val("measured_pct", format_args!("{measured_pct:.4}"));
+    Obj::default()
+        .val("schema_version", SCHEMA_VERSION)
+        .str("bench", bench)
+        .val("model", model)
+        .val("coverage", coverage)
+        .to_string()
 }

@@ -653,49 +653,10 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
     w.check(&run)?;
     let measured = engine.report().coverage_pct();
 
-    const CLASSES: [InstrClass; 5] = [
-        InstrClass::InterVerified,
-        InstrClass::IntraVerifiable,
-        InstrClass::Unverifiable,
-        InstrClass::NoResult,
-        InstrClass::Unreachable,
-    ];
     if args.json {
-        let caps: Vec<String> = mc
-            .per_capacity
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"capacity\":{},\"states\":{},\"transitions\":{}}}",
-                    c.capacity, c.states, c.transitions
-                )
-            })
-            .collect();
-        let classes: Vec<String> = CLASSES
-            .iter()
-            .map(|&c| format!("\"{}\":{}", c.tag(), cert.count(c)))
-            .collect();
         outln!(
-            "{{\"schema_version\":{},\"bench\":\"{bench}\",\
-             \"model\":{{\"depth\":{},\"states\":{},\"transitions\":{},\
-             \"violations\":{},\"truncated\":{},\"per_capacity\":[{}]}},\
-             \"coverage\":{{\"kernel\":\"{}\",\"shapes\":{},\"abstract_states\":{},\
-             \"overflowed\":{},\"classes\":{{{}}},\"bound_pct\":{:.4},\
-             \"measured_pct\":{:.4}}}}}",
-            an::SCHEMA_VERSION,
-            mc.depth,
-            mc.states(),
-            mc.transitions(),
-            mc.violations.len(),
-            mc.truncated,
-            caps.join(","),
-            cert.kernel,
-            cert.shapes.len(),
-            cert.states,
-            cert.overflowed,
-            classes.join(","),
-            cert.bound_pct,
-            measured,
+            "{}",
+            an::certify_json(&bench.to_string(), &mc, &cert, measured)
         );
     } else {
         heading(&format!(
@@ -735,7 +696,7 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
                 ""
             }
         );
-        for &class in &CLASSES {
+        for class in InstrClass::ALL {
             outln!("  {:<13} {:>4} instr", class.tag(), cert.count(class));
         }
         outln!("  certified coverage lower bound: {:.2}%", cert.bound_pct);

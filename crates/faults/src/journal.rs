@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
-use warped_trace::{parse_flat, FieldMap};
+use warped_trace::json::Obj;
+use warped_trace::{parse_flat, FieldMap, ParseError};
 
 /// Campaign identity pinned by the journal's first line. A resume whose
 /// header differs in any field is refused — mixing chunks of different
@@ -47,14 +48,19 @@ pub struct JournalHeader {
 
 impl JournalHeader {
     fn to_line(&self) -> String {
-        format!(
-            "{{\"rec\":\"campaign\",\"bench\":\"{}\",\"class\":\"{}\",\"trials\":{},\"chunk_trials\":{},\"seed\":{},\"sampler\":{}}}",
-            self.bench, self.class, self.trials, self.chunk_trials, self.seed, self.sampler
-        )
+        Obj::default()
+            .str("rec", "campaign")
+            .str("bench", &self.bench)
+            .str("class", &self.class)
+            .val("trials", self.trials)
+            .val("chunk_trials", self.chunk_trials)
+            .val("seed", self.seed)
+            .val("sampler", self.sampler)
+            .to_string()
     }
 
     fn from_fields(f: &FieldMap) -> Result<JournalHeader, JournalError> {
-        let grab = |e: warped_trace::ParseError| JournalError::corrupt(1, e);
+        let grab = |e: ParseError| JournalError::corrupt(1, e);
         Ok(JournalHeader {
             bench: f.str("bench").map_err(grab)?.to_string(),
             class: f.str("class").map_err(grab)?.to_string(),
@@ -140,14 +146,20 @@ impl ChunkRecord {
                 index,
                 attempts,
                 counts,
-            } => format!(
-                "{{\"rec\":\"chunk\",\"index\":{index},\"attempts\":{attempts},\"masked\":{},\"detected\":{},\"sdc\":{},\"hang\":{}}}",
-                counts.masked, counts.detected, counts.sdc, counts.hang
-            ),
-            ChunkRecord::Failed { index, attempts } => {
-                format!("{{\"rec\":\"chunk_failed\",\"index\":{index},\"attempts\":{attempts}}}")
-            }
+            } => Obj::default()
+                .str("rec", "chunk")
+                .val("index", index)
+                .val("attempts", attempts)
+                .val("masked", counts.masked)
+                .val("detected", counts.detected)
+                .val("sdc", counts.sdc)
+                .val("hang", counts.hang),
+            ChunkRecord::Failed { index, attempts } => Obj::default()
+                .str("rec", "chunk_failed")
+                .val("index", index)
+                .val("attempts", attempts),
         }
+        .to_string()
     }
 }
 
@@ -270,34 +282,27 @@ impl Journal {
         }
         for (i, line) in lines {
             let n = i + 1;
-            let f = FieldMap::new(parse_flat(line).map_err(|e| JournalError::corrupt(n, e))?);
-            let rec = f.str("rec").map_err(|e| JournalError::corrupt(n, e))?;
-            let record = match rec {
+            let corrupt = |e: ParseError| JournalError::corrupt(n, e);
+            let f = parse_flat(line).map_err(corrupt)?;
+            let num = |key: &'static str| f.num32(key).map_err(corrupt);
+            let record = match f.str("rec").map_err(corrupt)? {
                 "chunk" => ChunkRecord::Done {
-                    index: f.num32("index").map_err(|e| JournalError::corrupt(n, e))?,
-                    attempts: f
-                        .num32("attempts")
-                        .map_err(|e| JournalError::corrupt(n, e))?,
+                    index: num("index")?,
+                    attempts: num("attempts")?,
                     counts: ChunkCounts {
-                        masked: f.num32("masked").map_err(|e| JournalError::corrupt(n, e))?,
-                        detected: f
-                            .num32("detected")
-                            .map_err(|e| JournalError::corrupt(n, e))?,
-                        sdc: f.num32("sdc").map_err(|e| JournalError::corrupt(n, e))?,
-                        hang: f.num32("hang").map_err(|e| JournalError::corrupt(n, e))?,
+                        masked: num("masked")?,
+                        detected: num("detected")?,
+                        sdc: num("sdc")?,
+                        hang: num("hang")?,
                     },
                 },
                 "chunk_failed" => ChunkRecord::Failed {
-                    index: f.num32("index").map_err(|e| JournalError::corrupt(n, e))?,
-                    attempts: f
-                        .num32("attempts")
-                        .map_err(|e| JournalError::corrupt(n, e))?,
+                    index: num("index")?,
+                    attempts: num("attempts")?,
                 },
                 other => {
-                    return Err(JournalError::corrupt(
-                        n,
-                        format!("unknown record type {other:?}"),
-                    ))
+                    let reason = format!("unknown record type {other:?}");
+                    return Err(JournalError::corrupt(n, reason));
                 }
             };
             // A Done record is terminal for its index; a Failed record
@@ -314,7 +319,7 @@ impl Journal {
     }
 
     fn check_header(line: &str, expect: &JournalHeader) -> Result<(), JournalError> {
-        let f = FieldMap::new(parse_flat(line).map_err(|e| JournalError::corrupt(1, e))?);
+        let f = parse_flat(line).map_err(|e| JournalError::corrupt(1, e))?;
         let rec = f.str("rec").map_err(|e| JournalError::corrupt(1, e))?;
         if rec != "campaign" {
             return Err(JournalError::corrupt(
@@ -417,6 +422,40 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(done[&0], c0);
         assert_eq!(done[&2], c2);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The exact bytes of every record kind. A journal written in this
+    /// format by an earlier build must resume unchanged.
+    #[test]
+    fn record_lines_are_pinned_and_resume() {
+        let done = ChunkRecord::Done {
+            index: 3,
+            attempts: 2,
+            counts: ChunkCounts {
+                masked: 1,
+                detected: 5,
+                sdc: 1,
+                hang: 1,
+            },
+        };
+        let failed = ChunkRecord::Failed {
+            index: 7,
+            attempts: 4,
+        };
+        let lines = [
+            "{\"rec\":\"campaign\",\"bench\":\"SCAN\",\"class\":\"lane_transient\",\"trials\":24,\"chunk_trials\":4,\"seed\":99,\"sampler\":256}",
+            "{\"rec\":\"chunk\",\"index\":3,\"attempts\":2,\"masked\":1,\"detected\":5,\"sdc\":1,\"hang\":1}",
+            "{\"rec\":\"chunk_failed\",\"index\":7,\"attempts\":4}",
+        ];
+        assert_eq!(header().to_line(), lines[0]);
+        assert_eq!(done.to_line(), lines[1]);
+        assert_eq!(failed.to_line(), lines[2]);
+
+        let path = tmp("pinned");
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let (_j, got) = Journal::resume(&path, &header()).unwrap();
+        assert_eq!(got.into_values().collect::<Vec<_>>(), [done, failed]);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -108,6 +108,7 @@ use warped_sim::{
     Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, LaunchLog, LaunchSet, MultiObserver,
     SimError, WARP_SIZE,
 };
+use warped_trace::json::Obj;
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// Which hardware site a campaign injects into. The first two target
@@ -355,39 +356,25 @@ impl ResilientReport {
     /// many interruptions/resumes it took to finish.
     pub fn to_json(&self) -> String {
         let r = &self.result;
-        let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "{{\"bench\":\"{}\",\"class\":\"{}\",\"seed\":{},\"chunk_trials\":{},\"chunks\":{},\
-             \"planned\":{},\"completed\":{},\"skipped\":{}",
-            self.bench,
-            self.class.as_str(),
-            self.seed,
-            self.chunk_trials,
-            self.chunks,
-            r.planned,
-            r.trials,
-            r.skipped,
-        ));
-        for class in TrialOutcome::ALL {
+        let doc = Obj::default()
+            .str("bench", &self.bench)
+            .str("class", self.class.as_str())
+            .val("seed", self.seed)
+            .val("chunk_trials", self.chunk_trials)
+            .val("chunks", self.chunks)
+            .val("planned", r.planned)
+            .val("completed", r.trials)
+            .val("skipped", r.skipped);
+        let doc = TrialOutcome::ALL.into_iter().fold(doc, |doc, class| {
             let (lo, hi) = r.interval_pct(class);
-            s.push_str(&format!(
-                ",\"{}\":{{\"count\":{},\"pct\":{:.4},\"ci_lo_pct\":{:.4},\"ci_hi_pct\":{:.4}}}",
-                class.as_str(),
-                r.count(class),
-                r.rate_pct(class),
-                lo,
-                hi,
-            ));
-        }
-        s.push_str(",\"failed_chunks\":[");
-        for (i, c) in self.failed_chunks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str("]}");
-        s
+            let rate = Obj::default()
+                .val("count", r.count(class))
+                .val("pct", format_args!("{:.4}", r.rate_pct(class)))
+                .val("ci_lo_pct", format_args!("{lo:.4}"))
+                .val("ci_hi_pct", format_args!("{hi:.4}"));
+            doc.val(class.as_str(), rate)
+        });
+        doc.arr("failed_chunks", &self.failed_chunks).to_string()
     }
 }
 
@@ -808,17 +795,13 @@ fn run_trial(
         return Ok(None);
     }
 
-    // 2. Architectural run: real corruption, budgets armed. The
-    //    protection engine rides along (without an oracle) purely so the
-    //    issue schedule matches the profile run's cycle numbering.
+    // 2. Architectural run, simulating the launches the fault touches.
     let launches = golden.touch.touches(Hook::Arch, &fault.arch);
     if launches.is_empty() {
         return Ok(Some(TrialOutcome::Masked));
     }
-    let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
     let mut gpu = golden.gpu_following(budgeted_gpu, launches);
-    gpu.set_fault(Arc::new(ArchFault(fault.arch)));
-    let arch = workload.run_on(&mut gpu, observer.observer());
+    let arch = arch_pass(workload, &mut gpu, dmr, opts.protection, fault);
     Ok(Some(match arch {
         Err(e @ SimError::ReplayMismatch { .. }) => return Err(e),
         Err(SimError::Hang { .. }) => TrialOutcome::Hang,
@@ -829,6 +812,22 @@ fn run_trial(
         Ok(run) if run.output != golden.run.output => TrialOutcome::Sdc,
         Ok(_) => TrialOutcome::Masked,
     }))
+}
+
+/// The architectural pass of `fault`'s trial on `gpu`: real corruption,
+/// under the budget of `gpu`'s config. The protection engine rides along
+/// (without an oracle) purely so the issue schedule matches the profile
+/// run's cycle numbering.
+fn arch_pass(
+    workload: &Workload,
+    gpu: &mut Gpu,
+    dmr: &DmrConfig,
+    protection: Protection,
+    fault: &DrawnFault,
+) -> Result<ProgramRun, SimError> {
+    let mut observer = Engine::new(protection, dmr, gpu.config(), None);
+    gpu.set_fault(Arc::new(ArchFault(fault.arch)));
+    workload.run_on(gpu, observer.observer())
 }
 
 /// The faults chunk `c` of a campaign draws, in trial order: `n` draws
@@ -1452,20 +1451,41 @@ mod tests {
         (w, golden, out)
     }
 
+    /// Besides the outcome classes: for every draw that touches a launch,
+    /// the architectural pass as `run_trial` runs it, following the
+    /// golden log, ends as the unfollowed faulted run does, with the same
+    /// `ProgramRun` (or error) and the same global memory.
     #[test]
     fn run_trial_matches_the_full_reference() {
         let gpu = GpuConfig::small();
         let dmr = DmrConfig::default();
+        let mut compared = 0;
         for bench in [Benchmark::Bfs, Benchmark::Scan] {
             for protection in [Protection::WarpedDmr, Protection::Dmtr] {
                 let (w, golden, faults) = draws(bench, protection, 12);
+                let budgeted_gpu = budgeted(&gpu, &golden.run, &tiny_opts());
+                for (class, f) in &faults {
+                    let launches = golden.touch.touches(Hook::Arch, &f.arch);
+                    if launches.is_empty() {
+                        continue;
+                    }
+                    let mut following = golden.gpu_following(&budgeted_gpu, launches);
+                    let mut full = Gpu::new(budgeted_gpu.clone());
+                    let context = format!("{bench:?} {protection:?} {class}: {f:?}");
+                    assert_eq!(
+                        arch_pass(&w, &mut following, &dmr, protection, f),
+                        arch_pass(&w, &mut full, &dmr, protection, f),
+                        "{context}"
+                    );
+                    assert_eq!(following.global_mem(), full.global_mem(), "{context}");
+                    compared += 1;
+                }
                 for detect_only in [false, true] {
                     let opts = ResilientOptions {
                         protection,
                         detect_only,
                         ..tiny_opts()
                     };
-                    let budgeted_gpu = budgeted(&gpu, &golden.run, &opts);
                     for (class, f) in &faults {
                         let fast = run_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden);
                         let full = full_trial(&w, &gpu, &budgeted_gpu, &dmr, &opts, f, &golden.run);
@@ -1478,6 +1498,7 @@ mod tests {
                 }
             }
         }
+        assert!(compared > 0, "no draw reached the architectural pass");
     }
 
     /// What `fault` does in each pass of its trial.
@@ -1529,7 +1550,7 @@ mod tests {
                 self.1.push(index);
             }
         }
-        let arch_pass = |mut chip: Gpu| {
+        let watched_pass = |mut chip: Gpu| {
             let corrupted = Arc::new(Corrupted::default());
             chip.set_fault(Arc::new(Watch(corrupted.clone(), ArchFault(fault.arch))));
             let mut engine = Engine::new(protection, dmr, budgeted_gpu, None);
@@ -1541,10 +1562,10 @@ mod tests {
             let set = LaunchSet::from_bits(corrupted.1.load(Relaxed));
             (set, simulated, run.ok().map(|r| r.launches))
         };
-        let (corrupted, _, _) = arch_pass(Gpu::new(budgeted_gpu.clone()));
+        let (corrupted, _, _) = watched_pass(Gpu::new(budgeted_gpu.clone()));
         let following = golden.touch.touches(Hook::Arch, &fault.arch);
         let (corrupted_following, simulated, launches) =
-            arch_pass(golden.gpu_following(budgeted_gpu, following));
+            watched_pass(golden.gpu_following(budgeted_gpu, following));
 
         /// The detection engine, the running launch, the launches the
         /// engine mismatched in and its mismatches so far.

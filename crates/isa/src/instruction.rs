@@ -327,6 +327,17 @@ impl Instruction {
         }
     }
 
+    /// Whether issuing this produces a per-lane value Warped-DMR verifies
+    /// (all but `jump`, `bar` and `exit`, which stay outside both DMR
+    /// paths and the coverage denominator).
+    #[inline]
+    pub fn has_result(&self) -> bool {
+        !matches!(
+            self,
+            Instruction::Jump { .. } | Instruction::Bar | Instruction::Exit
+        )
+    }
+
     /// Whether this is a control-flow instruction (branch, jump, exit).
     pub fn is_control(&self) -> bool {
         matches!(

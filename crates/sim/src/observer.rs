@@ -36,8 +36,9 @@ pub struct IssueInfo<'a> {
     /// operations (the part of a LD/ST that Warped-DMR verifies).
     /// Entries for inactive lanes are unspecified.
     pub results: &'a [u32; WARP_SIZE],
-    /// Whether [`IssueInfo::results`] carries meaningful values
-    /// (false only for `jump`/`bar`/`exit`).
+    /// Whether [`IssueInfo::results`] carries meaningful values:
+    /// [`Instruction::has_result`] of the issued instruction (false only
+    /// for `jump`/`bar`/`exit`).
     pub has_result: bool,
     /// Per source operand: issue-to-issue RAW distance in cycles from the
     /// producing instruction, aligned with

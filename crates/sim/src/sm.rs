@@ -439,10 +439,7 @@ impl Sm {
         }
 
         let unit = instr.unit();
-        let has_result = !matches!(
-            instr,
-            Instruction::Jump { .. } | Instruction::Bar | Instruction::Exit
-        );
+        let has_result = instr.has_result();
         let active = mask.count_ones() as u64;
         self.stats.warp_instructions += 1;
         self.stats.thread_instructions += active;

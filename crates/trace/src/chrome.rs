@@ -3,33 +3,45 @@
 //! Each trace event becomes a one-cycle "complete" (`"ph":"X"`) slice
 //! with `ts` = cycle, `pid` = SM, `tid` = warp (0 for SM-wide events),
 //! so loading the file shows per-SM swimlanes with one row per warp.
+//! A launch boundary becomes a global instant (`"ph":"i"`) event. Each
+//! slice is one [`Obj`] on its own line, and carries its event's JSONL
+//! line as the escaped string `args.event`.
 
 use crate::event::{unit_str, TraceEvent};
-use crate::jsonl::{json_str, to_line};
+use crate::json::Obj;
+use crate::jsonl::to_line;
 use std::io::Write;
 
-/// Write `events` as a Chrome `{"traceEvents": [...]}` document.
+/// Write `events` as a Chrome `{"traceEvents": [...]}` document, one
+/// slice per line.
 pub fn write(events: &[TraceEvent], out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(out, "{{\"traceEvents\":[")?;
     let mut launch = 0u32;
     for (i, ev) in events.iter().enumerate() {
         let comma = if i + 1 == events.len() { "" } else { "," };
-        if let TraceEvent::LaunchBegin { index } = ev {
-            launch = *index;
-            writeln!(
-                out,
-                "{{\"name\":\"launch {index}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":0,\"pid\":0,\"tid\":0}}{comma}"
-            )?;
-            continue;
-        }
         let (name, tid) = slice_name(ev);
-        let sm = ev.sm().unwrap_or(0);
-        let ts = ev.cycle().unwrap_or(0);
-        writeln!(
-            out,
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":1,\"pid\":{sm},\"tid\":{tid},\"args\":{{\"launch\":{launch},\"event\":{}}}}}{comma}",
-            json_str(&to_line(ev)),
-        )?;
+        let slice = Obj::default().str("name", &name);
+        let slice = if let TraceEvent::LaunchBegin { index } = ev {
+            launch = *index;
+            slice
+                .str("ph", "i")
+                .str("s", "g")
+                .val("ts", 0)
+                .val("pid", 0)
+                .val("tid", 0)
+        } else {
+            let args = Obj::default()
+                .val("launch", launch)
+                .str("event", &to_line(ev));
+            slice
+                .str("ph", "X")
+                .val("ts", ev.cycle().unwrap_or(0))
+                .val("dur", 1)
+                .val("pid", ev.sm().unwrap_or(0))
+                .val("tid", tid)
+                .val("args", args)
+        };
+        writeln!(out, "{slice}{comma}")?;
     }
     writeln!(out, "]}}")
 }

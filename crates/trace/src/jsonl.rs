@@ -1,24 +1,29 @@
 //! JSON-Lines trace format: one flat JSON object per event.
 //!
-//! The format is deliberately flat (no nested arrays or objects) so a
-//! tiny hand-rolled parser can read it back without a serde dependency.
-//! Register fields serialize as the raw register number or `null`; the
-//! four issue source slots become `s0`..`s3`.
+//! Lines are built with the workspace's one JSON writer,
+//! [`crate::json::Obj`]. The format is deliberately flat (no nested
+//! arrays or objects, no escapes in strings) so [`parse_flat`], a small
+//! reader without a serde dependency, reads it back; the checkpoint
+//! journal of `warped-faults` reuses that reader. Register fields
+//! serialize as the raw register number or `null`; the four issue
+//! source slots become `s0`..`s3`.
 
 use crate::event::{unit_from_str, unit_str, TraceEvent, VerifyKind};
+use crate::json::Obj;
 use std::fmt;
 use warped_isa::{Reg, UnitType};
 
 /// Serialize one event to its JSONL line (no trailing newline).
 pub fn to_line(ev: &TraceEvent) -> String {
-    let mut w = LineWriter::new(ev.tag());
-    match ev {
-        TraceEvent::LaunchBegin { index } => {
-            w.num("index", u64::from(*index));
-        }
+    let mut o = Obj::default().str("ev", ev.tag());
+    // An event with a stream position opens with it.
+    if let (Some(sm), Some(cycle)) = (ev.sm(), ev.cycle()) {
+        o = o.val("sm", sm).val("cycle", cycle);
+    }
+    let reg = |r: &Option<Reg>| r.map(|r| r.0);
+    let o = match ev {
+        TraceEvent::LaunchBegin { index } => o.val("index", index),
         TraceEvent::Issue {
-            sm,
-            cycle,
             warp,
             pc,
             unit,
@@ -27,171 +32,77 @@ pub fn to_line(ev: &TraceEvent) -> String {
             has_result,
             dst,
             srcs,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.num("pc", u64::from(*pc));
-            w.str("unit", unit_str(*unit));
-            w.num("active", u64::from(*active));
-            w.bool("full", *full);
-            w.bool("has_result", *has_result);
-            w.reg("dst", *dst);
-            w.reg("s0", srcs[0]);
-            w.reg("s1", srcs[1]);
-            w.reg("s2", srcs[2]);
-            w.reg("s3", srcs[3]);
-        }
+            ..
+        } => o
+            .val("warp", warp)
+            .val("pc", pc)
+            .str("unit", unit_str(*unit))
+            .val("active", active)
+            .val("full", full)
+            .val("has_result", has_result)
+            .opt("dst", reg(dst))
+            .opt("s0", reg(&srcs[0]))
+            .opt("s1", reg(&srcs[1]))
+            .opt("s2", reg(&srcs[2]))
+            .opt("s3", reg(&srcs[3])),
         TraceEvent::IntraPair {
-            sm,
-            cycle,
             warp,
             active,
             covered,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.num("active", u64::from(*active));
-            w.num("covered", u64::from(*covered));
-        }
+            ..
+        } => o
+            .val("warp", warp)
+            .val("active", active)
+            .val("covered", covered),
         TraceEvent::Enqueue {
-            sm,
-            cycle,
             warp,
             unit,
             dst,
             depth,
             capacity,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.str("unit", unit_str(*unit));
-            w.reg("dst", *dst);
-            w.num("depth", u64::from(*depth));
-            w.num("capacity", u64::from(*capacity));
-        }
+            ..
+        } => o
+            .val("warp", warp)
+            .str("unit", unit_str(*unit))
+            .opt("dst", reg(dst))
+            .val("depth", depth)
+            .val("capacity", capacity),
         TraceEvent::Verify {
-            sm,
-            cycle,
             warp,
             unit,
             dst,
             kind,
             issued,
             active,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.str("unit", unit_str(*unit));
-            w.reg("dst", *dst);
-            w.str("kind", kind.as_str());
-            w.num("issued", *issued);
-            w.num("active", u64::from(*active));
-        }
-        TraceEvent::Stall {
-            sm,
-            cycle,
-            warp,
-            cycles,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.num("cycles", *cycles);
-        }
-        TraceEvent::Idle { sm, cycle } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-        }
-        TraceEvent::SmDone { sm, cycle, drained } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("drained", *drained);
-        }
-        TraceEvent::Error {
-            sm,
-            cycle,
-            warp,
-            lane,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("cycle", *cycle);
-            w.num("warp", *warp);
-            w.num("lane", u64::from(*lane));
-        }
+            ..
+        } => o
+            .val("warp", warp)
+            .str("unit", unit_str(*unit))
+            .opt("dst", reg(dst))
+            .str("kind", kind.as_str())
+            .val("issued", issued)
+            .val("active", active),
+        TraceEvent::Stall { warp, cycles, .. } => o.val("warp", warp).val("cycles", cycles),
+        TraceEvent::Idle { .. } => o,
+        TraceEvent::SmDone { drained, .. } => o.val("drained", drained),
+        TraceEvent::Error { warp, lane, .. } => o.val("warp", warp).val("lane", lane),
         TraceEvent::FaultInjected {
             sm,
             trial,
             kind,
             lane,
             cycle,
-        } => {
-            w.num("sm", u64::from(*sm));
-            w.num("trial", u64::from(*trial));
-            w.str("kind", kind);
-            w.num("lane", u64::from(*lane));
-            w.num("cycle", *cycle);
-        }
+        } => o
+            .val("sm", sm)
+            .val("trial", trial)
+            .str("kind", kind)
+            .val("lane", lane)
+            .val("cycle", cycle),
         TraceEvent::TrialOutcome { trial, outcome } => {
-            w.num("trial", u64::from(*trial));
-            w.str("outcome", outcome);
+            o.val("trial", trial).str("outcome", outcome)
         }
-    }
-    w.finish()
-}
-
-struct LineWriter {
-    buf: String,
-}
-
-impl LineWriter {
-    fn new(tag: &str) -> Self {
-        LineWriter {
-            buf: format!("{{\"ev\":\"{tag}\""),
-        }
-    }
-    fn num(&mut self, key: &str, v: u64) {
-        self.buf.push_str(&format!(",\"{key}\":{v}"));
-    }
-    fn str(&mut self, key: &str, v: &str) {
-        self.buf.push_str(&format!(",\"{key}\":\"{v}\""));
-    }
-    fn bool(&mut self, key: &str, v: bool) {
-        self.buf.push_str(&format!(",\"{key}\":{v}"));
-    }
-    fn reg(&mut self, key: &str, v: Option<Reg>) {
-        match v {
-            Some(r) => self.num(key, u64::from(r.0)),
-            None => self.buf.push_str(&format!(",\"{key}\":null")),
-        }
-    }
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-}
-
-/// Quote `raw` as a JSON string literal, escaping quotes, backslashes
-/// and control characters.
-pub fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    };
+    o.to_string()
 }
 
 /// Why a JSONL line failed to parse.
@@ -233,8 +144,10 @@ pub enum Scalar {
     Null,
 }
 
-/// Parse a flat `{"key":scalar,...}` object. Scalars: unsigned integers,
-/// strings without escapes, `true`/`false`, `null`.
+/// Parse a flat `{"key":scalar,...}` object into its [`FieldMap`].
+/// Scalars: unsigned integers, strings without escapes, `true`/`false`,
+/// `null`. This reader decodes no escapes, so a key or string holding a
+/// backslash is refused rather than misread.
 ///
 /// Public because other flat-JSONL formats in the workspace (the campaign
 /// checkpoint journal) reuse this parser rather than growing their own.
@@ -242,8 +155,8 @@ pub enum Scalar {
 /// # Errors
 ///
 /// [`ParseError::Malformed`] when the line is not a flat object of those
-/// scalars.
-pub fn parse_flat(line: &str) -> Result<Vec<(String, Scalar)>, ParseError> {
+/// scalars, including when a key or string holds an escape.
+pub fn parse_flat(line: &str) -> Result<FieldMap, ParseError> {
     let s = line.trim();
     let body = s
         .strip_prefix('{')
@@ -259,7 +172,7 @@ pub fn parse_flat(line: &str) -> Result<Vec<(String, Scalar)>, ParseError> {
         let kq = rest
             .find('"')
             .ok_or_else(|| ParseError::Malformed(line.into()))?;
-        let key = rest[..kq].to_string();
+        let key = unescaped(&rest[..kq], line)?.to_string();
         rest = rest[kq + 1..]
             .trim_start()
             .strip_prefix(':')
@@ -270,7 +183,7 @@ pub fn parse_flat(line: &str) -> Result<Vec<(String, Scalar)>, ParseError> {
             let vq = r
                 .find('"')
                 .ok_or_else(|| ParseError::Malformed(line.into()))?;
-            (Scalar::Str(r[..vq].to_string()), &r[vq + 1..])
+            (Scalar::Str(unescaped(&r[..vq], line)?.into()), &r[vq + 1..])
         } else {
             let end = rest.find(',').unwrap_or(rest.len());
             let tok = rest[..end].trim();
@@ -293,18 +206,21 @@ pub fn parse_flat(line: &str) -> Result<Vec<(String, Scalar)>, ParseError> {
             return Err(ParseError::Malformed(line.into()));
         }
     }
-    Ok(fields)
+    Ok(FieldMap(fields))
+}
+
+/// `raw` itself, or [`ParseError::Malformed`] when it holds an escape.
+fn unescaped<'a>(raw: &'a str, line: &str) -> Result<&'a str, ParseError> {
+    if raw.contains('\\') {
+        return Err(ParseError::Malformed(line.into()));
+    }
+    Ok(raw)
 }
 
 /// Typed accessors over the fields of one parsed flat object.
 pub struct FieldMap(Vec<(String, Scalar)>);
 
 impl FieldMap {
-    /// Wrap the output of [`parse_flat`].
-    pub fn new(fields: Vec<(String, Scalar)>) -> Self {
-        FieldMap(fields)
-    }
-
     /// Look up a field.
     ///
     /// # Errors
@@ -379,7 +295,7 @@ impl FieldMap {
 
 /// Parse one JSONL line back into a [`TraceEvent`].
 pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
-    let f = FieldMap(parse_flat(line)?);
+    let f = parse_flat(line)?;
     let tag = f.str("ev")?.to_string();
     let ev = match tag.as_str() {
         "launch" => TraceEvent::LaunchBegin {
@@ -463,12 +379,6 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

@@ -32,6 +32,7 @@
 //! A collected stream is written out with [`jsonl::to_line`] (one flat
 //! JSON object per line, read back by [`replay::read_jsonl`]) or
 //! [`chrome::write`] (a Chrome `about:tracing` / Perfetto document).
+//! Both are built with [`json::Obj`], the workspace's one JSON writer.
 //!
 //! ```
 //! use warped_trace::{CollectSink, TraceEvent, TraceHandle};
@@ -48,6 +49,7 @@ pub mod chrome;
 pub mod event;
 pub mod handle;
 pub mod invariant;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod replay;
@@ -56,6 +58,6 @@ pub mod sink;
 pub use event::{TraceEvent, VerifyKind};
 pub use handle::TraceHandle;
 pub use invariant::InvariantSink;
-pub use jsonl::{json_str, parse_flat, FieldMap, ParseError, Scalar};
+pub use jsonl::{parse_flat, FieldMap, ParseError, Scalar};
 pub use metrics::{bucket_of, CheckerStats, DmrReport, MetricsSink};
 pub use sink::{CollectSink, Fanout, TraceSink};

@@ -32,6 +32,20 @@ if [ -n "$latency_readers" ]; then
     exit 1
 fi
 
+# JSON is formatted in one place, crates/trace/src/json.rs: an escaped
+# JSON key (`\"name\":`) in a string literal elsewhere is a second,
+# hand-written writer. Unit tests (after a file's first `#[cfg(test)]`)
+# may spell out expected documents.
+json_writers=$(grep -rlE --include='*.rs' '\\"[a-z_]+\\":' crates src |
+    grep -v '^crates/trace/src/json\.rs$' |
+    xargs -r awk '/#\[cfg\(test\)\]/ { nextfile } /\\"[a-z_]+\\":/ { print FILENAME; nextfile }' ||
+    true)
+if [ -n "$json_writers" ]; then
+    echo "lint: only crates/trace/src/json.rs may format JSON, not:" >&2
+    echo "$json_writers" >&2
+    exit 1
+fi
+
 # Rustdoc with warnings as errors: a moved or renamed item must not
 # leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

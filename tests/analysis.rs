@@ -5,6 +5,7 @@
 use warped::analysis::{analyze, is_straight_line, predict_exact, ExactPrediction, PredictConfig};
 use warped::dmr::checker::CheckerStats;
 use warped::dmr::{DmrConfig, WarpedDmr};
+use warped::experiments::ExperimentConfig;
 use warped::isa::UnitType;
 use warped::isa::{Kernel, KernelBuilder};
 use warped::kernels::{Benchmark, WorkloadSize};
@@ -329,5 +330,42 @@ fn json_report_is_well_formed_for_every_benchmark() {
             "{bench}: unbalanced braces"
         );
         assert!(json.contains("\"clean\":true"), "{bench}");
+    }
+}
+
+/// FNV-1a-64 over bytes, as `tests/issue_stream_pins.rs` digests traces.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `Analysis::to_json` for every kernel at the CLI's `analyze` inputs
+/// (quick size and chip), byte for byte: the two documents under 1 KB as
+/// exact strings, the rest as FNV-1a-64 digests.
+#[test]
+fn analyze_json_is_pinned() {
+    const LAPLACE: &str = r#"{"schema_version":1,"kernel":"laplace","num_instrs":31,"clean":true,"blocks":[{"id":0,"start":0,"end":18,"succs":[2,1],"reachable":true},{"id":1,"start":18,"end":28,"succs":[3],"reachable":true},{"id":2,"start":28,"end":30,"succs":[3],"reachable":true},{"id":3,"start":30,"end":31,"succs":[],"reachable":true}],"lints":[],"warnings":[],"pressure":[{"block":0,"instrs":18,"runs":[{"unit":"Sp","len":18}],"peak_queue":2,"eager_stalls":0,"raw_stalls":15},{"block":1,"instrs":10,"runs":[{"unit":"LdSt","len":4},{"unit":"Sp","len":4},{"unit":"LdSt","len":1},{"unit":"Sp","len":1}],"peak_queue":3,"eager_stalls":0,"raw_stalls":7},{"block":2,"instrs":2,"runs":[{"unit":"LdSt","len":2}],"peak_queue":0,"eager_stalls":0,"raw_stalls":1},{"block":3,"instrs":1,"runs":[{"unit":"Sp","len":1}],"peak_queue":0,"eager_stalls":0,"raw_stalls":0}],"exact":null}"#;
+    const LIBOR: &str = r#"{"schema_version":1,"kernel":"libor","num_instrs":36,"clean":true,"blocks":[{"id":0,"start":0,"end":8,"succs":[1],"reachable":true},{"id":1,"start":8,"end":10,"succs":[3,2],"reachable":true},{"id":2,"start":10,"end":33,"succs":[1],"reachable":true},{"id":3,"start":33,"end":36,"succs":[],"reachable":true}],"lints":[],"warnings":[],"pressure":[{"block":0,"instrs":8,"runs":[{"unit":"Sp","len":8}],"peak_queue":3,"eager_stalls":0,"raw_stalls":4},{"block":1,"instrs":2,"runs":[{"unit":"Sp","len":2}],"peak_queue":0,"eager_stalls":0,"raw_stalls":1},{"block":2,"instrs":23,"runs":[{"unit":"Sp","len":15},{"unit":"Sfu","len":1},{"unit":"Sp","len":7}],"peak_queue":3,"eager_stalls":0,"raw_stalls":19},{"block":3,"instrs":3,"runs":[{"unit":"Sp","len":1},{"unit":"LdSt","len":1},{"unit":"Sp","len":1}],"peak_queue":0,"eager_stalls":0,"raw_stalls":1}],"exact":null}"#;
+    let digests = [
+        (Benchmark::Bfs, 0x129e01b376248611),
+        (Benchmark::NQueen, 0x0cdb1b8743470623),
+        (Benchmark::Mum, 0xde92686ad9dfc8a2),
+        (Benchmark::Scan, 0xd874e041654b9f8e),
+        (Benchmark::BitonicSort, 0x1623c23d0d659fcf),
+        (Benchmark::MatrixMul, 0x5591dd58118b93b0),
+        (Benchmark::RadixSort, 0xda1ca048b2dde3f7),
+        (Benchmark::Sha, 0xc567c334f1614c9a),
+        (Benchmark::Fft, 0xde96ffe1f529aa7b),
+    ];
+    let quick = ExperimentConfig::quick();
+    let cfg = predict_config(&quick.gpu);
+    let json =
+        |bench: Benchmark| analyze(bench.build(quick.size).unwrap().kernel(), &cfg).to_json();
+    assert_eq!(json(Benchmark::Laplace), LAPLACE);
+    assert_eq!(json(Benchmark::Libor), LIBOR);
+    for (bench, pin) in digests {
+        let got = fnv1a(json(bench).as_bytes());
+        assert_eq!(got, pin, "{bench}: analyze JSON moved; now {got:#018x}");
     }
 }

@@ -124,3 +124,18 @@ proptest! {
         prop_assert!(resume(&bytes).is_err(), "invalid UTF-8 at byte {at} must be an error");
     }
 }
+
+/// A journal string holding an escape is corrupt, not a different
+/// campaign: the reader decodes no escapes, so `B\\FS` is refused rather
+/// than compared as the raw five characters.
+#[test]
+fn escaped_header_string_is_corrupt() {
+    let bytes = journal_bytes(&records(&[(0, 1)]));
+    let text = String::from_utf8(bytes).unwrap();
+    let escaped = text.replacen(r#""bench":"BFS""#, r#""bench":"B\\FS""#, 1);
+    assert_ne!(escaped, text);
+    match resume(escaped.as_bytes()) {
+        Err(JournalError::Corrupt { line: 1, .. }) => {}
+        other => panic!("escaped header string: {other:?}"),
+    }
+}

@@ -10,7 +10,7 @@ use warped::experiments::ExperimentConfig;
 use warped::kernels::Benchmark;
 use warped::trace::jsonl::{parse_line, to_line};
 use warped::trace::replay::read_jsonl;
-use warped::trace::{CollectSink, ParseError, TraceEvent, TraceHandle};
+use warped::trace::{parse_flat, CollectSink, ParseError, TraceEvent, TraceHandle};
 
 /// One line per event tag of a real BFS trace at Tiny scale, written as
 /// `warped trace --format jsonl` writes it: the first occurrence of each
@@ -88,4 +88,31 @@ proptest! {
             other => prop_assert!(false, "invalid UTF-8 at byte {at}: {other:?}"),
         }
     }
+}
+
+/// The reader decodes no escapes, so a key or string holding one is
+/// refused rather than kept raw (`a\\b` would otherwise read as four
+/// characters, and `\"` would end the string early).
+#[test]
+fn escaped_strings_are_refused() {
+    for line in [
+        r#"{"k":"a\\b"}"#,
+        r#"{"ev":"trial","trial":1,"outcome":"mas\"ked"}"#,
+        r#"{"ev":"trial","trial":1,"outcome":"masked\n"}"#,
+        r#"{"ev":"idle","s\m":0,"cycle":1}"#,
+    ] {
+        assert!(
+            matches!(parse_flat(line), Err(ParseError::Malformed(_))),
+            "{line}"
+        );
+        assert!(
+            matches!(parse_line(line), Err(ParseError::Malformed(_))),
+            "{line}"
+        );
+    }
+    let text = real_text(2) + r#"{"ev":"trial","trial":1,"outcome":"a\\b"}"# + "\n";
+    assert!(matches!(
+        read_jsonl(text.as_bytes()),
+        Err((3, ParseError::Malformed(_)))
+    ));
 }
