@@ -25,8 +25,16 @@
 //! Exploration is breadth-first with parent pointers, so the first
 //! violation found on any path is already a shortest — i.e. minimized —
 //! counterexample trace.
+//!
+//! Most edges (98.7% at the default depth) land in a known state, so an
+//! edge allocates nothing until it finds a new one: one scratch checker
+//! is reset from the node with `clone_from` (reusing its ReplayQ buffer),
+//! the model and post-state snapshots, event buffers and I1 pool are
+//! reused, and the key is built into one buffer and looked up by `&[u8]`.
+//! Only a new state copies its key into the memo and its checker into
+//! the node list.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use warped_core::checker::{
@@ -222,10 +230,14 @@ fn emit(ev: &mut Vec<ModelEvent>, slot: SlotSnapshot, kind: VerifyKind, cycle: u
     ev.push((slot, kind, cycle.max(slot.cycle + 1)));
 }
 
-/// Algorithm 1, one issue slot. Returns the expected verification events
-/// (in order) and the stall cycles charged.
-fn model_issue(s: &mut CheckerSnapshot, capacity: usize, b: &IssueSpec) -> (Vec<ModelEvent>, u64) {
-    let mut ev = Vec::new();
+/// Algorithm 1, one issue slot. Pushes the expected verification events
+/// (in order) onto `ev` and returns the stall cycles charged.
+fn model_issue(
+    s: &mut CheckerSnapshot,
+    capacity: usize,
+    b: &IssueSpec,
+    ev: &mut Vec<ModelEvent>,
+) -> u64 {
     let mut stalls = 0u64;
     let raw = |e: &SlotSnapshot| {
         e.warp_uid == b.warp
@@ -238,34 +250,34 @@ fn model_issue(s: &mut CheckerSnapshot, capacity: usize, b: &IssueSpec) -> (Vec<
     // equally unverified.
     while let Some(e) = take_oldest(&mut s.queue, raw) {
         stalls += 1;
-        emit(&mut ev, e, VerifyKind::RawStall, b.cycle + stalls);
+        emit(ev, e, VerifyKind::RawStall, b.cycle + stalls);
     }
     if s.prev.as_ref().is_some_and(raw) {
         let p = s.prev.take().expect("checked above");
         stalls += 1;
-        emit(&mut ev, p, VerifyKind::RawStall, b.cycle + stalls);
+        emit(ev, p, VerifyKind::RawStall, b.cycle + stalls);
     }
 
     if let Some(a) = s.prev.take() {
         if a.unit != b.unit {
             // Case 1: A's DMR copy co-executes on its idle unit.
-            emit(&mut ev, a, VerifyKind::CoExecute, b.cycle + stalls);
+            emit(ev, a, VerifyKind::CoExecute, b.cycle + stalls);
         } else if let Some(q) = take_oldest(&mut s.queue, |e| e.unit != a.unit) {
             // Case 2: a buffered different-type entry verifies; A takes
             // its place.
-            emit(&mut ev, q, VerifyKind::QueueCoExecute, b.cycle + stalls);
+            emit(ev, q, VerifyKind::QueueCoExecute, b.cycle + stalls);
             s.queue.push(a);
         } else if s.queue.len() >= capacity {
             // Case 3: queue full — stall once, re-execute eagerly.
             stalls += 1;
-            emit(&mut ev, a, VerifyKind::EagerStall, b.cycle + stalls);
+            emit(ev, a, VerifyKind::EagerStall, b.cycle + stalls);
         } else {
             // Case 4: buffer.
             s.queue.push(a);
         }
     } else if let Some(q) = take_oldest(&mut s.queue, |e| e.unit != b.unit) {
         // Spare slot on a different unit: drain one compatible entry.
-        emit(&mut ev, q, VerifyKind::Drain, b.cycle + stalls);
+        emit(ev, q, VerifyKind::Drain, b.cycle + stalls);
     }
 
     if b.inter {
@@ -276,64 +288,77 @@ fn model_issue(s: &mut CheckerSnapshot, capacity: usize, b: &IssueSpec) -> (Vec<
             cycle: b.cycle,
         });
     }
-    (ev, stalls)
+    stalls
 }
 
 /// Algorithm 1, idle slot: the RF obligation (or one buffered entry)
 /// verifies for free.
-fn model_idle(s: &mut CheckerSnapshot, cycle: u64) -> Vec<ModelEvent> {
-    let mut ev = Vec::new();
+fn model_idle(s: &mut CheckerSnapshot, cycle: u64, ev: &mut Vec<ModelEvent>) {
     if let Some(a) = s.prev.take() {
-        emit(&mut ev, a, VerifyKind::IdleSlot, cycle);
+        emit(ev, a, VerifyKind::IdleSlot, cycle);
     } else if !s.queue.is_empty() {
         let q = s.queue.remove(0);
-        emit(&mut ev, q, VerifyKind::Drain, cycle);
+        emit(ev, q, VerifyKind::Drain, cycle);
     }
-    ev
 }
 
 /// Algorithm 1, kernel end: RF obligation verifies free, the queue
 /// drains one entry per cycle. Returns the drain cycles charged.
-fn model_done(s: &mut CheckerSnapshot, cycle: u64) -> (Vec<ModelEvent>, u64) {
-    let mut ev = Vec::new();
+fn model_done(s: &mut CheckerSnapshot, cycle: u64, ev: &mut Vec<ModelEvent>) -> u64 {
     if let Some(a) = s.prev.take() {
-        emit(&mut ev, a, VerifyKind::IdleSlot, cycle);
+        emit(ev, a, VerifyKind::IdleSlot, cycle);
     }
     let mut extra = 0;
     while !s.queue.is_empty() {
         let q = s.queue.remove(0);
         extra += 1;
-        emit(&mut ev, q, VerifyKind::Drain, cycle + extra);
+        emit(ev, q, VerifyKind::Drain, cycle + extra);
     }
-    (ev, extra)
+    extra
 }
 
 // ---------------------------------------------------------------------
 // Canonicalization.
 // ---------------------------------------------------------------------
 
-/// Canonical memo key: warps and registers renamed in first-appearance
-/// order (RF slot first, then the queue oldest-first), issue timestamps
-/// dropped. Two states with the same key are indistinguishable to
-/// Algorithm 1's transition relation.
-fn canonical_key(s: &CheckerSnapshot) -> Vec<u8> {
-    let mut warps: HashMap<u64, u8> = HashMap::new();
-    let mut regs: HashMap<u16, u8> = HashMap::new();
-    let mut key = Vec::with_capacity(2 + 3 * (1 + s.queue.len()));
-    key.push(s.prev.is_some() as u8);
-    for slot in s.prev.iter().chain(s.queue.iter()) {
-        let nw = warps.len() as u8;
-        key.push(*warps.entry(slot.warp_uid).or_insert(nw));
-        key.push(slot.unit as u8);
-        match slot.dst {
-            None => key.push(0),
-            Some(r) => {
-                let nr = regs.len() as u8;
-                key.push(1 + *regs.entry(r.0).or_insert(nr));
-            }
+/// Builds canonical memo keys into one reused buffer: warps and
+/// registers renamed in first-appearance order (RF slot first, then the
+/// queue oldest-first), issue timestamps dropped. Two states with the
+/// same key are indistinguishable to Algorithm 1's transition relation.
+///
+/// A key is a presence byte for the RF slot, then `[warp, unit, dst]`
+/// per slot, with `dst` 0 for none and 1 + the register's index
+/// otherwise. Renaming is a linear search over the at most capacity + 1
+/// ids already seen.
+#[derive(Debug, Default)]
+struct KeyBuilder {
+    key: Vec<u8>,
+    warps: Vec<u64>,
+    regs: Vec<u16>,
+}
+
+impl KeyBuilder {
+    fn build(&mut self, s: &CheckerSnapshot) -> &[u8] {
+        self.key.clear();
+        self.warps.clear();
+        self.regs.clear();
+        self.key.push(s.prev.is_some() as u8);
+        for slot in s.prev.iter().chain(&s.queue) {
+            let warp = rename(&mut self.warps, slot.warp_uid);
+            let dst = slot.dst.map_or(0, |r| 1 + rename(&mut self.regs, r.0));
+            self.key.extend([warp, slot.unit as u8, dst]);
         }
+        &self.key
     }
-    key
+}
+
+/// The index of `id` in first-appearance order, appending it if new.
+fn rename<T: PartialEq>(seen: &mut Vec<T>, id: T) -> u8 {
+    let i = seen.iter().position(|s| *s == id).unwrap_or_else(|| {
+        seen.push(id);
+        seen.len() - 1
+    });
+    i as u8
 }
 
 // ---------------------------------------------------------------------
@@ -381,6 +406,7 @@ fn check_step(
     capacity: usize,
     issued: Option<&IssueSpec>,
     last_verify: u64,
+    pool: &mut Vec<SlotSnapshot>,
 ) -> Option<String> {
     if model_charge != real_charge {
         return Some(format!(
@@ -427,7 +453,8 @@ fn check_step(
     }
     // I1: exactly-once — obligations are conserved: everything that
     // entered either verified exactly once or is still pending.
-    let mut pool: Vec<SlotSnapshot> = pre.prev.iter().chain(pre.queue.iter()).copied().collect();
+    pool.clear();
+    pool.extend(pre.prev.iter().chain(&pre.queue));
     if let Some(b) = issued {
         if b.inter {
             pool.push(SlotSnapshot {
@@ -530,62 +557,69 @@ fn incoming_of(b: &IssueSpec) -> Incoming {
     }
 }
 
-/// Enumerate the issue actions worth exploring from `snap`: every unit
+/// Enumerate the issue actions worth exploring from `snap` into `out`,
+/// each as its trace step beside the spec stepped at `cycle`: every unit
 /// type, each distinct pending warp (capped) plus a fresh one, dst
 /// choices covering fresh/pending/none, and source choices covering the
 /// same-warp RAW hit, the cross-warp non-hit, and an unknown register.
-fn issue_actions(snap: &CheckerSnapshot, next_warp: u64, next_reg: u16) -> Vec<IssueSpec> {
-    let slots: Vec<&SlotSnapshot> = snap.prev.iter().chain(snap.queue.iter()).collect();
-    let mut warps: Vec<u64> = Vec::new();
-    for s in &slots {
-        if !warps.contains(&s.warp_uid) {
-            warps.push(s.warp_uid);
+fn issue_actions(
+    snap: &CheckerSnapshot,
+    next_warp: u64,
+    next_reg: u16,
+    cycle: u64,
+    out: &mut Vec<(Step, Option<IssueSpec>)>,
+) {
+    let slots = || snap.prev.iter().chain(&snap.queue);
+    let mut warps = [next_warp; 3];
+    let mut n = 0;
+    for s in slots() {
+        if n < 2 && !warps[..n].contains(&s.warp_uid) {
+            warps[n] = s.warp_uid;
+            n += 1;
         }
     }
-    warps.truncate(2);
-    warps.push(next_warp);
+    let warps = &warps[..n + 1];
 
-    let mut actions = Vec::new();
     for &unit in &UNITS {
-        for &warp in &warps {
-            let same = slots
-                .iter()
+        for &warp in warps {
+            let same = slots()
                 .find(|s| s.warp_uid == warp && s.dst.is_some())
                 .and_then(|s| s.dst);
-            let other = slots
-                .iter()
+            let other = slots()
                 .find(|s| s.warp_uid != warp && s.dst.is_some())
-                .and_then(|s| s.dst);
-            let mut dsts: Vec<Option<Reg>> = vec![None, Some(Reg(next_reg))];
-            if let Some(d) = same {
-                dsts.push(Some(d));
-            }
-            let mut srcs: Vec<Option<Reg>> = vec![None, Some(Reg(next_reg + 1))];
-            if let Some(r) = same {
-                srcs.push(Some(r));
-            }
-            if let Some(r) = other {
-                if Some(r) != same {
-                    srcs.push(Some(r));
-                }
-            }
-            for &dst in &dsts {
-                for &src in &srcs {
+                .and_then(|s| s.dst)
+                .filter(|&r| Some(r) != same);
+            let dsts = [Some(None), Some(Some(Reg(next_reg))), same.map(Some)];
+            let srcs = [
+                Some(None),
+                Some(Some(Reg(next_reg + 1))),
+                same.map(Some),
+                other.map(Some),
+            ];
+            for dst in dsts.into_iter().flatten() {
+                for src in srcs.into_iter().flatten() {
                     for inter in [false, true] {
-                        actions.push(IssueSpec {
+                        let step = Step::Issue {
+                            unit,
+                            warp,
+                            dst,
+                            src,
+                            inter,
+                        };
+                        let spec = IssueSpec {
                             unit,
                             warp,
                             dst,
                             srcs: [src, None, None, None],
                             inter,
-                            cycle: 0, // filled in at the node
-                        });
+                            cycle,
+                        };
+                        out.push((step, Some(spec)));
                     }
                 }
             }
         }
     }
-    actions
 }
 
 fn trace_of(nodes: &[Node], mut idx: usize, last: Step) -> Vec<Step> {
@@ -621,15 +655,28 @@ fn explore_capacity(
     violations: &mut Vec<Counterexample>,
 ) -> (CapacityResult, bool) {
     let mut nodes: Vec<Node> = Vec::new();
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let mut seen: HashSet<Box<[u8]>> = HashSet::new();
     let mut frontier: VecDeque<usize> = VecDeque::new();
     let mut transitions = 0u64;
     let mut truncated = false;
 
-    let root = ReplayChecker::new(capacity);
-    seen.insert(canonical_key(&root.snapshot()));
+    // Scratch state, reset from the node on every transition: an edge
+    // into a known state allocates nothing. Only a new state copies its
+    // key into `seen` and its checker into `nodes`.
+    let mut checker = ReplayChecker::new(capacity);
+    let mut snap = CheckerSnapshot::default();
+    let mut model = CheckerSnapshot::default();
+    let mut post = CheckerSnapshot::default();
+    let mut real_ev: Vec<VerifyEvent> = Vec::new();
+    let mut model_ev: Vec<ModelEvent> = Vec::new();
+    let mut pool: Vec<SlotSnapshot> = Vec::new();
+    let mut keys = KeyBuilder::default();
+    let mut steps: Vec<(Step, Option<IssueSpec>)> = Vec::new();
+
+    checker.snapshot_into(&mut snap);
+    seen.insert(keys.build(&snap).into());
     nodes.push(Node {
-        checker: root,
+        checker: checker.clone(),
         cycle: 0,
         last_verify: 0,
         next_warp: 0,
@@ -640,70 +687,68 @@ fn explore_capacity(
     frontier.push_back(0);
 
     while let Some(idx) = frontier.pop_front() {
-        if nodes[idx].depth >= config.depth {
+        let node = &nodes[idx];
+        if node.depth >= config.depth {
             continue;
         }
-        let snap = nodes[idx].checker.snapshot();
-        let cycle = nodes[idx].cycle;
-        let (next_warp, next_reg) = (nodes[idx].next_warp, nodes[idx].next_reg);
-        let last_verify = nodes[idx].last_verify;
+        node.checker.snapshot_into(&mut snap);
+        let (cycle, last_verify, depth) = (node.cycle, node.last_verify, node.depth);
+        let (next_warp, next_reg) = (node.next_warp, node.next_reg);
 
-        let mut steps: Vec<(Step, Option<IssueSpec>)> =
-            vec![(Step::Idle, None), (Step::Done, None)];
-        for mut b in issue_actions(&snap, next_warp, next_reg) {
-            b.cycle = cycle;
-            let step = Step::Issue {
-                unit: b.unit,
-                warp: b.warp,
-                dst: b.dst,
-                src: b.srcs[0],
-                inter: b.inter,
-            };
-            steps.push((step, Some(b)));
-        }
+        steps.clear();
+        steps.push((Step::Idle, None));
+        steps.push((Step::Done, None));
+        issue_actions(&snap, next_warp, next_reg, cycle, &mut steps);
 
-        for (step, issue) in steps {
+        for (step, issue) in &steps {
             transitions += 1;
-            let mut checker = nodes[idx].checker.clone();
-            let mut model = snap.clone();
-            let mut real_ev = Vec::new();
+            checker.clone_from(&nodes[idx].checker);
+            model.prev = snap.prev;
+            model.queue.clone_from(&snap.queue);
+            real_ev.clear();
+            model_ev.clear();
 
-            let stepped = catch_unwind(AssertUnwindSafe(|| match &issue {
+            let stepped = catch_unwind(AssertUnwindSafe(|| match issue {
                 Some(b) => {
                     let real_charge = checker.on_issue(&incoming_of(b), &mut real_ev);
-                    let (model_ev, model_charge) = model_issue(&mut model, capacity, b);
-                    (model_ev, model_charge, real_charge)
+                    let model_charge = model_issue(&mut model, capacity, b, &mut model_ev);
+                    (model_charge, real_charge)
                 }
-                None => match &step {
+                None => match step {
                     Step::Idle => {
                         checker.on_idle(cycle, &mut real_ev);
-                        (model_idle(&mut model, cycle), 0, 0)
+                        model_idle(&mut model, cycle, &mut model_ev);
+                        (0, 0)
                     }
                     _ => {
                         let real_charge = checker.on_done(cycle, &mut real_ev);
-                        let (model_ev, model_charge) = model_done(&mut model, cycle);
-                        (model_ev, model_charge, real_charge)
+                        let model_charge = model_done(&mut model, cycle, &mut model_ev);
+                        (model_charge, real_charge)
                     }
                 },
             }));
 
             let (charge, failure) = match stepped {
                 Err(_) => (0, Some("implementation panicked".to_string())),
-                Ok((model_ev, model_charge, real_charge)) => (
-                    real_charge,
-                    check_step(
-                        &snap,
-                        &model,
-                        &checker.snapshot(),
-                        &model_ev,
-                        &real_ev,
-                        model_charge,
+                Ok((model_charge, real_charge)) => {
+                    checker.snapshot_into(&mut post);
+                    (
                         real_charge,
-                        capacity,
-                        issue.as_ref(),
-                        last_verify,
-                    ),
-                ),
+                        check_step(
+                            &snap,
+                            &model,
+                            &post,
+                            &model_ev,
+                            &real_ev,
+                            model_charge,
+                            real_charge,
+                            capacity,
+                            issue.as_ref(),
+                            last_verify,
+                            &mut pool,
+                        ),
+                    )
+                }
             };
             if let Some(description) = failure {
                 violations.push(Counterexample {
@@ -714,24 +759,24 @@ fn explore_capacity(
                 continue;
             }
 
+            let key = keys.build(&post);
+            if seen.contains(key) {
+                continue;
+            }
             if seen.len() >= config.max_states {
                 truncated = true;
                 continue;
             }
-            let key = canonical_key(&checker.snapshot());
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.insert(key);
+            seen.insert(key.into());
             let max_verify = real_ev.iter().map(|e| e.cycle).max().unwrap_or(0);
             nodes.push(Node {
-                checker,
+                checker: checker.clone(),
                 cycle: cycle + 1 + charge,
                 last_verify: last_verify.max(max_verify),
                 next_warp: next_warp + 1,
                 next_reg: next_reg + 2,
-                depth: nodes[idx].depth + 1,
-                parent: Some((idx, step)),
+                depth: depth + 1,
+                parent: Some((idx, step.clone())),
             });
             frontier.push_back(nodes.len() - 1);
         }
@@ -753,6 +798,7 @@ mod tests {
 
     #[test]
     fn canonical_key_collapses_symmetric_states() {
+        let mut keys = KeyBuilder::default();
         let slot = |w, r| SlotSnapshot {
             warp_uid: w,
             unit: UnitType::Sp,
@@ -767,13 +813,14 @@ mod tests {
             prev: Some(slot(0, 0)),
             queue: vec![slot(1, 1)],
         };
-        assert_eq!(canonical_key(&a), canonical_key(&b));
+        let key_a = keys.build(&a).to_vec();
+        assert_eq!(key_a, keys.build(&b));
         // ...but not states that differ in warp *equality*.
         let c = CheckerSnapshot {
             prev: Some(slot(3, 7)),
             queue: vec![slot(3, 2)],
         };
-        assert_ne!(canonical_key(&a), canonical_key(&c));
+        assert_ne!(key_a, keys.build(&c));
     }
 
     #[test]
@@ -787,6 +834,31 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.states() > 100, "only {} states", report.states());
         assert!(!report.truncated);
+    }
+
+    #[test]
+    fn only_a_new_state_over_budget_truncates() {
+        let run = |max_states| {
+            model_check(&ModelCheckConfig {
+                depth: DEFAULT_DEPTH,
+                capacities: vec![1],
+                max_states,
+            })
+        };
+        let full = run(ModelCheckConfig::default().max_states);
+        assert_eq!((full.states(), full.transitions()), (94, 9248));
+        assert!(!full.truncated);
+        // A budget of exactly the reachable states is complete...
+        let exact = run(94);
+        assert!(!exact.truncated);
+        assert_eq!(
+            (exact.states(), exact.transitions()),
+            (full.states(), full.transitions())
+        );
+        // ...one less is not.
+        let short = run(93);
+        assert!(short.truncated);
+        assert_eq!(short.states(), 93);
     }
 
     #[test]

@@ -626,50 +626,33 @@ fn run_campaign(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErr
 /// agreement) plus a static DMR coverage certificate for the
 /// benchmark's kernel (abstract interpretation of active masks over the
 /// CFG under the configured thread→core mapping). Exits non-zero when
-/// the model check finds a violation or the certified lower bound
-/// exceeds the simulator-measured coverage.
+/// the model check finds a violation or is truncated by its state
+/// budget, or the certified lower bound exceeds the simulator-measured
+/// coverage ([`experiments::certify::Certification::check`]).
 fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentError> {
-    use warped::analysis::{self as an, InstrClass};
+    use warped::analysis::{InstrClass, ModelCheckConfig};
     let bench = require_bench(args, "certify")?;
-    let w = bench.build(cfg.size)?;
-
-    let mc = an::model_check(&an::ModelCheckConfig {
+    let model = ModelCheckConfig {
         depth: args.depth,
-        ..an::ModelCheckConfig::default()
-    });
-
-    let graph = an::Cfg::build(w.kernel());
-    let dmr_cfg = dmr::DmrConfig::default();
-    let cert = an::certify_coverage(
-        w.kernel(),
-        &graph,
-        &dmr_cfg,
-        w.block_threads(),
-        &an::MaskFlowConfig::default(),
-    );
-
-    let mut engine = dmr::WarpedDmr::new(dmr_cfg, &cfg.gpu);
-    let run = w.run_with(&cfg.gpu, &mut engine)?;
-    w.check(&run)?;
-    let measured = engine.report().coverage_pct();
+        ..ModelCheckConfig::default()
+    };
+    let c = experiments::certify::certify(bench, &model, cfg)?;
+    let (mc, cert) = (&c.model, &c.cert);
 
     if args.json {
-        outln!(
-            "{}",
-            an::certify_json(&bench.to_string(), &mc, &cert, measured)
-        );
+        outln!("{}", c.to_json());
     } else {
         heading(&format!(
             "Certification of {bench} (model depth {})",
             mc.depth
         ));
         outln!("model check: Replay Checker vs Algorithm 1, invariants I1-I5");
-        for c in &mc.per_capacity {
+        for cap in &mc.per_capacity {
             outln!(
                 "  ReplayQ capacity {}: {:>7} states, {:>9} transitions",
-                c.capacity,
-                c.states,
-                c.transitions
+                cap.capacity,
+                cap.states,
+                cap.transitions
             );
         }
         outln!(
@@ -703,24 +686,10 @@ fn run_certify(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErro
         outln!(
             "  measured coverage ({:?} scale):  {:.2}%",
             cfg.size,
-            measured
+            c.measured_pct
         );
     }
-
-    if !mc.violations.is_empty() {
-        return Err(ExperimentError::Invariant(format!(
-            "{bench}: model check found {} violation(s) at depth {}",
-            mc.violations.len(),
-            mc.depth
-        )));
-    }
-    if cert.bound_pct > measured + 1e-9 {
-        return Err(ExperimentError::Invariant(format!(
-            "{bench}: certified bound {:.4}% exceeds measured coverage {:.4}%",
-            cert.bound_pct, measured
-        )));
-    }
-    Ok(())
+    c.check()
 }
 
 /// `warped trace <bench> --format jsonl|chrome [--out PATH]

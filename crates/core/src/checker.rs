@@ -90,7 +90,7 @@ pub struct CheckerSnapshot {
 }
 
 /// Per-SM Replay Checker state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ReplayChecker {
     queue: ReplayQ,
     prev: Option<ReplayEntry>,
@@ -98,6 +98,28 @@ pub struct ReplayChecker {
     trace: TraceHandle,
     /// Behaviour counters.
     pub stats: CheckerStats,
+}
+
+/// Written by hand so `clone_from` reuses the ReplayQ's buffer: the
+/// model checker resets one scratch checker per explored transition.
+impl Clone for ReplayChecker {
+    fn clone(&self) -> Self {
+        ReplayChecker {
+            queue: self.queue.clone(),
+            prev: self.prev.clone(),
+            sm_id: self.sm_id,
+            trace: self.trace.clone(),
+            stats: self.stats,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.queue.clone_from(&source.queue);
+        self.prev.clone_from(&source.prev);
+        self.sm_id = source.sm_id;
+        self.trace.clone_from(&source.trace);
+        self.stats = source.stats;
+    }
 }
 
 /// The RF-slot RAW predicate: `p` is an unverified producer of one of
@@ -135,16 +157,22 @@ impl ReplayChecker {
     /// queue, oldest first. Drives the differential model checker in
     /// `warped-analysis`.
     pub fn snapshot(&self) -> CheckerSnapshot {
+        let mut s = CheckerSnapshot::default();
+        self.snapshot_into(&mut s);
+        s
+    }
+
+    /// [`snapshot`](Self::snapshot) into `out`, reusing its queue buffer.
+    pub fn snapshot_into(&self, out: &mut CheckerSnapshot) {
         let slot = |e: &ReplayEntry| SlotSnapshot {
             warp_uid: e.warp_uid,
             unit: e.unit,
             dst: e.dst,
             cycle: e.cycle,
         };
-        CheckerSnapshot {
-            prev: self.prev.as_ref().map(slot),
-            queue: self.queue.iter().map(slot).collect(),
-        }
+        out.prev = self.prev.as_ref().map(slot);
+        out.queue.clear();
+        out.queue.extend(self.queue.iter().map(slot));
     }
 
     /// Record one verification: bump counters, emit the trace event, and

@@ -29,10 +29,26 @@ pub struct ReplayEntry {
 
 /// Fixed-capacity FIFO of unverified instructions with type-directed
 /// dequeue.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ReplayQ {
     entries: VecDeque<ReplayEntry>,
     capacity: usize,
+}
+
+/// Written by hand so `clone_from` reuses the entry buffer (a derived
+/// `Clone` does not forward it to the fields).
+impl Clone for ReplayQ {
+    fn clone(&self) -> Self {
+        ReplayQ {
+            entries: self.entries.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.capacity = source.capacity;
+    }
 }
 
 impl ReplayEntry {

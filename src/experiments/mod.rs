@@ -6,6 +6,7 @@
 //! plots. The `warped` CLI prints them; EXPERIMENTS.md records them.
 
 pub mod ablation;
+pub mod certify;
 pub mod config_tables;
 pub mod coverage_profile;
 pub mod faults_exp;

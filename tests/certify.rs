@@ -13,9 +13,10 @@
 //!    measures on a real run.
 
 use warped::analysis::{
-    certify_coverage, certify_json, model_check, Cfg, InstrClass, MaskFlowConfig, ModelCheckConfig,
+    certify_coverage, model_check, Cfg, InstrClass, MaskFlowConfig, ModelCheckConfig,
 };
 use warped::dmr::{DmrConfig, ThreadCoreMapping, WarpedDmr};
+use warped::experiments::certify::certify;
 use warped::experiments::ExperimentConfig;
 use warped::kernels::{Benchmark, WorkloadSize};
 use warped::runner::Runner;
@@ -45,6 +46,27 @@ fn model_check_is_clean_and_nontrivial_at_default_depth() {
     let per: Vec<u64> = report.per_capacity.iter().map(|c| c.states).collect();
     assert_eq!(per.len(), ModelCheckConfig::default().capacities.len());
     assert!(per.windows(2).all(|w| w[0] < w[1]), "states {per:?}");
+}
+
+/// The default-depth state space, per capacity, exactly: a memo key that
+/// merges two distinct states or splits one moves these counts.
+#[test]
+fn default_state_space_is_pinned() {
+    let report = model_check(&ModelCheckConfig::default());
+    let per: Vec<(usize, u64, u64)> = report
+        .per_capacity
+        .iter()
+        .map(|c| (c.capacity, c.states, c.transitions))
+        .collect();
+    assert_eq!(
+        per,
+        [
+            (0, 7, 452),
+            (1, 94, 9248),
+            (2, 1606, 199_586),
+            (3, 14767, 1_071_686)
+        ]
+    );
 }
 
 #[test]
@@ -106,33 +128,18 @@ fn sha_certificate_is_tight() {
 }
 
 /// The `warped certify <bench> --depth 4 --json` document, byte for byte,
-/// built from the inputs the CLI uses (quick size and chip, default DMR).
+/// from the composition the CLI calls (quick size and chip, default DMR).
 #[test]
 fn certify_json_is_pinned() {
     const SHA: &str = r#"{"schema_version":1,"bench":"SHA","model":{"depth":4,"states":2485,"transitions":73784,"violations":0,"truncated":false,"per_capacity":[{"capacity":0,"states":7,"transitions":452},{"capacity":1,"states":94,"transitions":9248},{"capacity":2,"states":598,"transitions":32042},{"capacity":3,"states":1786,"transitions":32042}]},"coverage":{"kernel":"sha1","shapes":1,"abstract_states":2,"overflowed":false,"classes":{"inter":1836,"intra":0,"unverifiable":0,"no-result":1,"unreachable":0},"bound_pct":100.0000,"measured_pct":100.0000}}"#;
     const BITONIC: &str = r#"{"schema_version":1,"bench":"BitonicSort","model":{"depth":4,"states":2485,"transitions":73784,"violations":0,"truncated":false,"per_capacity":[{"capacity":0,"states":7,"transitions":452},{"capacity":1,"states":94,"transitions":9248},{"capacity":2,"states":598,"transitions":32042},{"capacity":3,"states":1786,"transitions":32042}]},"coverage":{"kernel":"bitonicSort","shapes":1,"abstract_states":227,"overflowed":false,"classes":{"inter":144,"intra":0,"unverifiable":495,"no-result":47,"unreachable":0},"bound_pct":0.0000,"measured_pct":69.2706}}"#;
-    let quick = ExperimentConfig::quick();
-    let mc = model_check(&ModelCheckConfig {
+    let model = ModelCheckConfig {
         depth: 4,
         ..ModelCheckConfig::default()
-    });
+    };
     for (bench, pin) in [(Benchmark::Sha, SHA), (Benchmark::BitonicSort, BITONIC)] {
-        let w = bench.build(quick.size).unwrap();
-        let cert = certify_coverage(
-            w.kernel(),
-            &Cfg::build(w.kernel()),
-            &DmrConfig::default(),
-            w.block_threads(),
-            &MaskFlowConfig::default(),
-        );
-        let mut engine = WarpedDmr::new(DmrConfig::default(), &quick.gpu);
-        let run = w.run_with(&quick.gpu, &mut engine).unwrap();
-        w.check(&run).unwrap();
-        let measured = engine.report().coverage_pct();
-        assert_eq!(
-            certify_json(&bench.to_string(), &mc, &cert, measured),
-            pin,
-            "{bench}"
-        );
+        let c = certify(bench, &model, &ExperimentConfig::quick()).unwrap();
+        c.check().unwrap();
+        assert_eq!(c.to_json(), pin, "{bench}");
     }
 }
