@@ -144,10 +144,6 @@ impl Bfs {
 }
 
 impl Program for Bfs {
-    fn name(&self) -> &str {
-        "BFS"
-    }
-
     fn execute(
         &self,
         gpu: &mut Gpu,

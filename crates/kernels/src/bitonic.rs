@@ -6,10 +6,10 @@
 //! heavy intra-warp underutilization the paper highlights for BitonicSort
 //! (up to 77%, §2.2).
 
-use crate::common::{CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_exact, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{CmpOp, CmpType, Kernel, KernelBuilder, KernelError, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 /// The BitonicSort workload: sorts `block_size` u32 keys per block
 /// ascending.
@@ -112,52 +112,33 @@ impl BitonicSort {
     }
 }
 
-impl Program for BitonicSort {
-    fn name(&self) -> &str {
-        "BitonicSort"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let n = self.input.len();
-        let inp = gpu.alloc_words(n);
-        let out = gpu.alloc_words(n);
-        gpu.write_words(inp, &self.input);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size).with_params(vec![inp, out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, n);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        crate::common::check_exact(&run.output, &self.reference())
-    }
-
+impl crate::suite::OneLaunch for BitonicSort {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        self.block_size
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: self.input.len() as u64,
-            output_words: self.input.len() as u64,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![self.input.as_slice().into()]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![self.input.len()]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_exact(output, &self.reference())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_sort_matches_reference() {

@@ -9,10 +9,10 @@
 //! Twiddle factors are computed on the SFU (`sin`/`cos`/`rcp`) every
 //! butterfly, mixing unit types heavily.
 
-use crate::common::{CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_f32, to_bits, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{CmpOp, CmpType, Kernel, KernelBuilder, KernelError, Reg, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 /// The FFT workload: one `n`-point complex FFT per block.
 #[derive(Debug)]
@@ -234,69 +234,44 @@ impl Fft {
     }
 }
 
-impl Program for Fft {
-    fn name(&self) -> &str {
-        "CUFFT"
+impl crate::suite::OneLaunch for Fft {
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
     }
 
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let total = self.re.len();
-        let in_re = gpu.alloc_words(total);
-        let in_im = gpu.alloc_words(total);
-        let out_re = gpu.alloc_words(total);
-        let out_im = gpu.alloc_words(total);
-        gpu.write_words(in_re, &crate::common::to_bits(&self.re));
-        gpu.write_words(in_im, &crate::common::to_bits(&self.im));
-        let launch = LaunchConfig::linear(self.blocks, self.block_size)
-            .with_params(vec![in_re, in_im, out_re, out_im]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        let mut out = gpu.read_words(out_re, total);
-        out.extend(gpu.read_words(out_im, total));
-        run.output = out;
-        Ok(run)
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![to_bits(&self.re).into(), to_bits(&self.im).into()]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![self.re.len(), self.im.len()]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
         let (ref_re, ref_im) = self.reference();
         let total = ref_re.len();
-        if run.output.len() != 2 * total {
+        if output.len() != 2 * total {
             return Err(CheckError::WrongLength {
-                got: run.output.len(),
+                got: output.len(),
                 expected: 2 * total,
             });
         }
         // FFT accumulates rounding over log2(n) stages; allow a loose but
         // meaningful tolerance relative to the signal magnitude.
-        crate::common::check_f32(&run.output[..total], &ref_re, 2e-3)?;
-        crate::common::check_f32(&run.output[total..], &ref_im, 2e-3)
-    }
-
-    fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    fn block_threads(&self) -> u32 {
-        self.block_size
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: 2 * self.re.len() as u64,
-            output_words: 2 * self.re.len() as u64,
-        }
+        check_f32(&output[..total], &ref_re, 2e-3)?;
+        check_f32(&output[total..], &ref_im, 2e-3)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_fft_matches_dft_reference() {

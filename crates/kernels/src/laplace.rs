@@ -123,10 +123,6 @@ impl Laplace {
 }
 
 impl Program for Laplace {
-    fn name(&self) -> &str {
-        "Laplace"
-    }
-
     fn execute(
         &self,
         gpu: &mut Gpu,

@@ -7,10 +7,10 @@
 //! accumulation run on SPs — the alternating unit mix that inter-warp DMR
 //! co-executes nearly for free (paper Fig. 4). Warps are always full.
 
-use crate::common::{check_f32, device_hash, CheckError, Footprint};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_f32, device_hash, CheckError};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{Kernel, KernelBuilder, KernelError, Reg, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 const VOL: f32 = 0.2;
 const STRIKE: f32 = 1.0;
@@ -130,50 +130,33 @@ impl Libor {
     }
 }
 
-impl Program for Libor {
-    fn name(&self) -> &str {
-        "Libor"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let threads = (self.blocks * self.block_size) as usize;
-        let out = gpu.alloc_words(threads);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size).with_params(vec![out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, threads);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_f32(&run.output, &self.reference(), 1e-4)
-    }
-
+impl crate::suite::OneLaunch for Libor {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        self.block_size
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: 0,
-            output_words: (self.blocks * self.block_size) as u64,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        Vec::new()
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![(self.blocks * self.block_size) as usize]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_f32(output, &self.reference(), 1e-4)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_libor_matches_reference() {

@@ -9,10 +9,10 @@
 //! worst case without a ReplayQ (>70% overhead, Fig. 9b) and the showcase
 //! for the 10-entry queue.
 
-use crate::common::{check_f32, to_bits, CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_f32, to_bits, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{Kernel, KernelBuilder, KernelError, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 const TILE: usize = 16;
 
@@ -134,57 +134,34 @@ impl MatrixMul {
     }
 }
 
-impl Program for MatrixMul {
-    fn name(&self) -> &str {
-        "MatrixMul"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let n = self.n;
-        let a = gpu.alloc_words(n * n);
-        let b = gpu.alloc_words(n * n);
-        let c = gpu.alloc_words(n * n);
-        gpu.write_words(a, &to_bits(&self.a));
-        gpu.write_words(b, &to_bits(&self.b));
-        let g = (n / TILE) as u32;
-        let launch =
-            LaunchConfig::grid2d((g, g), (TILE as u32, TILE as u32)).with_params(vec![a, b, c]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(c, n * n);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_f32(&run.output, &self.reference(), 1e-5)
-    }
-
+impl crate::suite::OneLaunch for MatrixMul {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        (TILE * TILE) as u32
+    fn geometry(&self) -> LaunchConfig {
+        let g = (self.n / TILE) as u32;
+        LaunchConfig::grid2d((g, g), (TILE as u32, TILE as u32))
     }
 
-    fn footprint(&self) -> Footprint {
-        let nn = (self.n * self.n) as u64;
-        Footprint {
-            input_words: 2 * nn,
-            output_words: nn,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![to_bits(&self.a).into(), to_bits(&self.b).into()]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![self.n * self.n]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_f32(output, &self.reference(), 1e-5)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_matmul_matches_reference() {

@@ -7,10 +7,10 @@
 //! different times, so warps spend most of the kernel partially utilized —
 //! the MUM bar of paper Fig. 1.
 
-use crate::common::{check_exact, CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_exact, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{CmpOp, CmpType, Kernel, KernelBuilder, KernelError, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 /// The MUM workload: longest-common-prefix matching of queries against a
 /// reference string (one symbol per word, alphabet {0,1,2,3}).
@@ -121,58 +121,37 @@ impl Mum {
     }
 }
 
-impl Program for Mum {
-    fn name(&self) -> &str {
-        "MUM"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let threads = (self.blocks * self.block_size) as usize;
-        let reft = gpu.alloc_words(self.reference_text.len());
-        let qry = gpu.alloc_words(self.queries.len());
-        let posb = gpu.alloc_words(threads);
-        let out = gpu.alloc_words(threads);
-        gpu.write_words(reft, &self.reference_text);
-        gpu.write_words(qry, &self.queries);
-        gpu.write_words(posb, &self.positions);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size)
-            .with_params(vec![reft, qry, posb, out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, threads);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_exact(&run.output, &self.reference())
-    }
-
+impl crate::suite::OneLaunch for Mum {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        self.block_size
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: (self.reference_text.len() + self.queries.len() + self.positions.len())
-                as u64,
-            output_words: (self.blocks * self.block_size) as u64,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![
+            self.reference_text.as_slice().into(),
+            self.queries.as_slice().into(),
+            self.positions.as_slice().into(),
+        ]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![self.positions.len()]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_exact(output, &self.reference())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_mum_matches_reference() {

@@ -7,10 +7,10 @@
 //! is invalid exit immediately and search depths vary wildly, so warps are
 //! chronically underutilized — classic intra-warp DMR territory.
 
-use crate::common::{check_exact, CheckError, Footprint};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_exact, CheckError};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{CmpOp, CmpType, Kernel, KernelBuilder, KernelError, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 /// The NQueen workload: count all N-queens solutions, partitioned over
 /// threads by the first `fixed` rows.
@@ -263,29 +263,26 @@ impl NQueen {
     }
 }
 
-impl Program for NQueen {
-    fn name(&self) -> &str {
-        "Nqueen"
+impl crate::suite::OneLaunch for NQueen {
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
     }
 
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let threads = (self.blocks * self.block_size) as usize;
-        let out = gpu.alloc_words(threads);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size).with_params(vec![out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, threads);
-        Ok(run)
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_exact(&run.output, &self.reference())?;
-        let total: u64 = run.output.iter().map(|&c| c as u64).sum();
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        Vec::new()
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![(self.blocks * self.block_size) as usize]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_exact(output, &self.reference())?;
+        let total: u64 = output.iter().map(|&c| c as u64).sum();
         if total != self.expected_total() {
             return Err(CheckError::Property {
                 what: format!(
@@ -297,27 +294,13 @@ impl Program for NQueen {
         }
         Ok(())
     }
-
-    fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    fn block_threads(&self) -> u32 {
-        self.block_size
-    }
-
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: 0,
-            output_words: (self.blocks * self.block_size) as u64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_nqueen_counts_40_solutions_for_n7() {

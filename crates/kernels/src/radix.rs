@@ -5,10 +5,10 @@
 //! a barrier-heavy mix of SP and LD/ST work with the shrinking-stride
 //! divergence of the embedded scan.
 
-use crate::common::{check_exact, CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_exact, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{CmpOp, CmpType, Kernel, KernelBuilder, KernelError, Reg, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 const KEY_BITS: u32 = 16;
 
@@ -148,52 +148,33 @@ impl RadixSort {
     }
 }
 
-impl Program for RadixSort {
-    fn name(&self) -> &str {
-        "RadixSort"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let n = self.input.len();
-        let inp = gpu.alloc_words(n);
-        let out = gpu.alloc_words(n);
-        gpu.write_words(inp, &self.input);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size).with_params(vec![inp, out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, n);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_exact(&run.output, &self.reference())
-    }
-
+impl crate::suite::OneLaunch for RadixSort {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        self.block_size
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: self.input.len() as u64,
-            output_words: self.input.len() as u64,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![self.input.as_slice().into()]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![self.input.len()]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_exact(output, &self.reference())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_radix_matches_reference() {

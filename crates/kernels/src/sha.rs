@@ -9,10 +9,10 @@
 //! instruction-type switching distances of the suite (paper Fig. 8a),
 //! which is exactly what stresses the ReplayQ.
 
-use crate::common::{check_exact, CheckError, Footprint, SplitMix32};
-use crate::suite::{Program, ProgramRun, WorkloadSize};
+use crate::common::{check_exact, CheckError, SplitMix32};
+use crate::suite::{Buffer, WorkloadSize};
 use warped_isa::{Kernel, KernelBuilder, KernelError, Reg, SpecialReg};
-use warped_sim::{Gpu, IssueObserver, LaunchConfig, SimError};
+use warped_sim::LaunchConfig;
 
 const IV: [u32; 5] = [
     0x6745_2301,
@@ -203,52 +203,33 @@ impl Sha {
     }
 }
 
-impl Program for Sha {
-    fn name(&self) -> &str {
-        "SHA"
-    }
-
-    fn execute(
-        &self,
-        gpu: &mut Gpu,
-        observer: &mut dyn IssueObserver,
-    ) -> Result<ProgramRun, SimError> {
-        let chunks = (self.blocks * self.block_size) as usize;
-        let inp = gpu.alloc_words(self.input.len());
-        let out = gpu.alloc_words(chunks * 5);
-        gpu.write_words(inp, &self.input);
-        let launch = LaunchConfig::linear(self.blocks, self.block_size).with_params(vec![inp, out]);
-        let mut run = ProgramRun::default();
-        let stats = gpu.launch(&self.kernel, &launch, observer)?;
-        run.absorb(&stats);
-        run.output = gpu.read_words(out, chunks * 5);
-        Ok(run)
-    }
-
-    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
-        check_exact(&run.output, &self.reference())
-    }
-
+impl crate::suite::OneLaunch for Sha {
     fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
-    fn block_threads(&self) -> u32 {
-        self.block_size
+    fn geometry(&self) -> LaunchConfig {
+        LaunchConfig::linear(self.blocks, self.block_size)
     }
 
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            input_words: self.input.len() as u64,
-            output_words: (self.blocks * self.block_size * 5) as u64,
-        }
+    fn inputs(&self) -> Vec<Buffer<'_>> {
+        vec![self.input.as_slice().into()]
+    }
+
+    fn output_lens(&self) -> Vec<usize> {
+        vec![(self.blocks * self.block_size * 5) as usize]
+    }
+
+    fn check(&self, output: &[u32]) -> Result<(), CheckError> {
+        check_exact(output, &self.reference())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_sim::{GpuConfig, NullObserver};
+    use crate::Program;
+    use warped_sim::{Gpu, GpuConfig, NullObserver};
 
     #[test]
     fn tiny_sha_matches_reference() {

@@ -1,10 +1,18 @@
 //! The benchmark registry: [`Benchmark`], [`Workload`], and the
 //! [`Program`] trait each workload implements.
+//!
+//! Nine programs launch their kernel once. Each states its kernel, launch
+//! geometry, input buffers, output lengths and check (`OneLaunch`); one
+//! host harness allocates the inputs then the outputs, passes their base
+//! addresses as the kernel parameters in that order, and derives the
+//! [`Footprint`] and block size from the same buffers and geometry. BFS
+//! and Laplace loop on the host, so they implement [`Program`] themselves.
 
 use crate::common::{CheckError, Footprint};
 use crate::{bfs, bitonic, fft, laplace, libor, matmul, mum, nqueen, radix, scan, sha};
-use warped_isa::KernelError;
-use warped_sim::{Gpu, GpuConfig, IssueInfo, IssueObserver, RunStats, SimError};
+use std::borrow::Cow;
+use warped_isa::{Kernel, KernelError};
+use warped_sim::{Gpu, GpuConfig, IssueInfo, IssueObserver, LaunchConfig, RunStats, SimError};
 use warped_trace::{TraceEvent, TraceHandle};
 
 /// Workload scale. The algorithms are identical across sizes; only input
@@ -24,9 +32,6 @@ pub enum WorkloadSize {
 /// launches (possibly host-controlled, like BFS's per-level loop), and a
 /// CPU reference for validation.
 pub trait Program {
-    /// Benchmark name as the paper spells it.
-    fn name(&self) -> &str;
-
     /// Allocate, upload, launch (all phases), and read back. Returns the
     /// accumulated statistics and the primary output buffer.
     ///
@@ -58,6 +63,77 @@ pub trait Program {
     /// shapes — full warps plus at most one partial tail warp — that
     /// static coverage certification must account for.
     fn block_threads(&self) -> u32;
+}
+
+/// A host buffer to upload: borrowed from the workload, or converted
+/// (e.g. f32 to bits) for the upload.
+pub(crate) type Buffer<'a> = Cow<'a, [u32]>;
+
+/// A program that launches its kernel once, with the base addresses of
+/// its buffers — inputs, then outputs — as the kernel parameters.
+pub(crate) trait OneLaunch {
+    /// The device kernel.
+    fn kernel(&self) -> &Kernel;
+
+    /// Grid and block geometry; the harness supplies the parameters.
+    fn geometry(&self) -> LaunchConfig;
+
+    /// The buffers uploaded before the launch, in parameter order.
+    fn inputs(&self) -> Vec<Buffer<'_>>;
+
+    /// The word lengths of the buffers read back after it, in parameter
+    /// order.
+    fn output_lens(&self) -> Vec<usize>;
+
+    /// Validate the concatenated outputs against the CPU reference.
+    fn check(&self, output: &[u32]) -> Result<(), CheckError>;
+}
+
+impl<T: OneLaunch> Program for T {
+    fn execute(
+        &self,
+        gpu: &mut Gpu,
+        observer: &mut dyn IssueObserver,
+    ) -> Result<ProgramRun, SimError> {
+        let inputs = self.inputs();
+        let mut params: Vec<u32> = inputs.iter().map(|b| gpu.alloc_words(b.len())).collect();
+        let outputs: Vec<(u32, usize)> = self
+            .output_lens()
+            .into_iter()
+            .map(|n| (gpu.alloc_words(n), n))
+            .collect();
+        for (&base, data) in params.iter().zip(&inputs) {
+            gpu.write_words(base, data);
+        }
+        params.extend(outputs.iter().map(|&(base, _)| base));
+        let launch = self.geometry().with_params(params);
+        let mut run = ProgramRun::default();
+        run.absorb(&gpu.launch(OneLaunch::kernel(self), &launch, observer)?);
+        run.output = outputs
+            .into_iter()
+            .flat_map(|(base, n)| gpu.read_words(base, n))
+            .collect();
+        Ok(run)
+    }
+
+    fn check(&self, run: &ProgramRun) -> Result<(), CheckError> {
+        OneLaunch::check(self, &run.output)
+    }
+
+    fn footprint(&self) -> Footprint {
+        Footprint {
+            input_words: self.inputs().iter().map(|b| b.len() as u64).sum(),
+            output_words: self.output_lens().into_iter().sum::<usize>() as u64,
+        }
+    }
+
+    fn kernel(&self) -> &Kernel {
+        OneLaunch::kernel(self)
+    }
+
+    fn block_threads(&self) -> u32 {
+        self.geometry().threads_per_block() as u32
+    }
 }
 
 /// The result of executing a [`Workload`].
@@ -189,7 +265,10 @@ impl Benchmark {
             Benchmark::Libor => Box::new(libor::Libor::new(size)?),
             Benchmark::Fft => Box::new(fft::Fft::new(size)?),
         };
-        Ok(Workload { inner })
+        Ok(Workload {
+            benchmark: *self,
+            inner,
+        })
     }
 }
 
@@ -202,6 +281,7 @@ impl std::fmt::Display for Benchmark {
 /// A built benchmark: kernels assembled, inputs generated, reference
 /// ready. See the [crate-level example](crate).
 pub struct Workload {
+    benchmark: Benchmark,
     // `Send + Sync` so experiment harnesses and fault campaigns can
     // share one built workload across worker threads.
     inner: Box<dyn Program + Send + Sync>,
@@ -209,14 +289,14 @@ pub struct Workload {
 
 impl std::fmt::Debug for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Workload({})", self.inner.name())
+        write!(f, "Workload({})", self.name())
     }
 }
 
 impl Workload {
     /// Benchmark name.
-    pub fn name(&self) -> &str {
-        self.inner.name()
+    pub fn name(&self) -> &'static str {
+        self.benchmark.name()
     }
 
     /// Run the program on `gpu` under `observer`: the one entry point

@@ -69,9 +69,12 @@ cargo run -q -p warped-cli -- invariants --check
 # success, not a broken-pipe panic; pipefail makes its status count.
 (set -o pipefail; cargo run -q -p warped-cli -- trace SHA --format jsonl | head -1 > /dev/null)
 
-# The steps above only compile the examples; run the fault-campaign one
-# so a runtime error in it fails the gate.
+# The steps above only compile the examples; run every one so a runtime
+# error in it fails the gate (all four take under a second in release).
 cargo run -q --release --example fault_campaign 2 > /dev/null
+for example in quickstart scheme_comparison reliability_report; do
+    cargo run -q --release --example "$example" > /dev/null
+done
 
 # Campaign resilience smoke: forced-panic retry and checkpoint resume
 # must reproduce an undisturbed campaign byte-for-byte.

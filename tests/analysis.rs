@@ -35,68 +35,103 @@ fn every_benchmark_kernel_is_structurally_clean() {
     }
 }
 
-/// Run `kernel` as one warp of 32 threads on an otherwise idle chip and
-/// return the measured Warped-DMR report plus total cycles.
-fn measure(
-    kernel: &Kernel,
-    gpu_cfg: &GpuConfig,
-    params: Vec<u32>,
-) -> (warped::dmr::DmrReport, u64) {
+/// Run `kernel` as one warp of 32 threads on a fresh `gpu_cfg` chip
+/// under Warped-DMR, with one buffer of each of `buffer_words` lengths
+/// allocated and passed as a parameter; return the checker counters
+/// and total cycles.
+fn measure(kernel: &Kernel, gpu_cfg: &GpuConfig, buffer_words: &[usize]) -> (CheckerStats, u64) {
     let mut gpu = Gpu::new(gpu_cfg.clone());
+    let params = buffer_words.iter().map(|&n| gpu.alloc_words(n)).collect();
     let mut engine = WarpedDmr::new(DmrConfig::default(), gpu_cfg);
     let launch = LaunchConfig::linear(1, 32).with_params(params);
     let stats = gpu
         .launch(kernel, &launch, &mut engine)
         .expect("launch succeeds");
-    (engine.report(), stats.cycles)
+    (engine.report().checker, stats.cycles)
 }
 
-fn assert_exact_match(kernel: &Kernel, gpu_cfg: &GpuConfig, params: Vec<u32>) {
-    assert!(
-        is_straight_line(kernel),
-        "{} not straight-line",
-        kernel.name()
-    );
-    let p = predict_exact(kernel, &predict_config(gpu_cfg)).expect("straight-line prediction");
-    let (report, cycles) = measure(kernel, gpu_cfg, params);
-    assert_eq!(
-        p.checker,
-        report.checker,
-        "{}: predicted checker stats diverge from measurement",
-        kernel.name()
-    );
-    assert_eq!(
-        p.cycles,
-        cycles,
-        "{}: predicted cycle count diverges from measurement",
-        kernel.name()
-    );
+/// A dense SP burst followed by dependent SFU work: long same-type runs
+/// pressure the ReplayQ while the RAW chain opens idle slots.
+fn sp_sfu_mix_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("mix");
+    let mut regs = Vec::new();
+    for i in 0..12u32 {
+        let r = b.reg();
+        b.iadd(r, i, 7u32);
+        regs.push(r);
+    }
+    let s = b.reg();
+    b.sin(s, regs[0]);
+    let t = b.reg();
+    b.fmul(t, s, regs[1]);
+    let u = b.reg();
+    b.sqrt(u, t);
+    b.exit();
+    b.build().unwrap()
+}
+
+/// Global loads and stores through parameter 0, bringing the 200-cycle
+/// memory latency into the timing.
+fn memtouch_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("memtouch");
+    let tid = b.reg();
+    b.mov(tid, warped::isa::SpecialReg::GlobalTid);
+    let addr = b.reg();
+    let base = b.param(0);
+    b.imad(addr, tid, 1u32, base);
+    let v = b.reg();
+    b.ld_global(v, addr, 0);
+    let w = b.reg();
+    b.iadd(w, v, 5u32);
+    b.st_global(addr, 32, w);
+    b.exit();
+    b.build().unwrap()
+}
+
+/// `predict_exact` runs a straight-line kernel as one warp on a one-SM
+/// chip with nothing allocated, so its loads read zeros. Its cycles and
+/// checker counters must equal `measured`, those of the same warp on the
+/// two-SM small chip with the kernel's buffers allocated: one-warp
+/// timing depends on neither.
+fn assert_one_warp_timing_matches(kernel: &Kernel, measured: (CheckerStats, u64)) {
+    let name = kernel.name();
+    assert!(is_straight_line(kernel), "{name} not straight-line");
+    let p = predict_exact(kernel, &predict_config(&GpuConfig::small())).expect("straight-line");
+    assert_eq!(p.checker, measured.0, "{name}: checker stats diverge");
+    assert_eq!(p.cycles, measured.1, "{name}: cycle count diverges");
 }
 
 #[test]
 fn predictor_matches_simulator_on_sha() {
-    // SHA at Tiny scale is exactly one block of 32 threads and its kernel
-    // has no control flow: the predictor must land on the simulator's
-    // numbers to the cycle.
-    let w = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
-    let kernel = w.kernel();
+    // SHA at Tiny scale is exactly one block of 32 threads, run through
+    // its own host code with real inputs.
     let gpu_cfg = GpuConfig::small();
-    assert!(
-        is_straight_line(kernel),
-        "SHA kernel should be straight-line"
-    );
-    let p = predict_exact(kernel, &predict_config(&gpu_cfg)).unwrap();
-
+    let sha = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
     let mut engine = WarpedDmr::new(DmrConfig::default(), &gpu_cfg);
-    let run = w.run_with(&gpu_cfg, &mut engine).expect("SHA runs");
-    let report = engine.report();
-
-    assert_eq!(p.checker, report.checker, "checker stats must match");
-    assert_eq!(p.cycles, run.stats.cycles, "cycle count must match");
+    let run = sha.run_with(&gpu_cfg, &mut engine).expect("SHA runs");
+    let measured = (engine.report().checker, run.stats.cycles);
     assert!(
-        report.checker.total_verified() > 0,
+        measured.0.total_verified() > 0,
         "SHA should exercise inter-warp verification"
     );
+    assert_one_warp_timing_matches(sha.kernel(), measured);
+}
+
+#[test]
+fn predictor_matches_simulator_on_sp_sfu_mix() {
+    let mix = sp_sfu_mix_kernel();
+    let measured = measure(&mix, &GpuConfig::small(), &[]);
+    assert!(
+        measured.0.enqueued > 0,
+        "the SP burst should pass through the ReplayQ: {measured:?}"
+    );
+    assert_one_warp_timing_matches(&mix, measured);
+}
+
+#[test]
+fn predictor_matches_simulator_on_memory_kernel() {
+    let mem = memtouch_kernel();
+    assert_one_warp_timing_matches(&mem, measure(&mem, &GpuConfig::small(), &[64]));
 }
 
 #[test]
@@ -144,69 +179,6 @@ fn sha_exact_prediction_is_pinned() {
             },
         }
     );
-}
-
-#[test]
-fn predictor_matches_simulator_on_sp_sfu_mix() {
-    // A dense SP burst followed by dependent SFU work: long same-type
-    // runs pressure the ReplayQ while the RAW chain opens idle slots.
-    let mut b = KernelBuilder::new("mix");
-    let mut regs = Vec::new();
-    for i in 0..12u32 {
-        let r = b.reg();
-        b.iadd(r, i, 7u32);
-        regs.push(r);
-    }
-    let s = b.reg();
-    b.sin(s, regs[0]);
-    let t = b.reg();
-    b.fmul(t, s, regs[1]);
-    let u = b.reg();
-    b.sqrt(u, t);
-    b.exit();
-    let kernel = b.build().unwrap();
-    let p = predict_exact(&kernel, &predict_config(&GpuConfig::small())).unwrap();
-    assert!(
-        p.checker.enqueued > 0,
-        "the SP burst should pass through the ReplayQ: {p:?}"
-    );
-    assert_exact_match(&kernel, &GpuConfig::small(), vec![]);
-}
-
-#[test]
-fn predictor_matches_simulator_on_memory_kernel() {
-    // Global loads and stores bring the 200-cycle memory latency into
-    // the prediction. The predictor's own run allocates nothing, so its
-    // loads read zeros from words this run allocates first; the timing
-    // must not care.
-    let gpu_cfg = GpuConfig::small();
-    let mut gpu = Gpu::new(gpu_cfg.clone());
-    let buf = gpu.alloc_words(64);
-
-    let mut b = KernelBuilder::new("memtouch");
-    let tid = b.reg();
-    b.mov(tid, warped::isa::SpecialReg::GlobalTid);
-    let addr = b.reg();
-    let base = b.param(0);
-    b.imad(addr, tid, 1u32, base);
-    let v = b.reg();
-    b.ld_global(v, addr, 0);
-    let w = b.reg();
-    b.iadd(w, v, 5u32);
-    b.st_global(addr, 32, w);
-    b.exit();
-    let kernel = b.build().unwrap();
-
-    assert!(is_straight_line(&kernel));
-    let p = predict_exact(&kernel, &predict_config(&gpu_cfg)).unwrap();
-
-    let mut engine = WarpedDmr::new(DmrConfig::default(), &gpu_cfg);
-    let launch = LaunchConfig::linear(1, 32).with_params(vec![buf]);
-    let stats = gpu.launch(&kernel, &launch, &mut engine).unwrap();
-    let report = engine.report();
-
-    assert_eq!(p.checker, report.checker, "checker stats must match");
-    assert_eq!(p.cycles, stats.cycles, "cycle count must match");
 }
 
 #[test]

@@ -12,8 +12,11 @@
 //!    its lower bound never exceeds the coverage the simulator actually
 //!    measures on a real run.
 
+use std::sync::OnceLock;
+
 use warped::analysis::{
     certify_coverage, model_check, Cfg, InstrClass, MaskFlowConfig, ModelCheckConfig,
+    ModelCheckReport,
 };
 use warped::dmr::{DmrConfig, ThreadCoreMapping, WarpedDmr};
 use warped::experiments::certify::certify;
@@ -22,9 +25,16 @@ use warped::kernels::{Benchmark, WorkloadSize};
 use warped::runner::Runner;
 use warped::sim::GpuConfig;
 
+/// The default-depth model check, run once per test binary and shared by
+/// the tests that read it.
+fn default_report() -> &'static ModelCheckReport {
+    static REPORT: OnceLock<ModelCheckReport> = OnceLock::new();
+    REPORT.get_or_init(|| model_check(&ModelCheckConfig::default()))
+}
+
 #[test]
 fn model_check_is_clean_and_nontrivial_at_default_depth() {
-    let report = model_check(&ModelCheckConfig::default());
+    let report = default_report();
     if let Some(v) = report.violations.first() {
         panic!(
             "model check found {} violation(s); first:\n{}",
@@ -52,8 +62,7 @@ fn model_check_is_clean_and_nontrivial_at_default_depth() {
 /// merges two distinct states or splits one moves these counts.
 #[test]
 fn default_state_space_is_pinned() {
-    let report = model_check(&ModelCheckConfig::default());
-    let per: Vec<(usize, u64, u64)> = report
+    let per: Vec<(usize, u64, u64)> = default_report()
         .per_capacity
         .iter()
         .map(|c| (c.capacity, c.states, c.transitions))

@@ -150,3 +150,56 @@ fn mapping_ablation_runs_both_ways() {
         w.check(&run).unwrap();
     }
 }
+
+/// What each benchmark's host code moves and launches: the footprint
+/// Fig. 10 prices PCIe transfers from, and the block size static
+/// certification derives warp shapes from.
+#[test]
+fn host_facts_are_pinned() {
+    use Benchmark::*;
+    use WorkloadSize::{Full, Small, Tiny};
+    // (input_words, output_words, block_threads) at Tiny, Small, Full.
+    let pins = [
+        (
+            Bfs,
+            [(1673, 256, 64), (30798, 4096, 256), (122868, 16384, 256)],
+        ),
+        (NQueen, [(0, 96, 96), (0, 768, 96), (0, 1056, 96)]),
+        (
+            Mum,
+            [(3200, 128, 64), (59392, 2048, 128), (290336, 8192, 128)],
+        ),
+        (
+            Scan,
+            [(256, 256, 64), (8192, 8192, 256), (61440, 61440, 256)],
+        ),
+        (
+            BitonicSort,
+            [(128, 128, 128), (2048, 2048, 512), (30720, 30720, 512)],
+        ),
+        (
+            Laplace,
+            [(256, 256, 128), (4096, 4096, 128), (20480, 20480, 128)],
+        ),
+        (
+            MatrixMul,
+            [(2048, 1024, 256), (8192, 4096, 256), (51200, 25600, 256)],
+        ),
+        (
+            RadixSort,
+            [(64, 64, 64), (2048, 2048, 256), (15360, 15360, 256)],
+        ),
+        (Sha, [(512, 160, 32), (8192, 2560, 64), (61440, 19200, 64)]),
+        (Libor, [(0, 32, 32), (0, 512, 64), (0, 4096, 64)]),
+        (Fft, [(128, 128, 24), (2048, 2048, 56), (15360, 15360, 56)]),
+    ];
+    assert_eq!(pins.map(|(b, _)| b), Benchmark::ALL);
+    for (bench, facts) in pins {
+        for (size, expected) in [Tiny, Small, Full].into_iter().zip(facts) {
+            let w = bench.build(size).unwrap();
+            let f = w.footprint();
+            let got = (f.input_words, f.output_words, w.block_threads());
+            assert_eq!(got, expected, "{bench} {size:?}");
+        }
+    }
+}
