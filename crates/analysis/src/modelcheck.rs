@@ -41,7 +41,6 @@ use warped_core::checker::{
     CheckerSnapshot, Incoming, ReplayChecker, SlotSnapshot, VerifyEvent, VerifyKind,
 };
 use warped_isa::{Reg, UnitType};
-use warped_sim::WARP_SIZE;
 
 /// Default exploration depth for `warped certify` (also used by the
 /// suite tests); chosen so the default run visits well over 10^4
@@ -553,7 +552,6 @@ fn incoming_of(b: &IssueSpec) -> Incoming {
         cycle: b.cycle,
         needs_inter: b.inter,
         mask: u32::MAX,
-        results: [0; WARP_SIZE],
     }
 }
 

@@ -78,7 +78,6 @@ fn incoming(instr: &Instruction, cycle: u64) -> Incoming {
         // enters inter-warp DMR.
         needs_inter: instr.has_result(),
         mask: u32::MAX,
-        results: [0; WARP_SIZE],
     }
 }
 

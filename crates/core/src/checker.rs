@@ -27,7 +27,6 @@
 
 use crate::replayq::{ReplayEntry, ReplayQ};
 use warped_isa::{Reg, UnitType};
-use warped_sim::WARP_SIZE;
 pub use warped_trace::{CheckerStats, VerifyKind};
 use warped_trace::{TraceEvent, TraceHandle};
 
@@ -60,8 +59,6 @@ pub struct Incoming {
     pub needs_inter: bool,
     /// Active mask.
     pub mask: u32,
-    /// Per-lane fault-free results.
-    pub results: [u32; WARP_SIZE],
 }
 
 /// One unverified obligation as seen from outside the checker: either
@@ -266,7 +263,6 @@ impl ReplayChecker {
                 dst: b.dst,
                 cycle: b.cycle,
                 mask: b.mask,
-                results: b.results,
             });
         }
         if stalls > 0 {
@@ -321,7 +317,6 @@ mod tests {
             cycle,
             needs_inter: full,
             mask: u32::MAX,
-            results: [0; WARP_SIZE],
         }
     }
 

@@ -23,6 +23,11 @@ pub struct WarpedDmr {
     report: DmrReport,
     errors: ErrorLog,
     oracle: Option<Box<dyn FaultOracle>>,
+    // Per SM, the lane results of each unverified full-warp instruction,
+    // keyed by (warp uid, issue cycle): the inter-warp comparator's
+    // reference values. Kept only while an oracle is attached; without
+    // one, the comparator cannot see a difference.
+    lanes: Vec<Vec<(u64, u64, [u32; WARP_SIZE])>>,
     trace: TraceHandle,
     // `intra::plan` is pure in (mask, config); kernels reuse a handful
     // of masks across millions of issues, so memoizing removes the
@@ -57,6 +62,7 @@ impl WarpedDmr {
             report: DmrReport::default(),
             errors: ErrorLog::default(),
             oracle: None,
+            lanes: vec![Vec::new(); gpu.num_sms],
             trace: TraceHandle::disabled(),
             plan_cache: HashMap::new(),
         }
@@ -112,6 +118,7 @@ impl WarpedDmr {
             let mut c = ReplayChecker::new(cap);
             c.attach_trace(self.checkers.len(), self.trace.clone());
             self.checkers.push(c);
+            self.lanes.push(Vec::new());
         }
         &mut self.checkers[sm]
     }
@@ -122,12 +129,19 @@ impl WarpedDmr {
         for ev in &events {
             self.report.inter_verify(ev.entry.mask.count_ones());
             if let Some(oracle) = self.oracle.as_deref() {
+                let lanes = &mut self.lanes[sm];
+                let key = (ev.entry.warp_uid, ev.entry.cycle);
+                let i = lanes
+                    .iter()
+                    .position(|&(w, c, _)| (w, c) == key)
+                    .expect("every verified instruction's lanes were kept at issue");
+                let (_, _, results) = lanes.swap_remove(i);
                 // A ReplayQ metadata fault can only *drop* mask bits: a
                 // phantom set bit would compare garbage the entry never
                 // stored, so the corrupted mask is intersected with the
                 // real one. Dropped bits silently skip verification.
                 let stored_mask = oracle.entry_mask(sm, ev.entry.mask) & ev.entry.mask;
-                for t in 0..WARP_SIZE {
+                for (t, &result) in results.iter().enumerate() {
                     if stored_mask & (1 << t) == 0 {
                         continue;
                     }
@@ -140,7 +154,7 @@ impl WarpedDmr {
                         CompareStage::Inter,
                         sm,
                         ev.entry.warp_uid,
-                        ev.entry.results[t],
+                        result,
                         orig,
                         ev.entry.cycle,
                         ver,
@@ -220,12 +234,15 @@ impl IssueObserver for WarpedDmr {
             cycle: info.cycle,
             needs_inter: full && info.has_result,
             mask: info.active_mask,
-            results: *info.results,
         };
         let sm = info.sm_id;
         let mut events = std::mem::take(&mut self.events);
         let stalls = self.checker(sm).on_issue(&incoming, &mut events);
         self.events = events;
+        // The checker never verifies an instruction in its own issue slot.
+        if self.oracle.is_some() && incoming.needs_inter {
+            self.lanes[sm].push((info.warp_uid, info.cycle, *info.results));
+        }
         self.settle_events(sm);
         stalls
     }

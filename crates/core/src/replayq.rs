@@ -1,14 +1,16 @@
 //! The ReplayQ (paper §4.3): a small per-SM buffer of unverified
 //! instructions awaiting an idle execution unit.
 //!
-//! Each entry holds the opcode/unit type, the source values needed to
-//! re-execute, and the original result to compare against — ~516 bytes
-//! per entry, ~5 KB for the 10-entry queue the paper sizes from Fig. 8
-//! (type-switch distances ≤ 20, RAW distances ≥ 8 cycles).
+//! A hardware entry holds the opcode/unit type, the source values needed
+//! to re-execute, and the original result to compare against — ~516
+//! bytes per entry, ~5 KB for the 10-entry queue the paper sizes from
+//! Fig. 8 (type-switch distances ≤ 20, RAW distances ≥ 8 cycles). The
+//! model entry keeps only the control metadata Algorithm 1 decides on;
+//! the engine holds the lane results for its comparator, and only when a
+//! fault oracle can make them differ.
 
 use std::collections::VecDeque;
 use warped_isa::{Reg, UnitType};
-use warped_sim::WARP_SIZE;
 
 /// One buffered, unverified instruction.
 #[derive(Debug, Clone)]
@@ -23,8 +25,6 @@ pub struct ReplayEntry {
     pub cycle: u64,
     /// Active mask (always full for inter-warp DMR, kept for generality).
     pub mask: u32,
-    /// Original per-lane results (the comparator's reference values).
-    pub results: [u32; WARP_SIZE],
 }
 
 /// Fixed-capacity FIFO of unverified instructions with type-directed
@@ -152,7 +152,6 @@ mod tests {
             dst: dst.map(Reg),
             cycle,
             mask: u32::MAX,
-            results: [0; WARP_SIZE],
         }
     }
 

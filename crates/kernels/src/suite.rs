@@ -334,7 +334,9 @@ impl Workload {
     /// receives a `LaunchBegin`, `Issue`, `Idle` and `SmDone` event for
     /// every launch, issue slot, idle slot and SM completion `observer`
     /// sees. Give the observer (e.g. a `WarpedDmr` engine) a clone of the
-    /// same handle for the full stream.
+    /// same handle for the full stream. The run's events reach the sink
+    /// in batches ([`TraceHandle::batched`]), all of them before this
+    /// returns, on `Ok` and `Err` alike.
     ///
     /// # Errors
     ///
@@ -345,11 +347,13 @@ impl Workload {
         observer: &mut dyn IssueObserver,
         trace: TraceHandle,
     ) -> Result<ProgramRun, SimError> {
-        let mut traced = Traced {
-            inner: observer,
-            trace,
-        };
-        self.run_with(config, &mut traced)
+        trace.batched(|| {
+            let mut traced = Traced {
+                inner: observer,
+                trace: trace.clone(),
+            };
+            self.run_with(config, &mut traced)
+        })
     }
 
     /// Run on a fresh GPU with a datapath fault attached: every unit

@@ -12,7 +12,11 @@
 //! observer: `Workload::run_traced` in `warped-kernels` wraps the run's
 //! observer and emits those events. A disabled handle (the default) is a
 //! single `Option` check per site and the event constructors are never
-//! run, so tracing costs nothing unless it is switched on.
+//! run, so tracing costs nothing unless it is switched on. Within
+//! `run_traced` an enabled handle delivers the run's events in batches,
+//! in emission order and under one sink lock per batch
+//! ([`TraceHandle::batched`]); elsewhere each event reaches the sink
+//! before `emit` returns.
 //!
 //! Built-in [`TraceSink`]s:
 //!
@@ -56,7 +60,7 @@ pub mod replay;
 pub mod sink;
 
 pub use event::{TraceEvent, VerifyKind};
-pub use handle::TraceHandle;
+pub use handle::{TraceHandle, BATCH_EVENTS};
 pub use invariant::InvariantSink;
 pub use jsonl::{parse_flat, FieldMap, ParseError, Scalar};
 pub use metrics::{bucket_of, CheckerStats, DmrReport, MetricsSink};

@@ -12,6 +12,14 @@ pub trait TraceSink {
     /// Consume one event.
     fn event(&mut self, ev: &TraceEvent);
 
+    /// Consume a run of events in emission order (how a batch arrives;
+    /// see [`TraceHandle::batched`]).
+    fn events(&mut self, evs: &[TraceEvent]) {
+        for ev in evs {
+            self.event(ev);
+        }
+    }
+
     /// End of stream: flush buffers, run end-of-trace checks.
     fn flush(&mut self) {}
 }
@@ -49,7 +57,8 @@ impl TraceSink for CollectSink {
 /// Duplicates the stream to several [`TraceHandle`]s, so one run can feed
 /// e.g. an invariant checker, a metrics registry, and a collector at
 /// once while each stays independently accessible. Each output borrows
-/// the event ([`TraceHandle::forward`]); nothing is cloned.
+/// the events ([`TraceHandle::forward`]); nothing is cloned, and a batch
+/// reaches each output under one lock.
 #[derive(Clone, Default)]
 pub struct Fanout {
     outputs: Vec<TraceHandle>,
@@ -70,8 +79,12 @@ impl std::fmt::Debug for Fanout {
 
 impl TraceSink for Fanout {
     fn event(&mut self, ev: &TraceEvent) {
+        self.events(std::slice::from_ref(ev));
+    }
+
+    fn events(&mut self, evs: &[TraceEvent]) {
         for h in &self.outputs {
-            h.forward(ev);
+            h.forward(evs);
         }
     }
 

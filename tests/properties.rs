@@ -108,7 +108,6 @@ proptest! {
                 cycle: i as u64,
                 needs_inter: true,
                 mask: u32::MAX,
-                results: [0; WARP_SIZE],
             };
             c.on_issue(&incoming, &mut events);
         }
@@ -138,7 +137,6 @@ proptest! {
                 dst: None,
                 cycle: i as u64,
                 mask: u32::MAX,
-                results: [0; WARP_SIZE],
             });
         }
         let before = q.len();
