@@ -17,8 +17,9 @@
 //!   checkable.
 //! * Warped-DMR itself, via [`warped_core::WarpedDmr`].
 //!
-//! [`scheme::run_scheme`] produces the kernel + transfer end-to-end time
-//! for any scheme over any workload, regenerating paper Fig. 10.
+//! [`SchemeKind::price`] turns a run's kernel cycles into the kernel +
+//! transfer end-to-end time of paper Fig. 10; [`run_scheme`] simulates
+//! one workload under a scheme and prices the run.
 
 pub mod dmtr;
 pub mod residue;
@@ -27,5 +28,5 @@ pub mod transfer;
 
 pub use dmtr::Dmtr;
 pub use residue::{ResidueChecker, ResidueStats};
-pub use scheme::{run_scheme, EndToEnd, SchemeKind};
+pub use scheme::{r_thread_gpu, run_scheme, EndToEnd, SchemeKind};
 pub use transfer::PcieModel;

@@ -4,8 +4,8 @@
 use crate::dmtr::Dmtr;
 use crate::transfer::PcieModel;
 use warped_core::{DmrConfig, WarpedDmr};
-use warped_kernels::Workload;
-use warped_sim::{GpuConfig, NullObserver, SimError};
+use warped_kernels::{Footprint, Workload};
+use warped_sim::{Gpu, GpuConfig, NullObserver, SimError};
 
 /// The schemes compared in paper Fig. 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,6 +43,40 @@ impl SchemeKind {
             SchemeKind::WarpedDmr => "Warped-DMR",
         }
     }
+
+    /// Price one program run under this scheme end to end: the
+    /// `kernel_cycles` of its simulated run on `gpu` plus the transfers
+    /// of `footprint` over `pcie`.
+    ///
+    /// R-Naive invokes the whole program twice, so its kernel cycles and
+    /// transfers both double; the simulator is deterministic, so the
+    /// second invocation takes exactly as long as the first. R-Thread
+    /// copies the output back twice (the original and redundant blocks'
+    /// results are compared on the CPU).
+    pub fn price(
+        self,
+        kernel_cycles: u64,
+        footprint: &Footprint,
+        gpu: &GpuConfig,
+        pcie: &PcieModel,
+    ) -> EndToEnd {
+        let one_way = pcie.footprint_ns(footprint);
+        let (kernel_cycles, transfer_ns) = match self {
+            SchemeKind::RNaive => (2 * kernel_cycles, 2.0 * one_way),
+            SchemeKind::RThread => (
+                kernel_cycles,
+                one_way + pcie.transfer_ns(footprint.output_words),
+            ),
+            SchemeKind::Original | SchemeKind::Dmtr | SchemeKind::WarpedDmr => {
+                (kernel_cycles, one_way)
+            }
+        };
+        EndToEnd {
+            kernel_cycles,
+            kernel_ns: kernel_cycles as f64 * gpu.clock_ns,
+            transfer_ns,
+        }
+    }
 }
 
 impl std::fmt::Display for SchemeKind {
@@ -70,13 +104,22 @@ impl EndToEnd {
     }
 }
 
-/// Execute `workload` under `scheme` and price its end-to-end time.
+/// The chip R-Thread runs on: `config` with every thread block launched
+/// twice in the same launch.
+pub fn r_thread_gpu(config: &GpuConfig) -> Gpu {
+    let mut gpu = Gpu::new(config.clone());
+    gpu.set_block_redundancy(2);
+    gpu
+}
+
+/// Simulate `workload` under `scheme` and [price](SchemeKind::price) the
+/// run. Original and R-Naive both simulate the unprotected run.
 ///
 /// `dmr` configures the Warped-DMR scheme (ignored by the others).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors from any of the runs.
+/// Propagates simulator errors.
 pub fn run_scheme(
     scheme: SchemeKind,
     workload: &Workload,
@@ -84,45 +127,17 @@ pub fn run_scheme(
     dmr: &DmrConfig,
     pcie: &PcieModel,
 ) -> Result<EndToEnd, SimError> {
-    let fp = workload.footprint();
-    let one_way = pcie.footprint_ns(&fp);
-    let (kernel_cycles, transfer_ns) = match scheme {
-        SchemeKind::Original => {
-            let run = workload.run_with(gpu_config, &mut NullObserver)?;
-            (run.stats.cycles, one_way)
+    let run = match scheme {
+        SchemeKind::Original | SchemeKind::RNaive => {
+            workload.run_with(gpu_config, &mut NullObserver)?
         }
-        SchemeKind::RNaive => {
-            // Two full invocations: kernels and transfers both double.
-            // The simulator is deterministic, so the second invocation
-            // takes exactly as long as the first.
-            let run = workload.run_with(gpu_config, &mut NullObserver)?;
-            (2 * run.stats.cycles, 2.0 * one_way)
-        }
-        SchemeKind::RThread => {
-            let mut gpu = warped_sim::Gpu::new(gpu_config.clone());
-            gpu.set_block_redundancy(2);
-            let run = workload.run_on(&mut gpu, &mut NullObserver)?;
-            // Output is copied back twice (original + redundant blocks'
-            // results are compared on the CPU).
-            let extra_out = pcie.transfer_ns(fp.output_words);
-            (run.stats.cycles, one_way + extra_out)
-        }
-        SchemeKind::Dmtr => {
-            let mut d = Dmtr::new();
-            let run = workload.run_with(gpu_config, &mut d)?;
-            (run.stats.cycles, one_way)
-        }
+        SchemeKind::RThread => workload.run_on(&mut r_thread_gpu(gpu_config), &mut NullObserver)?,
+        SchemeKind::Dmtr => workload.run_with(gpu_config, &mut Dmtr::new())?,
         SchemeKind::WarpedDmr => {
-            let mut w = WarpedDmr::new(dmr.clone(), gpu_config);
-            let run = workload.run_with(gpu_config, &mut w)?;
-            (run.stats.cycles, one_way)
+            workload.run_with(gpu_config, &mut WarpedDmr::new(dmr.clone(), gpu_config))?
         }
     };
-    Ok(EndToEnd {
-        kernel_cycles,
-        kernel_ns: kernel_cycles as f64 * gpu_config.clock_ns,
-        transfer_ns,
-    })
+    Ok(scheme.price(run.stats.cycles, &workload.footprint(), gpu_config, pcie))
 }
 
 #[cfg(test)]

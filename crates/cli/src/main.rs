@@ -47,6 +47,7 @@
 //! parallelism); output is bit-identical at any value.
 
 use std::process::ExitCode;
+use warped::experiments::runs::{RunKey, Runs};
 use warped::experiments::{self, ExperimentConfig, ExperimentError};
 use warped::{baselines, dmr, faults, isa, kernels, sim, trace};
 
@@ -226,6 +227,28 @@ fn show(table: &warped::stats::Table, csv: bool) {
     }
 }
 
+/// The figure commands `figures` prints, in order; `all` adds `profile`.
+const FIGURES: [&str; 8] = [
+    "figure1", "figure5", "figure8a", "figure8b", "figure9a", "figure9b", "figure10", "figure11",
+];
+
+/// The runs figure command `command` reads; `None` for any other command.
+fn figure_keys(command: &str) -> Option<Vec<RunKey>> {
+    Some(match command {
+        "figure1" => experiments::fig1::keys(),
+        "figure5" => experiments::fig5::keys(),
+        "figure8a" | "figure8b" => experiments::fig8::keys(),
+        "figure9a" => experiments::fig9a::keys(),
+        "figure9b" => experiments::fig9b::keys(),
+        "figure10" => experiments::fig10::keys(),
+        "figure11" => experiments::fig11::keys(),
+        "profile" => experiments::coverage_profile::keys(),
+        _ => return None,
+    })
+}
+
+/// Run `args.command`. `figures` and `all` expand to the commands they
+/// print; one plan simulates the runs of every figure among them first.
 fn run_command(args: &Args) -> Result<(), ExperimentError> {
     let cfg = if args.paper {
         ExperimentConfig::paper()
@@ -233,10 +256,44 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         ExperimentConfig::quick()
     }
     .with_threads(warped::runner::resolve_threads(args.threads));
-    match args.command.as_str() {
+    let commands = match args.command.as_str() {
+        "figures" => FIGURES.to_vec(),
+        "all" => [
+            &["table1", "config"],
+            &FIGURES[..],
+            &["profile", "faults", "ablation"],
+        ]
+        .concat(),
+        command => vec![command],
+    };
+    let keys: Vec<RunKey> = commands
+        .iter()
+        .filter_map(|c| figure_keys(c))
+        .flatten()
+        .collect();
+    let runs = if keys.is_empty() {
+        None
+    } else {
+        Some(Runs::simulate(&cfg, &keys)?)
+    };
+    for command in commands {
+        run_one(command, args, &cfg, runs.as_ref())?;
+    }
+    Ok(())
+}
+
+/// Run one command; `runs` holds the planned runs when it is a figure.
+fn run_one(
+    command: &str,
+    args: &Args,
+    cfg: &ExperimentConfig,
+    runs: Option<&Runs>,
+) -> Result<(), ExperimentError> {
+    let planned = || runs.expect("a figure command's runs are planned");
+    match command {
         "figure1" => {
             heading("Figure 1: execution time by number of active threads");
-            let (rows, t) = experiments::fig1::run(&cfg)?;
+            let (rows, t) = experiments::fig1::build(planned());
             show(&t, args.csv);
             if !args.csv {
                 let chart_rows: Vec<(String, Vec<f64>)> = rows
@@ -255,7 +312,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "figure5" => {
             heading("Figure 5: execution time by instruction type");
-            let (rows, t) = experiments::fig5::run(&cfg)?;
+            let (rows, t) = experiments::fig5::build(planned());
             show(&t, args.csv);
             if !args.csv {
                 let chart_rows: Vec<(String, Vec<f64>)> = rows
@@ -268,17 +325,17 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "figure8a" => {
             heading("Figure 8a: cycles between instruction-type switches");
-            let (_, t) = experiments::fig8::run_switch_distances(&cfg)?;
+            let (_, t) = experiments::fig8::build_switch_distances(planned());
             show(&t, args.csv);
         }
         "figure8b" => {
             heading("Figure 8b: RAW dependency distances (cycles)");
-            let (_, t) = experiments::fig8::run_raw_distances(&cfg)?;
+            let (_, t) = experiments::fig8::build_raw_distances(planned());
             show(&t, args.csv);
         }
         "figure9a" => {
             heading("Figure 9a: error coverage by configuration");
-            let (rows, t) = experiments::fig9a::run(&cfg)?;
+            let (rows, t) = experiments::fig9a::build(planned());
             show(&t, args.csv);
             let (a, b, c) = experiments::fig9a::averages(&rows);
             outln!("averages: 4-lane {a:.2}%  8-lane {b:.2}%  cross {c:.2}%");
@@ -286,7 +343,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "figure9b" => {
             heading("Figure 9b: normalized kernel cycles vs ReplayQ size");
-            let (rows, t) = experiments::fig9b::run(&cfg)?;
+            let (rows, t) = experiments::fig9b::build(planned());
             show(&t, args.csv);
             let avg = experiments::fig9b::averages(&rows);
             outln!(
@@ -300,15 +357,23 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "figure10" => {
             heading("Figure 10: end-to-end time per detection scheme");
-            let (_, t) = experiments::fig10::run(&cfg)?;
+            let (_, t) = experiments::fig10::build(planned());
             show(&t, args.csv);
         }
         "figure11" => {
             heading("Figure 11: normalized power and energy");
-            let (rows, t) = experiments::fig11::run(&cfg)?;
+            let (rows, t) = experiments::fig11::build(planned());
             show(&t, args.csv);
             let (p, e) = experiments::fig11::averages(&rows);
             outln!("averages: power {p:.3}  energy {e:.3}   (paper: 1.11, 1.31)");
+        }
+        "profile" => {
+            heading("Coverage by warp utilization (paper \u{00a7}3.3)");
+            let (_, t) = experiments::coverage_profile::build(planned());
+            show(&t, args.csv);
+            outln!(
+                "theory: 100% while active <= 16; inactive/active above; 100% at 32 (inter-warp)"
+            );
         }
         "table1" => {
             heading("Table 1: RFU MUX priority table");
@@ -322,50 +387,30 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         }
         "faults" => {
             heading("Fault injection: measured detection vs analytic coverage");
-            let (_, t) = experiments::faults_exp::run(&cfg, args.trials, args.seed)?;
+            let (_, t) = experiments::faults_exp::run(cfg, args.trials, args.seed)?;
             show(&t, args.csv);
             outln!("(transient rate should track coverage; DMTR misses all stuck-at faults)");
         }
-        "campaign" => return run_campaign(args, &cfg),
-        "certify" => return run_certify(args, &cfg),
-        "figures" => {
-            for cmd in [
-                "figure1", "figure5", "figure8a", "figure8b", "figure9a", "figure9b", "figure10",
-                "figure11",
-            ] {
-                run_command(&Args {
-                    command: cmd.to_string(),
-                    bench: None,
-                    ..args.clone()
-                })?;
-            }
-        }
-        "profile" => {
-            heading("Coverage by warp utilization (paper \u{00a7}3.3)");
-            let (_, t) = experiments::coverage_profile::run(&cfg)?;
-            show(&t, args.csv);
-            outln!(
-                "theory: 100% while active <= 16; inactive/active above; 100% at 32 (inter-warp)"
-            );
-        }
+        "campaign" => return run_campaign(args, cfg),
+        "certify" => return run_certify(args, cfg),
         "ablation" => {
             heading("Ablation: which mechanism earns the coverage");
-            let (_, t) = experiments::ablation::mechanisms(&cfg)?;
+            let (_, t) = experiments::ablation::mechanisms(cfg)?;
             show(&t, args.csv);
             heading("Ablation: warp scheduler vs type-run length and overhead");
-            let (_, t) = experiments::ablation::scheduler(&cfg)?;
+            let (_, t) = experiments::ablation::scheduler(cfg)?;
             show(&t, args.csv);
             heading("Ablation: Fermi dual schedulers (paper \u{00a7}2.2)");
-            let (_, t) = experiments::ablation::dual_issue(&cfg)?;
+            let (_, t) = experiments::ablation::dual_issue(cfg)?;
             show(&t, args.csv);
             outln!(
                 "(the second scheduler helps, yet units stay idle -- the DMR opportunity survives)"
             );
             heading("Ablation: Sampling-DMR duty sweep (MatrixMul)");
-            let (_, t) = experiments::ablation::sampling(&cfg)?;
+            let (_, t) = experiments::ablation::sampling(cfg)?;
             show(&t, args.csv);
             heading("Ablation: lane shuffling vs core affinity (stuck-at faults)");
-            let t = experiments::ablation::shuffling(&cfg, args.trials, 0xab1a)?;
+            let t = experiments::ablation::shuffling(cfg, args.trials, 0xab1a)?;
             show(&t, args.csv);
         }
         "diagnose" => {
@@ -446,7 +491,7 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
         "trace" => {
             let bench = require_bench(args, "trace")?;
             if args.format.is_some() || args.out.is_some() || args.invariants {
-                return trace_full(bench, &cfg, args);
+                return trace_full(bench, cfg, args);
             }
             heading(&format!(
                 "First {} issued instructions of {bench}",
@@ -524,17 +569,6 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
                 fp.input_words,
                 fp.output_words
             );
-        }
-        "all" => {
-            for cmd in [
-                "table1", "config", "figures", "profile", "faults", "ablation",
-            ] {
-                run_command(&Args {
-                    command: cmd.to_string(),
-                    bench: None,
-                    ..args.clone()
-                })?;
-            }
         }
         other => {
             return Err(ExperimentError::Usage(format!(

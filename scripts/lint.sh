@@ -82,9 +82,11 @@ done
 
 # Certification gate: model-check the Replay Checker against Algorithm 1
 # (invariants I1-I5) at the default depth and verify the static coverage
-# bound against a measured run, for one uniform and one divergent suite
-# kernel. The command exits non-zero on any violation, a model check cut
-# short by its state budget, or an unsound bound.
+# bound against a measured run. The command exits non-zero on any
+# violation, a model check cut short by its state budget, or an unsound
+# bound. The model check does not depend on the kernel, so one kernel
+# covers the exit path; the workspace tests above assert the default-depth
+# model check (`model_check_is_clean_and_nontrivial_at_default_depth`) and
+# the bound of the divergent BitonicSort (`certify_json_is_pinned`).
 cargo run -q -p warped-cli -- certify SHA > /dev/null
-cargo run -q -p warped-cli -- certify BitonicSort > /dev/null
 echo "lint: clean"

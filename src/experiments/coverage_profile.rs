@@ -8,8 +8,9 @@
 //! buckets and shows exactly that profile — e.g. CUFFT's loss lives
 //! entirely in the 22–31 bucket.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_core::{DmrConfig, WarpedDmr};
+use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
 
@@ -28,30 +29,31 @@ pub struct ProfileRow {
 /// Bucket labels matching paper Fig. 1.
 pub const BUCKET_LABELS: [&str; 5] = ["1", "2-11", "12-21", "22-31", "32"];
 
-/// Run the profile over the whole suite under the paper's best
-/// configuration.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
+/// The runs the profile reads: the paper's best configuration.
+pub fn keys() -> Vec<RunKey> {
+    vec![RunKey::Dmr(DmrConfig::default())]
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<ProfileRow>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<ProfileRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut engine = WarpedDmr::new(DmrConfig::default(), &cfg.gpu);
-            let run = w.run_with(&cfg.gpu, &mut engine)?;
-            w.check(&run)?;
-            let r = engine.report();
-            let per_bucket =
-                std::array::from_fn(|i| (r.bucket_total[i] > 0).then(|| r.bucket_coverage_pct(i)));
-            Ok(ProfileRow {
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// The profile from planned runs: coverage per activity bucket over the
+/// whole suite.
+pub fn build(runs: &Runs) -> (Vec<ProfileRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let r = runs.report(bench, &DmrConfig::default());
+            ProfileRow {
                 benchmark: bench,
-                per_bucket,
+                per_bucket: std::array::from_fn(|i| {
+                    (r.bucket_total[i] > 0).then(|| r.bucket_coverage_pct(i))
+                }),
                 overall: r.coverage_pct(),
-            })
-        },
-    )?;
+            }
+        })
+        .to_vec();
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(BUCKET_LABELS.iter().map(|l| format!("{l} (%)")));
     headers.push("overall (%)".to_string());
@@ -66,7 +68,7 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<ProfileRow>, Table), Experimen
         cells.push(format!("{:.2}", r.overall));
         table.row(cells);
     }
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// The §3.3 theory in closed form: expected intra-warp coverage fraction

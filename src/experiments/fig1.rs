@@ -1,8 +1,8 @@
 //! Paper Fig. 1: execution-time breakdown by number of active threads.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_kernels::Benchmark;
-use warped_sim::collectors::ActiveThreadCollector;
 use warped_stats::Table;
 
 /// One benchmark's bar of Fig. 1.
@@ -22,25 +22,24 @@ impl Fig1Row {
     }
 }
 
-/// Run every benchmark and histogram active-thread counts per issue.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors; results are validated.
+/// The runs Fig. 1 reads: the bare run's active-thread histogram.
+pub fn keys() -> Vec<RunKey> {
+    vec![RunKey::Bare]
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig1Row>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<Fig1Row, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut c = ActiveThreadCollector::new();
-            let run = w.run_with(&cfg.gpu, &mut c)?;
-            w.check(&run)?;
-            Ok(Fig1Row {
-                benchmark: bench,
-                fractions: c.histogram().fractions(),
-            })
-        },
-    )?;
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 1 from planned runs: active-thread counts per issue.
+pub fn build(runs: &Runs) -> (Vec<Fig1Row>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| Fig1Row {
+            benchmark: bench,
+            fractions: runs.collectors(bench).active.histogram().fractions(),
+        })
+        .to_vec();
     let labels: Vec<String> = rows[0].fractions.iter().map(|(l, _)| l.clone()).collect();
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(labels.iter().map(|l| format!("{l} (%)")));
@@ -50,5 +49,5 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig1Row>, Table), ExperimentEr
         cells.extend(r.fractions.iter().map(|(_, f)| format!("{:.1}", 100.0 * f)));
         table.row(cells);
     }
-    Ok((rows, table))
+    (rows, table)
 }

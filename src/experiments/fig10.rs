@@ -1,8 +1,9 @@
 //! Paper Fig. 10: end-to-end execution time (kernel + host↔device
 //! transfers) of the five error-detection schemes.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_baselines::{run_scheme, EndToEnd, PcieModel, SchemeKind};
+use warped_baselines::{EndToEnd, PcieModel, SchemeKind};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
@@ -34,38 +35,43 @@ impl Fig10Row {
     }
 }
 
-/// Run every benchmark under every scheme.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
+/// The run each scheme prices. Original and R-Naive price the one
+/// unprotected run: R-Naive's second invocation is identical.
+fn key(kind: SchemeKind) -> RunKey {
+    match kind {
+        SchemeKind::Original | SchemeKind::RNaive => RunKey::Bare,
+        SchemeKind::RThread => RunKey::RThread,
+        SchemeKind::Dmtr => RunKey::Dmtr,
+        SchemeKind::WarpedDmr => RunKey::Dmr(DmrConfig::default()),
+    }
+}
+
+/// The runs Fig. 10 reads: one per scheme.
+pub fn keys() -> Vec<RunKey> {
+    SchemeKind::ALL.map(key).to_vec()
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig10Row>, Table), ExperimentError> {
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 10 from planned runs: every scheme's run priced end to end.
+pub fn build(runs: &Runs) -> (Vec<Fig10Row>, Table) {
     let pcie = PcieModel::default();
-    let dmr = DmrConfig::default();
-    // One job per (benchmark, scheme) cell.
-    let cells: Vec<(Benchmark, SchemeKind)> = Benchmark::ALL
-        .iter()
-        .flat_map(|&b| SchemeKind::ALL.into_iter().map(move |k| (b, k)))
-        .collect();
-    let ends = cfg.runner().try_map(
-        cells,
-        |(bench, kind)| -> Result<EndToEnd, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            Ok(run_scheme(kind, &w, &cfg.gpu, &dmr, &pcie)?)
-        },
-    )?;
-    let per_bench = SchemeKind::ALL.len();
-    let rows: Vec<Fig10Row> = Benchmark::ALL
-        .iter()
-        .enumerate()
-        .map(|(bi, &bench)| Fig10Row {
-            benchmark: bench,
-            schemes: SchemeKind::ALL
-                .into_iter()
-                .zip(ends[bi * per_bench..(bi + 1) * per_bench].iter().cloned())
-                .collect(),
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let fp = runs.footprint(bench);
+            let price = |kind: SchemeKind| {
+                let cycles = runs.get(bench, &key(kind)).stats.cycles;
+                kind.price(cycles, &fp, runs.gpu(), &pcie)
+            };
+            Fig10Row {
+                benchmark: bench,
+                schemes: SchemeKind::ALL.map(|kind| (kind, price(kind))).to_vec(),
+            }
         })
-        .collect();
+        .to_vec();
     let mut headers = vec!["benchmark".to_string()];
     for kind in SchemeKind::ALL {
         headers.push(format!("{kind} kern(us)"));
@@ -82,5 +88,5 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig10Row>, Table), ExperimentE
         cells.push(format!("{:.3}", r.normalized(SchemeKind::WarpedDmr)));
         table.row(cells);
     }
-    Ok((rows, table))
+    (rows, table)
 }

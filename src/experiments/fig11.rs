@@ -1,11 +1,11 @@
 //! Paper Fig. 11: power and energy of Warped-DMR normalized to the
 //! unprotected baseline.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_core::{DmrConfig, WarpedDmr};
+use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_power::{estimate, PowerParams};
-use warped_sim::NullObserver;
 use warped_stats::Table;
 
 /// One benchmark's two bars of Fig. 11.
@@ -19,34 +19,36 @@ pub struct Fig11Row {
     pub energy_ratio: f64,
 }
 
-/// Run every benchmark with and without Warped-DMR and compare
-/// power/energy.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors; results are validated.
+/// The runs Fig. 11 reads: unprotected and under the default
+/// Warped-DMR configuration.
+pub fn keys() -> Vec<RunKey> {
+    vec![RunKey::Bare, RunKey::Dmr(DmrConfig::default())]
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig11Row>, Table), ExperimentError> {
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 11 from planned runs: power and energy with Warped-DMR against
+/// without.
+pub fn build(runs: &Runs) -> (Vec<Fig11Row>, Table) {
     let params = PowerParams::default();
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<Fig11Row, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let base_run = w.run_with(&cfg.gpu, &mut NullObserver)?;
-            w.check(&base_run)?;
-            let base = estimate(&base_run.stats, &cfg.gpu, &params, None);
-
-            let mut engine = WarpedDmr::new(DmrConfig::default(), &cfg.gpu);
-            let dmr_run = w.run_with(&cfg.gpu, &mut engine)?;
-            let report = engine.report();
-            let with = estimate(&dmr_run.stats, &cfg.gpu, &params, Some(&report));
-
-            Ok(Fig11Row {
+    let gpu = runs.gpu();
+    let dmr = DmrConfig::default();
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let base_run = runs.get(bench, &RunKey::Bare);
+            let base = estimate(&base_run.stats, gpu, &params, None);
+            let dmr_run = runs.get(bench, &RunKey::Dmr(dmr.clone()));
+            let with = estimate(&dmr_run.stats, gpu, &params, dmr_run.report.as_ref());
+            Fig11Row {
                 benchmark: bench,
                 power_ratio: with.power_ratio(&base),
                 energy_ratio: with.energy_ratio(&base),
-            })
-        },
-    )?;
+            }
+        })
+        .to_vec();
     let mut table = Table::new(vec!["benchmark", "power ratio", "energy ratio"]);
     for r in &rows {
         table.row(vec![
@@ -55,16 +57,13 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig11Row>, Table), ExperimentE
             format!("{:.3}", r.energy_ratio),
         ]);
     }
-    let n = rows.len() as f64;
+    let (power, energy) = averages(&rows);
     table.row(vec![
         "AVERAGE".to_string(),
-        format!("{:.3}", rows.iter().map(|r| r.power_ratio).sum::<f64>() / n),
-        format!(
-            "{:.3}",
-            rows.iter().map(|r| r.energy_ratio).sum::<f64>() / n
-        ),
+        format!("{power:.3}"),
+        format!("{energy:.3}"),
     ]);
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Average `(power, energy)` ratios — the paper's (1.11, 1.31) pair.

@@ -1,9 +1,9 @@
 //! Paper Fig. 5: execution-time breakdown by instruction (unit) type.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_isa::UnitType;
 use warped_kernels::Benchmark;
-use warped_sim::collectors::UnitTypeCollector;
 use warped_stats::Table;
 
 /// One benchmark's bar of Fig. 5.
@@ -19,27 +19,29 @@ pub struct Fig5Row {
     pub ldst: f64,
 }
 
-/// Run every benchmark and classify issued instructions by unit.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors; results are validated.
+/// The runs Fig. 5 reads: the bare run's unit mix.
+pub fn keys() -> Vec<RunKey> {
+    vec![RunKey::Bare]
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig5Row>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<Fig5Row, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut c = UnitTypeCollector::new();
-            let run = w.run_with(&cfg.gpu, &mut c)?;
-            w.check(&run)?;
-            Ok(Fig5Row {
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 5 from planned runs: issued instructions by unit.
+pub fn build(runs: &Runs) -> (Vec<Fig5Row>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let c = &runs.collectors(bench).units;
+            Fig5Row {
                 benchmark: bench,
                 sp: c.fraction(UnitType::Sp),
                 sfu: c.fraction(UnitType::Sfu),
                 ldst: c.fraction(UnitType::LdSt),
-            })
-        },
-    )?;
+            }
+        })
+        .to_vec();
     let mut table = Table::new(vec!["benchmark", "SP (%)", "SFU (%)", "LD/ST (%)"]);
     for r in &rows {
         table.row(vec![
@@ -49,5 +51,5 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig5Row>, Table), ExperimentEr
             format!("{:.1}", 100.0 * r.ldst),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }

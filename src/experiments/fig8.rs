@@ -1,11 +1,16 @@
 //! Paper Fig. 8: the two factors sizing the ReplayQ — (a) instruction
 //! type switching distances, (b) RAW dependency distances.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
 use warped_isa::UnitType;
 use warped_kernels::Benchmark;
-use warped_sim::collectors::{RawDistanceCollector, TypeSwitchCollector};
 use warped_stats::{LogHistogram, Table};
+
+/// The runs Fig. 8a and 8b read: the bare run's issue stream.
+pub fn keys() -> Vec<RunKey> {
+    vec![RunKey::Bare]
+}
 
 /// One benchmark's bars of Fig. 8a.
 #[derive(Debug, Clone, Copy)]
@@ -20,30 +25,28 @@ pub struct Fig8aRow {
     pub ldst: Option<f64>,
 }
 
-/// Fig. 8a: average cycle distance before the issue stream switches to a
-/// different execution-unit type.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
+/// [`build_switch_distances`] over a plan of [`keys`]; fails as
+/// [`Runs::simulate`] does.
 pub fn run_switch_distances(
     cfg: &ExperimentConfig,
 ) -> Result<(Vec<Fig8aRow>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<Fig8aRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut c = TypeSwitchCollector::new();
-            let run = w.run_with(&cfg.gpu, &mut c)?;
-            w.check(&run)?;
-            Ok(Fig8aRow {
+    Ok(build_switch_distances(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 8a from planned runs: average cycle distance before the issue
+/// stream switches to a different execution-unit type.
+pub fn build_switch_distances(runs: &Runs) -> (Vec<Fig8aRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let c = &runs.collectors(bench).switches;
+            Fig8aRow {
                 benchmark: bench,
                 sp: c.average(UnitType::Sp),
                 sfu: c.average(UnitType::Sfu),
                 ldst: c.average(UnitType::LdSt),
-            })
-        },
-    )?;
+            }
+        })
+        .to_vec();
     let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
     let mut table = Table::new(vec!["benchmark", "SP", "SFU", "LD/ST"]);
     for r in &rows {
@@ -54,7 +57,7 @@ pub fn run_switch_distances(
             fmt(r.ldst),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// One benchmark's series of Fig. 8b.
@@ -70,32 +73,30 @@ pub struct Fig8bRow {
     pub histogram: LogHistogram,
 }
 
-/// Fig. 8b: issue-to-issue RAW dependency distance distribution.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
+/// [`build_raw_distances`] over a plan of [`keys`]; fails as
+/// [`Runs::simulate`] does.
 pub fn run_raw_distances(
     cfg: &ExperimentConfig,
 ) -> Result<(Vec<Fig8bRow>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<Fig8bRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut c = RawDistanceCollector::new();
-            let run = w.run_with(&cfg.gpu, &mut c)?;
-            w.check(&run)?;
+    Ok(build_raw_distances(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 8b from planned runs: issue-to-issue RAW dependency distance
+/// distribution.
+pub fn build_raw_distances(runs: &Runs) -> (Vec<Fig8bRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let c = &runs.collectors(bench).raw;
             let h = c.histogram().clone();
-            // >= 100 has no exact bucket edge; >= 128 is the closest.
-            let frac = h.fraction_at_least(128);
-            Ok(Fig8bRow {
+            Fig8bRow {
                 benchmark: bench,
                 min: c.min_distance(),
-                frac_over_100: frac,
+                // >= 100 has no exact bucket edge; >= 128 is the closest.
+                frac_over_100: h.fraction_at_least(128),
                 histogram: h,
-            })
-        },
-    )?;
+            }
+        })
+        .to_vec();
     let mut table = Table::new(vec![
         "benchmark",
         "min",
@@ -128,5 +129,5 @@ pub fn run_raw_distances(
             format!("{:.1}", 100.0 * tail as f64 / total),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }

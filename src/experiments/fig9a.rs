@@ -2,8 +2,9 @@
 //! configurations (4-lane clusters, 8-lane clusters, 4-lane + cross
 //! thread-core mapping).
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_core::{DmrConfig, WarpedDmr};
+use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
 
@@ -32,42 +33,31 @@ pub fn configs() -> [(&'static str, DmrConfig); 3] {
     ]
 }
 
-/// Run every benchmark under each configuration and report coverage.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors; results are validated.
+/// The runs Fig. 9a reads: one Warped-DMR run per configuration.
+pub fn keys() -> Vec<RunKey> {
+    configs().into_iter().map(|(_, c)| RunKey::Dmr(c)).collect()
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9aRow>, Table), ExperimentError> {
-    // One job per (benchmark, configuration) cell of the figure.
-    let dmr_configs = configs();
-    let cells: Vec<(Benchmark, usize)> = Benchmark::ALL
-        .iter()
-        .flat_map(|&b| (0..dmr_configs.len()).map(move |i| (b, i)))
-        .collect();
-    let cov = cfg
-        .runner()
-        .try_map(cells, |(bench, i)| -> Result<(f64, f64), ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut engine = WarpedDmr::new(dmr_configs[i].1.clone(), &cfg.gpu);
-            let run = w.run_with(&cfg.gpu, &mut engine)?;
-            w.check(&run)?;
-            let report = engine.report();
-            Ok((report.coverage_pct(), report.intra_share()))
-        })?;
-    let rows: Vec<Fig9aRow> = Benchmark::ALL
-        .iter()
-        .enumerate()
-        .map(|(bi, &bench)| {
-            let c = &cov[bi * 3..bi * 3 + 3];
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 9a from planned runs: coverage under each configuration.
+pub fn build(runs: &Runs) -> (Vec<Fig9aRow>, Table) {
+    let [four, eight, cross] = configs().map(|(_, c)| c);
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let best = runs.report(bench, &cross);
             Fig9aRow {
                 benchmark: bench,
-                four_lane: c[0].0,
-                eight_lane: c[1].0,
-                cross_mapping: c[2].0,
-                intra_share: c[2].1,
+                four_lane: runs.report(bench, &four).coverage_pct(),
+                eight_lane: runs.report(bench, &eight).coverage_pct(),
+                cross_mapping: best.coverage_pct(),
+                intra_share: best.intra_share(),
             }
         })
-        .collect();
+        .to_vec();
     let mut table = Table::new(vec![
         "benchmark",
         "4-lane cluster (%)",
@@ -84,16 +74,16 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9aRow>, Table), ExperimentE
             format!("{:.1}", 100.0 * r.intra_share),
         ]);
     }
-    let n = rows.len() as f64;
-    let avg = |f: fn(&Fig9aRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
+    let (a, b, c) = averages(&rows);
+    let intra = rows.iter().map(|r| r.intra_share).sum::<f64>() / rows.len() as f64;
     table.row(vec![
         "AVERAGE".to_string(),
-        format!("{:.2}", avg(|r| r.four_lane)),
-        format!("{:.2}", avg(|r| r.eight_lane)),
-        format!("{:.2}", avg(|r| r.cross_mapping)),
-        format!("{:.1}", 100.0 * avg(|r| r.intra_share)),
+        format!("{a:.2}"),
+        format!("{b:.2}"),
+        format!("{c:.2}"),
+        format!("{:.1}", 100.0 * intra),
     ]);
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Average coverage of each configuration across benchmarks

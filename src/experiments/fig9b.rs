@@ -1,10 +1,10 @@
 //! Paper Fig. 9b: kernel cycles under Warped-DMR, normalized to the
 //! unprotected baseline, as the ReplayQ size sweeps 0 / 1 / 5 / 10.
 
+use crate::experiments::runs::{RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_core::{DmrConfig, WarpedDmr};
+use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
-use warped_sim::NullObserver;
 use warped_stats::Table;
 
 /// The ReplayQ sizes of Fig. 9b.
@@ -28,49 +28,39 @@ impl Fig9bRow {
     }
 }
 
-/// Run the sweep.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors; results are validated.
+/// The Warped-DMR run of each sweep point.
+fn sweep_key(entries: usize) -> RunKey {
+    RunKey::Dmr(DmrConfig::default().with_replayq(entries))
+}
+
+/// The runs Fig. 9b reads: the unprotected baseline the sweep
+/// normalizes against, then one Warped-DMR run per ReplayQ size.
+pub fn keys() -> Vec<RunKey> {
+    let mut keys = vec![RunKey::Bare];
+    keys.extend(REPLAYQ_SIZES.map(sweep_key));
+    keys
+}
+
+/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
 pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9bRow>, Table), ExperimentError> {
-    // One job per (benchmark, sweep point) cell; cell 0 is the
-    // unprotected baseline the others normalize against.
-    const VARIANTS: usize = REPLAYQ_SIZES.len() + 1;
-    let cells: Vec<(Benchmark, usize)> = Benchmark::ALL
-        .iter()
-        .flat_map(|&b| (0..VARIANTS).map(move |i| (b, i)))
-        .collect();
-    let cycles = cfg
-        .runner()
-        .try_map(cells, |(bench, i)| -> Result<u64, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let run = if i == 0 {
-                let run = w.run_with(&cfg.gpu, &mut NullObserver)?;
-                w.check(&run)?;
-                run
-            } else {
-                let q = REPLAYQ_SIZES[i - 1];
-                let mut engine = WarpedDmr::new(DmrConfig::default().with_replayq(q), &cfg.gpu);
-                let run = w.run_with(&cfg.gpu, &mut engine)?;
-                w.check(&run)?;
-                run
-            };
-            Ok(run.stats.cycles)
-        })?;
-    let rows: Vec<Fig9bRow> = Benchmark::ALL
-        .iter()
-        .enumerate()
-        .map(|(bi, &bench)| {
-            let c = &cycles[bi * VARIANTS..(bi + 1) * VARIANTS];
-            let base_cycles = c[0].max(1);
+    Ok(build(&Runs::simulate(cfg, &keys())?))
+}
+
+/// Fig. 9b from planned runs: kernel cycles per ReplayQ size,
+/// normalized to the unprotected run.
+pub fn build(runs: &Runs) -> (Vec<Fig9bRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let cycles = |key: &RunKey| runs.get(bench, key).stats.cycles;
+            let base_cycles = cycles(&RunKey::Bare).max(1);
             Fig9bRow {
                 benchmark: bench,
                 base_cycles,
-                normalized: std::array::from_fn(|i| c[i + 1] as f64 / base_cycles as f64),
+                normalized: REPLAYQ_SIZES
+                    .map(|q| cycles(&sweep_key(q)) as f64 / base_cycles as f64),
             }
         })
-        .collect();
+        .to_vec();
     let mut table = Table::new(vec![
         "benchmark",
         "base cycles",
@@ -84,14 +74,10 @@ pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9bRow>, Table), ExperimentE
         cells.extend(r.normalized.iter().map(|n| format!("{n:.3}")));
         table.row(cells);
     }
-    let n = rows.len() as f64;
     let mut avg_cells = vec!["AVERAGE".to_string(), String::new()];
-    for i in 0..4 {
-        let avg = rows.iter().map(|r| r.normalized[i]).sum::<f64>() / n;
-        avg_cells.push(format!("{avg:.3}"));
-    }
+    avg_cells.extend(averages(&rows).map(|avg| format!("{avg:.3}")));
     table.row(avg_cells);
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Average normalized cycles per ReplayQ size — the paper's

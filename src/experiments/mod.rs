@@ -4,6 +4,17 @@
 //! Every harness returns structured results *and* a rendered
 //! [`Table`](warped_stats::Table) whose rows/series match what the paper
 //! plots. The `warped` CLI prints them; EXPERIMENTS.md records them.
+//!
+//! The figure modules ([`fig1`], [`fig5`], [`fig8`], [`fig9a`],
+//! [`fig9b`], [`fig10`], [`fig11`] and [`coverage_profile`]) simulate
+//! nothing themselves. Each lists the runs it reads as
+//! [`RunKey`](runs::RunKey)s (`keys`) and builds its table from a
+//! [`Runs`](runs::Runs) plan (`build`); its `run` plans its own keys and
+//! then builds. `warped figures` and `warped all` plan the union of the
+//! figures' keys, so each distinct (benchmark, run) is simulated and
+//! checked once and shared by every figure that reads it. The ablations,
+//! fault experiments, invariants and certification run their own
+//! simulations (other chips, observers or fault hooks).
 
 pub mod ablation;
 pub mod certify;
@@ -18,6 +29,7 @@ pub mod fig8;
 pub mod fig9a;
 pub mod fig9b;
 pub mod invariants;
+pub mod runs;
 
 use std::error::Error;
 use std::fmt;
@@ -117,9 +129,9 @@ pub struct ExperimentConfig {
     pub size: WorkloadSize,
     /// Simulated chip.
     pub gpu: GpuConfig,
-    /// Worker threads for the experiment fan-out (each harness runs its
-    /// independent (benchmark, config) cells through a
-    /// [`warped_runner::Runner`] of this size). Results are collected
+    /// Worker threads for the experiment fan-out (a run plan and each
+    /// other harness run their independent (benchmark, config) jobs
+    /// through a [`warped_runner::Runner`] of this size). Results are collected
     /// in submission order, so output is identical for any value.
     /// Defaults to [`warped_runner::default_threads`]
     /// (`WARPED_THREADS` or the machine's available parallelism).

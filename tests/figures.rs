@@ -1,12 +1,16 @@
 //! Integration: each figure harness produces structurally sane series —
 //! fractions sum to one, averages sit in the paper's orderings, schemes
-//! rank as §5.3 reports.
+//! rank as §5.3 reports — and the run plan behind them simulates each
+//! distinct run once without changing any run.
 
 use warped::baselines::SchemeKind;
+use warped::dmr::DmrConfig;
+use warped::experiments::runs::{Collectors, RunKey, Runs};
 use warped::experiments::{
-    config_tables, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b, ExperimentConfig,
+    config_tables, coverage_profile, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b, ExperimentConfig,
 };
 use warped::kernels::Benchmark;
+use warped::sim::NullObserver;
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::test_tiny()
@@ -204,4 +208,93 @@ fn config_tables_render() {
     assert!(t3.render().contains("Warp Size"));
     let t4 = config_tables::table4();
     assert_eq!(t4.len(), Benchmark::ALL.len());
+}
+
+/// FNV-1a-64 over bytes, as `tests/analysis.rs` digests its documents.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every figure table at `test_tiny`, byte for byte: the FNV-1a-64
+/// digest of each table's CSV.
+#[test]
+fn figure_tables_are_pinned() {
+    let c = cfg();
+    let tables = [
+        ("fig1", fig1::run(&c).unwrap().1, 0xf2d329360d713a47),
+        ("fig5", fig5::run(&c).unwrap().1, 0x1ae4a45357d9244a),
+        (
+            "fig8a",
+            fig8::run_switch_distances(&c).unwrap().1,
+            0x4743bbcffa6081c4,
+        ),
+        (
+            "fig8b",
+            fig8::run_raw_distances(&c).unwrap().1,
+            0x688b323a013be34c,
+        ),
+        ("fig9a", fig9a::run(&c).unwrap().1, 0x481a723740ba7f2d),
+        ("fig9b", fig9b::run(&c).unwrap().1, 0xd5a82e40fc849e43),
+        ("fig10", fig10::run(&c).unwrap().1, 0xef925c4a9b1a8915),
+        ("fig11", fig11::run(&c).unwrap().1, 0xc798fcc376a31b84),
+        (
+            "profile",
+            coverage_profile::run(&c).unwrap().1,
+            0x4f8ab21eb65ea5c1,
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, table, pin) in tables {
+        let got = fnv1a(table.to_csv().as_bytes());
+        if got != pin {
+            moved.push(format!("{name}: now {got:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "figure tables moved: {moved:?}");
+}
+
+/// The run plan shares one bare run between Fig. 1, 5, 8 and the
+/// unprotected baselines. That rests on the collectors charging no
+/// stall: the run carrying all four equals the run with no observer.
+#[test]
+fn collectors_never_change_the_run() {
+    let gpu = cfg().gpu;
+    for bench in Benchmark::ALL {
+        let w = bench.build(cfg().size).unwrap();
+        let mut collectors = Collectors::default();
+        let observed = w.run_with(&gpu, &mut collectors.observer()).unwrap();
+        let bare = w.run_with(&gpu, &mut NullObserver).unwrap();
+        assert_eq!(observed, bare, "{bench}: the collectors changed the run");
+    }
+}
+
+#[test]
+fn the_plan_simulates_each_distinct_run_once() {
+    let default = RunKey::Dmr(DmrConfig::default());
+    let repeated = [
+        RunKey::Bare,
+        default.clone(),
+        RunKey::Bare,
+        RunKey::Dmr(DmrConfig::default().with_replayq(10)),
+    ];
+    let runs = Runs::simulate(&cfg(), &repeated).unwrap();
+    assert_eq!(runs.keys(), [RunKey::Bare, default]);
+
+    // The whole figure set, `profile` included, reads nine distinct runs
+    // per benchmark.
+    let figure_set = [
+        fig1::keys(),
+        fig5::keys(),
+        fig8::keys(),
+        fig9a::keys(),
+        fig9b::keys(),
+        fig10::keys(),
+        fig11::keys(),
+        coverage_profile::keys(),
+    ]
+    .concat();
+    let runs = Runs::simulate(&cfg(), &figure_set).unwrap();
+    assert_eq!(runs.keys().len(), 9);
 }

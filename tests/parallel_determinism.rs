@@ -4,7 +4,10 @@
 
 use warped::dmr::DmrConfig;
 use warped::experiments::faults_exp::complete_campaign;
-use warped::experiments::{fig1, fig9a, ExperimentConfig};
+use warped::experiments::runs::Runs;
+use warped::experiments::{
+    coverage_profile, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b, ExperimentConfig,
+};
 use warped::faults::{
     resilient_campaign, CampaignResult, FaultSiteClass, Protection, ResilientOptions,
 };
@@ -17,19 +20,46 @@ fn at_threads(threads: usize) -> ExperimentConfig {
 
 #[test]
 fn figure_harness_is_thread_count_invariant() {
-    let (_, serial) = fig1::run(&at_threads(1)).unwrap();
-    let (_, parallel) = fig1::run(&at_threads(4)).unwrap();
+    // One plan over the runs of every figure, as `warped figures` and
+    // `warped all` simulate them, built into every figure's table.
+    let keys = [
+        fig1::keys(),
+        fig5::keys(),
+        fig8::keys(),
+        fig9a::keys(),
+        fig9b::keys(),
+        fig10::keys(),
+        fig11::keys(),
+        coverage_profile::keys(),
+    ]
+    .concat();
+    let tables = |threads| {
+        let runs = Runs::simulate(&at_threads(threads), &keys).unwrap();
+        [
+            fig1::build(&runs).1,
+            fig5::build(&runs).1,
+            fig8::build_switch_distances(&runs).1,
+            fig8::build_raw_distances(&runs).1,
+            fig9a::build(&runs).1,
+            fig9b::build(&runs).1,
+            fig10::build(&runs).1,
+            fig11::build(&runs).1,
+            coverage_profile::build(&runs).1,
+        ]
+        .map(|t| t.to_csv())
+    };
     assert_eq!(
-        serial.to_csv(),
-        parallel.to_csv(),
-        "fig1 table must be byte-identical at --threads 1 vs 4"
+        tables(1),
+        tables(3),
+        "figure tables must be byte-identical at --threads 1 vs 3"
     );
 }
 
 #[test]
 fn cell_fanout_harness_is_thread_count_invariant() {
-    // fig9a splits each benchmark into three config cells — the regroup
-    // step must reassemble rows identically at any worker count.
+    // The plan splits each benchmark into one job per distinct run —
+    // fig9a reads three — and must hand every row the same runs at any
+    // worker count.
     let (_, serial) = fig9a::run(&at_threads(1)).unwrap();
     let (_, parallel) = fig9a::run(&at_threads(3)).unwrap();
     assert_eq!(serial.to_csv(), parallel.to_csv());
