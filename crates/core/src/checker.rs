@@ -103,7 +103,7 @@ impl Clone for ReplayChecker {
     fn clone(&self) -> Self {
         ReplayChecker {
             queue: self.queue.clone(),
-            prev: self.prev.clone(),
+            prev: self.prev,
             sm_id: self.sm_id,
             trace: self.trace.clone(),
             stats: self.stats,
@@ -112,7 +112,7 @@ impl Clone for ReplayChecker {
 
     fn clone_from(&mut self, source: &Self) {
         self.queue.clone_from(&source.queue);
-        self.prev.clone_from(&source.prev);
+        self.prev = source.prev;
         self.sm_id = source.sm_id;
         self.trace.clone_from(&source.trace);
         self.stats = source.stats;

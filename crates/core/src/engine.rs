@@ -8,6 +8,7 @@ use crate::intra::{self, IntraPlan};
 use crate::mapping::physical_lane;
 use crate::shuffle::verify_lane;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use warped_sim::{GpuConfig, IssueInfo, IssueObserver, WARP_SIZE};
 use warped_trace::{TraceEvent, TraceHandle};
 // The report and its counter rules live in the trace layer, so the live
@@ -19,6 +20,7 @@ pub use warped_trace::DmrReport;
 pub struct WarpedDmr {
     config: DmrConfig,
     checkers: Vec<ReplayChecker>,
+    /// The verifications of the current call, settled before it returns.
     events: Vec<VerifyEvent>,
     report: DmrReport,
     errors: ErrorLog,
@@ -32,7 +34,37 @@ pub struct WarpedDmr {
     // `intra::plan` is pure in (mask, config); kernels reuse a handful
     // of masks across millions of issues, so memoizing removes the
     // pairing computation (and its Vec builds) from the issue hot path.
-    plan_cache: HashMap<u32, IntraPlan>,
+    plan_cache: HashMap<u32, IntraPlan, BuildHasherDefault<MaskHasher>>,
+}
+
+/// Hashes an active mask with one multiply. The plan cache's keys are
+/// masks the simulator produced, so SipHash's resistance to chosen keys
+/// buys nothing there.
+#[derive(Default)]
+struct MaskHasher(u64);
+
+/// Fibonacci hashing's multiplier, 2^64 divided by the golden ratio.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for MaskHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(FIBONACCI));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, mask: u32) {
+        // The fold moves the well-mixed high half into the low bits the
+        // table indexes with.
+        let h = u64::from(mask).wrapping_mul(FIBONACCI);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl std::fmt::Debug for WarpedDmr {
@@ -64,7 +96,7 @@ impl WarpedDmr {
             oracle: None,
             lanes: vec![Vec::new(); gpu.num_sms],
             trace: TraceHandle::disabled(),
-            plan_cache: HashMap::new(),
+            plan_cache: HashMap::default(),
         }
     }
 
@@ -112,7 +144,17 @@ impl WarpedDmr {
         &self.checkers
     }
 
-    fn checker(&mut self, sm: usize) -> &mut ReplayChecker {
+    /// Make sure SM `sm` has a checker, even beyond the GPU the engine
+    /// was built for.
+    #[inline]
+    fn reach(&mut self, sm: usize) {
+        if sm >= self.checkers.len() {
+            self.add_checkers(sm);
+        }
+    }
+
+    #[cold]
+    fn add_checkers(&mut self, sm: usize) {
         let cap = self.config.replayq_entries;
         while self.checkers.len() <= sm {
             let mut c = ReplayChecker::new(cap);
@@ -120,13 +162,12 @@ impl WarpedDmr {
             self.checkers.push(c);
             self.lanes.push(Vec::new());
         }
-        &mut self.checkers[sm]
     }
 
-    /// Run comparator checks for one inter-warp verification event.
+    /// Count, and with an oracle compare, the verifications the checker
+    /// of SM `sm` just pushed to `events`.
     fn settle_events(&mut self, sm: usize) {
-        let events = std::mem::take(&mut self.events);
-        for ev in &events {
+        for ev in self.events.drain(..) {
             self.report.inter_verify(ev.entry.mask.count_ones());
             if let Some(oracle) = self.oracle.as_deref() {
                 let lanes = &mut self.lanes[sm];
@@ -171,8 +212,6 @@ impl WarpedDmr {
                 }
             }
         }
-        self.events = events;
-        self.events.clear();
     }
 }
 
@@ -229,16 +268,15 @@ impl IssueObserver for WarpedDmr {
         let incoming = Incoming {
             warp_uid: info.warp_uid,
             unit: info.unit,
-            dst: info.instr.dst(),
-            srcs: info.instr.src_regs(),
+            dst: info.dst,
+            srcs: info.srcs,
             cycle: info.cycle,
             needs_inter: full && info.has_result,
             mask: info.active_mask,
         };
         let sm = info.sm_id;
-        let mut events = std::mem::take(&mut self.events);
-        let stalls = self.checker(sm).on_issue(&incoming, &mut events);
-        self.events = events;
+        self.reach(sm);
+        let stalls = self.checkers[sm].on_issue(&incoming, &mut self.events);
         // The checker never verifies an instruction in its own issue slot.
         if self.oracle.is_some() && incoming.needs_inter {
             self.lanes[sm].push((info.warp_uid, info.cycle, *info.results));
@@ -251,9 +289,8 @@ impl IssueObserver for WarpedDmr {
         if !self.config.enable_inter {
             return;
         }
-        let mut events = std::mem::take(&mut self.events);
-        self.checker(sm_id).on_idle(cycle, &mut events);
-        self.events = events;
+        self.reach(sm_id);
+        self.checkers[sm_id].on_idle(cycle, &mut self.events);
         self.settle_events(sm_id);
     }
 
@@ -261,9 +298,8 @@ impl IssueObserver for WarpedDmr {
         if !self.config.enable_inter {
             return 0;
         }
-        let mut events = std::mem::take(&mut self.events);
-        let drain = self.checker(sm_id).on_done(cycle, &mut events);
-        self.events = events;
+        self.reach(sm_id);
+        let drain = self.checkers[sm_id].on_done(cycle, &mut self.events);
         self.settle_events(sm_id);
         drain
     }

@@ -8,12 +8,16 @@
 //! model entry keeps only the control metadata Algorithm 1 decides on;
 //! the engine holds the lane results for its comparator, and only when a
 //! fault oracle can make them differ.
+//!
+//! The queue never holds more than its capacity (10 at most in every
+//! configuration the paper sweeps), so it lives in one contiguous buffer,
+//! oldest first: a type-directed or RAW dequeue is one scan of a slice
+//! and a short shift.
 
-use std::collections::VecDeque;
 use warped_isa::{Reg, UnitType};
 
 /// One buffered, unverified instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplayEntry {
     /// Issuing warp (global uid).
     pub warp_uid: u64,
@@ -31,7 +35,8 @@ pub struct ReplayEntry {
 /// dequeue.
 #[derive(Debug)]
 pub struct ReplayQ {
-    entries: VecDeque<ReplayEntry>,
+    /// Buffered entries, oldest first; never longer than `capacity`.
+    entries: Vec<ReplayEntry>,
     capacity: usize,
 }
 
@@ -72,7 +77,7 @@ impl ReplayQ {
     /// full, the paper's worst case).
     pub fn new(capacity: usize) -> Self {
         ReplayQ {
-            entries: VecDeque::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             capacity,
         }
     }
@@ -105,19 +110,19 @@ impl ReplayQ {
     /// stalls instead of overflowing).
     pub fn push(&mut self, e: ReplayEntry) {
         assert!(!self.is_full(), "ReplayQ overflow");
-        self.entries.push_back(e);
+        self.entries.push(e);
     }
 
     /// Remove and return the oldest entry whose unit type differs from
     /// `unit` (the co-execution candidate of Algorithm 1).
     pub fn take_different_type(&mut self, unit: UnitType) -> Option<ReplayEntry> {
         let idx = self.entries.iter().position(|e| e.unit != unit)?;
-        self.entries.remove(idx)
+        Some(self.entries.remove(idx))
     }
 
     /// Remove and return the oldest entry of any type (idle-cycle drain).
     pub fn take_any(&mut self) -> Option<ReplayEntry> {
-        self.entries.pop_front()
+        (!self.entries.is_empty()).then(|| self.entries.remove(0))
     }
 
     /// Remove and return the oldest entry of `warp_uid` whose destination
@@ -132,7 +137,7 @@ impl ReplayQ {
                 && e.dst
                     .is_some_and(|d| srcs.iter().flatten().any(|s| *s == d))
         })?;
-        self.entries.remove(idx)
+        Some(self.entries.remove(idx))
     }
 
     /// Iterate buffered entries (diagnostics).
@@ -144,6 +149,8 @@ impl ReplayQ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn entry(warp: u64, unit: UnitType, dst: Option<u16>, cycle: u64) -> ReplayEntry {
         ReplayEntry {
@@ -232,5 +239,123 @@ mod tests {
         assert_eq!(q.take_any().unwrap().warp_uid, 0);
         assert_eq!(q.take_any().unwrap().warp_uid, 1);
         assert!(q.take_any().is_none());
+    }
+
+    /// One queue operation of the differential test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(ReplayEntry),
+        TakeDifferentType(UnitType),
+        TakeAny,
+        TakeRawHazard(u64, [Option<Reg>; 4]),
+    }
+
+    fn unit() -> impl Strategy<Value = UnitType> {
+        (0usize..UnitType::ALL.len()).prop_map(|i| UnitType::ALL[i])
+    }
+
+    /// A register out of four, or none: tiny ranges make RAW hazards
+    /// collide.
+    fn reg() -> impl Strategy<Value = Option<Reg>> {
+        (0u16..5).prop_map(|r| (r < 4).then_some(Reg(r)))
+    }
+
+    fn push() -> impl Strategy<Value = Op> {
+        (0u64..3, unit(), reg(), any::<u64>()).prop_map(|(warp_uid, unit, dst, cycle)| {
+            Op::Push(ReplayEntry {
+                warp_uid,
+                unit,
+                dst,
+                cycle,
+                mask: cycle as u32,
+            })
+        })
+    }
+
+    fn raw_hazard() -> impl Strategy<Value = Op> {
+        (0u64..3, (reg(), reg(), reg(), reg()))
+            .prop_map(|(warp, (a, b, c, d))| Op::TakeRawHazard(warp, [a, b, c, d]))
+    }
+
+    /// Pushes and the two type-directed takes twice as often as `take_any`.
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            push(),
+            push(),
+            unit().prop_map(Op::TakeDifferentType),
+            unit().prop_map(Op::TakeDifferentType),
+            Just(Op::TakeAny),
+            raw_hazard(),
+            raw_hazard(),
+        ]
+    }
+
+    /// The queue's semantics spelled out over a `VecDeque`.
+    struct Reference(VecDeque<ReplayEntry>);
+
+    impl Reference {
+        fn take(&mut self, pred: impl Fn(&ReplayEntry) -> bool) -> Option<ReplayEntry> {
+            let i = self.0.iter().position(pred)?;
+            self.0.remove(i)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn contiguous_queue_matches_a_deque_reference(
+            capacity in 0usize..6,
+            ops in prop::collection::vec(op(), 0..64),
+        ) {
+            let mut q = ReplayQ::new(capacity);
+            let mut r = Reference(VecDeque::new());
+            for op in ops {
+                let (got, want) = match op {
+                    Op::Push(e) => {
+                        if r.0.len() >= capacity {
+                            prop_assert!(q.is_full());
+                            continue;
+                        }
+                        q.push(e);
+                        r.0.push_back(e);
+                        (None, None)
+                    }
+                    Op::TakeDifferentType(u) => {
+                        (q.take_different_type(u), r.take(|e| e.unit != u))
+                    }
+                    Op::TakeAny => (q.take_any(), r.0.pop_front()),
+                    Op::TakeRawHazard(w, srcs) => (
+                        q.take_raw_hazard(w, &srcs),
+                        r.take(|e| {
+                            e.warp_uid == w
+                                && e.dst.is_some_and(|d| srcs.contains(&Some(d)))
+                        }),
+                    ),
+                };
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(q.len(), r.0.len());
+                prop_assert!(q.iter().eq(r.0.iter()));
+            }
+        }
+
+        #[test]
+        fn clone_from_keeps_contents_and_buffer(
+            entries in prop::collection::vec((0u64..3, unit(), reg()), 0..4),
+        ) {
+            let mut src = ReplayQ::new(4);
+            for (i, (warp_uid, unit, dst)) in entries.into_iter().enumerate() {
+                src.push(ReplayEntry {
+                    warp_uid,
+                    unit,
+                    dst,
+                    cycle: i as u64,
+                    mask: u32::MAX,
+                });
+            }
+            let mut scratch = ReplayQ::new(4);
+            let buffer = scratch.entries.as_ptr();
+            scratch.clone_from(&src);
+            prop_assert!(scratch.iter().eq(src.iter()));
+            prop_assert_eq!(scratch.entries.as_ptr(), buffer, "clone_from reallocated");
+        }
     }
 }

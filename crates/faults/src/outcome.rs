@@ -24,6 +24,8 @@
 //! which stay honest at the small trial counts and extreme rates
 //! (0%/100%) these campaigns routinely produce.
 
+use warped_trace::OUTCOME_NAMES;
+
 /// Outcome class of one fault-injection trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrialOutcome {
@@ -46,14 +48,10 @@ impl TrialOutcome {
         TrialOutcome::Hang,
     ];
 
-    /// Wire name (trace events, journal records, JSON output).
+    /// Wire name (trace events, journal records, JSON output): the trace
+    /// layer's [`OUTCOME_NAMES`] entry in declaration order.
     pub fn as_str(self) -> &'static str {
-        match self {
-            TrialOutcome::Masked => "masked",
-            TrialOutcome::Detected => "detected",
-            TrialOutcome::Sdc => "sdc",
-            TrialOutcome::Hang => "hang",
-        }
+        OUTCOME_NAMES[self as usize]
     }
 
     /// Parse a wire name back.

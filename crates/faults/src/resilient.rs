@@ -109,7 +109,7 @@ use warped_sim::{
     SimError, WARP_SIZE,
 };
 use warped_trace::json::Obj;
-use warped_trace::{TraceEvent, TraceHandle};
+use warped_trace::{TraceEvent, TraceHandle, FAULT_SITE_NAMES};
 
 /// Which hardware site a campaign injects into. The first two target
 /// the datapath (execution units); the rest target the detection
@@ -147,16 +147,10 @@ impl FaultSiteClass {
         FaultSiteClass::RfSlot,
     ];
 
-    /// Wire name (CLI `--site`, journal header, trace events).
+    /// Wire name (CLI `--site`, journal header, trace events): the
+    /// trace layer's [`FAULT_SITE_NAMES`] entry in declaration order.
     pub fn as_str(self) -> &'static str {
-        match self {
-            FaultSiteClass::LaneTransient => "lane_transient",
-            FaultSiteClass::LaneStuckAt => "lane_stuck",
-            FaultSiteClass::ComparatorVerdict => "comparator",
-            FaultSiteClass::RfuMuxSelect => "rfu_mux",
-            FaultSiteClass::ReplayqMeta => "replayq_meta",
-            FaultSiteClass::RfSlot => "rf_slot",
-        }
+        FAULT_SITE_NAMES[self as usize]
     }
 
     /// Parse a wire name back.
@@ -964,7 +958,7 @@ pub fn resilient_campaign(
                 opts.trace.emit(|| TraceEvent::FaultInjected {
                     sm: fault.sm as u32,
                     trial,
-                    kind: class.as_str().to_string(),
+                    kind: class.as_str(),
                     lane: if class.is_checker_site() {
                         u32::MAX
                     } else {
@@ -977,7 +971,7 @@ pub fn resilient_campaign(
                 if let Some(outcome) = outcome {
                     opts.trace.emit(|| TraceEvent::TrialOutcome {
                         trial,
-                        outcome: outcome.as_str().to_string(),
+                        outcome: outcome.as_str(),
                     });
                     counts.record(outcome);
                 }
@@ -1333,7 +1327,7 @@ mod tests {
         let outcomes: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::TrialOutcome { trial, outcome } => Some((*trial, outcome.clone())),
+                TraceEvent::TrialOutcome { trial, outcome } => Some((*trial, *outcome)),
                 _ => None,
             })
             .collect();
@@ -1341,12 +1335,12 @@ mod tests {
         assert_eq!(outcomes.len(), 4);
         for f in &faults {
             if let TraceEvent::FaultInjected { kind, lane, .. } = f {
-                assert_eq!(kind, "rf_slot");
+                assert_eq!(*kind, "rf_slot");
                 assert_eq!(*lane, u32::MAX, "checker sites have no lane");
             }
         }
         for o in TrialOutcome::ALL {
-            let n = outcomes.iter().filter(|(_, s)| s == o.as_str()).count() as u32;
+            let n = outcomes.iter().filter(|(_, s)| *s == o.as_str()).count() as u32;
             assert_eq!(n, r.result.count(o), "trace tally matches report for {o}");
         }
     }

@@ -250,6 +250,16 @@ pub enum Instruction {
     Exit,
 }
 
+/// The registers one instruction reads and writes: what the scoreboard,
+/// the RAW rule and the trace need of each issue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegUse {
+    /// Registers read, as [`Instruction::src_regs`].
+    pub srcs: [Option<Reg>; 4],
+    /// Register written, as [`Instruction::dst`].
+    pub dst: Option<Reg>,
+}
+
 impl Instruction {
     /// Which execution unit this instruction occupies when issued.
     ///
@@ -275,6 +285,7 @@ impl Instruction {
     }
 
     /// The destination register written by this instruction, if any.
+    #[inline]
     pub fn dst(&self) -> Option<Reg> {
         // Deny-by-default: adding a variant forces a decision here, so
         // the dataflow pass and the RAW rule can never silently miss a
@@ -300,6 +311,7 @@ impl Instruction {
     ///
     /// The returned array is padded with `None`; duplicates are possible
     /// when the same register appears as several operands.
+    #[inline]
     pub fn src_regs(&self) -> [Option<Reg>; 4] {
         fn r(o: &Operand) -> Option<Reg> {
             o.reg()
@@ -338,18 +350,23 @@ impl Instruction {
         )
     }
 
+    /// The registers this instruction reads and writes, decoded together.
+    /// The simulator decodes each issue's registers once, through this,
+    /// and hands them to every observer in its `IssueInfo`.
+    #[inline]
+    pub fn reg_use(&self) -> RegUse {
+        RegUse {
+            srcs: self.src_regs(),
+            dst: self.dst(),
+        }
+    }
+
     /// Whether this is a control-flow instruction (branch, jump, exit).
     pub fn is_control(&self) -> bool {
         matches!(
             self,
             Instruction::Branch { .. } | Instruction::Jump { .. } | Instruction::Exit
         )
-    }
-
-    /// Number of source operands the instruction reads from the register
-    /// file (used by the ReplayQ sizing model and the power model).
-    pub fn num_reg_srcs(&self) -> usize {
-        self.src_regs().iter().filter(|r| r.is_some()).count()
     }
 }
 
@@ -402,7 +419,13 @@ mod tests {
         assert_eq!(mad.dst(), Some(Reg(3)));
         let srcs = mad.src_regs();
         assert_eq!(srcs, [Some(Reg(0)), Some(Reg(1)), Some(Reg(2)), None]);
-        assert_eq!(mad.num_reg_srcs(), 3);
+        assert_eq!(
+            mad.reg_use(),
+            RegUse {
+                srcs,
+                dst: Some(Reg(3))
+            }
+        );
 
         let st = Instruction::St {
             space: Space::Shared,
@@ -411,7 +434,7 @@ mod tests {
             src: Operand::Imm(0),
         };
         assert_eq!(st.dst(), None);
-        assert_eq!(st.num_reg_srcs(), 1);
+        assert_eq!(st.src_regs(), [Some(Reg(4)), None, None, None]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod op;
 pub mod reg;
 
 pub use builder::KernelBuilder;
-pub use instruction::{Instruction, Operand, Pc, Space};
+pub use instruction::{Instruction, Operand, Pc, RegUse, Space};
 pub use kernel::{Kernel, KernelError};
 pub use op::{AluBinOp, AluUnOp, CmpOp, CmpType, SfuOp, UnitType};
 pub use reg::{Reg, SpecialReg};

@@ -423,8 +423,8 @@ impl IssueObserver for Traced<'_> {
             active: info.active_count(),
             full: info.is_full(),
             has_result: info.has_result,
-            dst: info.instr.dst(),
-            srcs: info.instr.src_regs(),
+            dst: info.dst,
+            srcs: info.srcs,
         });
         self.inner.on_issue(info)
     }

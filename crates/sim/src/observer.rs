@@ -8,7 +8,7 @@
 //! stalls of paper Algorithm 1 feed back into the timing model.
 
 use crate::config::WARP_SIZE;
-use warped_isa::{Instruction, Pc, UnitType};
+use warped_isa::{Instruction, Pc, Reg, UnitType};
 
 /// Everything an observer sees about one issued warp-instruction.
 #[derive(Debug)]
@@ -40,10 +40,15 @@ pub struct IssueInfo<'a> {
     /// [`Instruction::has_result`] of the issued instruction (false only
     /// for `jump`/`bar`/`exit`).
     pub has_result: bool,
+    /// Registers the instruction reads: [`Instruction::src_regs`],
+    /// decoded once by the simulator. Observers read them here instead of
+    /// decoding `instr` again.
+    pub srcs: [Option<Reg>; 4],
+    /// Register the instruction writes: [`Instruction::dst`].
+    pub dst: Option<Reg>,
     /// Per source operand: issue-to-issue RAW distance in cycles from the
-    /// producing instruction, aligned with
-    /// [`Instruction::src_regs`]. `None` when the operand is not a
-    /// register or was never written.
+    /// producing instruction, aligned with [`IssueInfo::srcs`]. `None`
+    /// when the operand is not a register or was never written.
     pub raw_dists: [Option<u64>; 4],
 }
 
@@ -205,6 +210,8 @@ mod tests {
             active_mask: 0x0000_00ff,
             results,
             has_result: false,
+            srcs: [None; 4],
+            dst: None,
             raw_dists: [None; 4],
         }
     }

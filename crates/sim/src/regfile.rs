@@ -63,12 +63,11 @@ impl BankConflictCollector {
 
 impl IssueObserver for BankConflictCollector {
     fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
-        let srcs = info.instr.src_regs();
-        if srcs.iter().all(Option::is_none) {
+        if info.srcs.iter().all(Option::is_none) {
             return 0;
         }
         self.reading_instrs += 1;
-        let passes = fetch_passes(&srcs);
+        let passes = fetch_passes(&info.srcs);
         if passes > 1 {
             self.conflicted_instrs += 1;
             self.extra_passes += u64::from(passes - 1);

@@ -8,10 +8,13 @@
 //! scoreboard (RF latency + unit latency).
 //!
 //! Scheduling runs on per-warp scalars: each warp slot caches the cycle
-//! its next instruction clears the scoreboard and that instruction's unit,
-//! recomputed only when the slot's own state changes. Execution runs on
-//! warp vectors: each source operand is resolved once into a [`Row`] and
-//! the opcode is dispatched once for all 32 lanes.
+//! its next instruction clears the scoreboard, that instruction's unit and
+//! its decoded registers, recomputed only when the slot's own state
+//! changes. The issue reuses those registers for its RAW distances and
+//! hands them to the observer, so an instruction is decoded once per
+//! issue. Execution runs on warp vectors: each source operand is resolved
+//! once into a [`Row`] and the opcode is dispatched once for all 32
+//! lanes.
 
 use crate::config::{GpuConfig, SchedulerPolicy, WARP_SIZE};
 use crate::fault::LaneFault;
@@ -23,7 +26,7 @@ use crate::memory::{GlobalMemory, SharedMemory};
 use crate::observer::{IssueInfo, IssueObserver};
 use crate::warp::{Row, Warp};
 use std::sync::Arc;
-use warped_isa::{Instruction, Kernel, Operand, Reg, Space, SpecialReg, UnitType};
+use warped_isa::{Instruction, Kernel, Operand, Reg, RegUse, Space, SpecialReg, UnitType};
 
 /// A block resident on an SM.
 #[derive(Debug)]
@@ -52,6 +55,9 @@ pub struct Sm {
     ready_at: Vec<u64>,
     /// Per warp slot: the unit of that next instruction.
     ready_unit: Vec<UnitType>,
+    /// Per warp slot: the registers that next instruction reads and
+    /// writes.
+    ready_regs: Vec<RegUse>,
     /// A lower bound on `ready_at`: before this cycle nothing can issue.
     /// Lowered whenever a slot's readiness is set; made exact when a scan
     /// finds nothing ready.
@@ -59,6 +65,10 @@ pub struct Sm {
     /// A `bar` issued or a warp finished since the last barrier pass.
     barrier_pass_due: bool,
     block_slots: Vec<Option<BlockState>>,
+    /// Occupied entries of `block_slots`.
+    resident_blocks: usize,
+    /// Empty entries of `warp_slots`.
+    free_warps: usize,
     rr_next: usize,
     stall_cycles_left: u64,
     fault: Option<Arc<dyn LaneFault>>,
@@ -99,9 +109,12 @@ impl Sm {
             warp_slots: (0..warps).map(|_| None).collect(),
             ready_at: vec![u64::MAX; warps],
             ready_unit: vec![UnitType::Sp; warps],
+            ready_regs: vec![RegUse::default(); warps],
             min_ready: u64::MAX,
             barrier_pass_due: false,
             block_slots: (0..blocks).map(|_| None).collect(),
+            resident_blocks: 0,
+            free_warps: warps,
             rr_next: 0,
             stall_cycles_left: 0,
             fault: None,
@@ -116,13 +129,12 @@ impl Sm {
 
     /// Whether any block is resident.
     pub fn has_work(&self) -> bool {
-        self.block_slots.iter().any(Option::is_some)
+        self.resident_blocks > 0
     }
 
     /// Whether a block needing `warps` warp slots can be accepted now.
     pub fn can_accept(&self, warps: usize) -> bool {
-        self.block_slots.iter().any(Option::is_none)
-            && self.warp_slots.iter().filter(|w| w.is_none()).count() >= warps
+        self.resident_blocks < self.block_slots.len() && self.free_warps >= warps
     }
 
     /// Make a block resident.
@@ -165,6 +177,8 @@ impl Sm {
             live_warps: wpb,
             warp_slots: free,
         });
+        self.resident_blocks += 1;
+        self.free_warps -= wpb;
     }
 
     /// Advance one cycle: release barriers, then try to issue one
@@ -261,8 +275,8 @@ impl Sm {
     /// Recompute slot `slot`'s cached readiness after its state changed.
     fn refresh(&mut self, slot: usize, kernel: &Kernel) {
         (self.ready_at[slot], self.ready_unit[slot]) = match self.warp_slots[slot].as_mut() {
-            Some(w) => readiness(w, kernel),
-            None => (u64::MAX, UnitType::Sp),
+            Some(w) => readiness(w, kernel, &mut self.ready_regs[slot]),
+            None => NOT_READY,
         };
         self.min_ready = self.min_ready.min(self.ready_at[slot]);
     }
@@ -284,11 +298,12 @@ impl Sm {
         let bslot = warp.block_slot;
         let mut results: Row = [0; WARP_SIZE];
 
+        // Decoded when the slot last refreshed, for this same instruction.
+        let regs = self.ready_regs[widx];
+        debug_assert_eq!(regs, instr.reg_use(), "stale decoded registers");
         let mut raw_dists = [None; 4];
-        for (k, src) in instr.src_regs().iter().enumerate() {
-            if let Some(r) = src {
-                raw_dists[k] = warp.raw_distance(*r, cycle);
-            }
+        for (d, r) in raw_dists.iter_mut().zip(regs.srcs) {
+            *d = r.and_then(|r| warp.raw_distance(r, cycle));
         }
 
         // Datapath corruption hook (fault campaigns): transforms every
@@ -445,8 +460,8 @@ impl Sm {
         self.stats.thread_instructions += active;
         self.stats.unit_instructions[unit.index()] += 1;
         self.stats.unit_thread_instructions[unit.index()] += active;
-        self.stats.reg_reads += instr.num_reg_srcs() as u64 * active;
-        if instr.dst().is_some() {
+        self.stats.reg_reads += regs.srcs.iter().flatten().count() as u64 * active;
+        if regs.dst.is_some() {
             self.stats.reg_writes += active;
         }
 
@@ -466,16 +481,20 @@ impl Sm {
             active_mask: mask,
             results: &results,
             has_result,
+            srcs: regs.srcs,
+            dst: regs.dst,
             raw_dists,
         };
         let stalls = observer.on_issue(&info);
 
         if warp.is_done() {
             self.warp_slots[widx] = None;
+            self.free_warps += 1;
             let block = self.block_slots[bslot].as_mut().expect("block missing");
             block.live_warps -= 1;
             if block.live_warps == 0 {
                 self.block_slots[bslot] = None;
+                self.resident_blocks -= 1;
                 self.stats.blocks += 1;
             }
             // Its block-mates may be waiting at a barrier for it.
@@ -495,6 +514,7 @@ impl Sm {
             warp_slots,
             ready_at,
             ready_unit,
+            ready_regs,
             min_ready,
             ..
         } = self;
@@ -515,7 +535,7 @@ impl Sm {
             for &s in &b.warp_slots {
                 if let Some(w) = warp_slots[s].as_mut() {
                     w.at_barrier = false;
-                    (ready_at[s], ready_unit[s]) = readiness(w, kernel);
+                    (ready_at[s], ready_unit[s]) = readiness(w, kernel, &mut ready_regs[s]);
                     *min_ready = (*min_ready).min(ready_at[s]);
                 }
             }
@@ -523,21 +543,28 @@ impl Sm {
     }
 }
 
+/// The cached readiness of a slot that cannot issue.
+const NOT_READY: (u64, UnitType) = (u64::MAX, UnitType::Sp);
+
 /// When and on which unit `warp`'s next instruction can issue:
-/// `u64::MAX` while it waits at a barrier or is done. A warp whose PC
-/// fetches nothing is ready at once, on the SP unit (which has no
-/// dual-issue hazard), so the scan reaches it where it always did and
-/// reports [`SimError::PcOutOfRange`].
-fn readiness(warp: &mut Warp, kernel: &Kernel) -> (u64, UnitType) {
+/// `u64::MAX` while it waits at a barrier or is done. The instruction's
+/// registers go to `regs`, which is left as it was when nothing can
+/// issue from it. A warp whose PC fetches nothing is ready at once, on
+/// the SP unit (which has no dual-issue hazard), so the scan reaches it
+/// where it always did and reports [`SimError::PcOutOfRange`].
+fn readiness(warp: &mut Warp, kernel: &Kernel, regs: &mut RegUse) -> (u64, UnitType) {
     if warp.at_barrier {
-        return (u64::MAX, UnitType::Sp);
+        return NOT_READY;
     }
     match warp.stack.top() {
         Some((pc, _)) => match kernel.fetch(pc) {
-            Some(instr) => (warp.issue_ready_at(instr), instr.unit()),
+            Some(instr) => {
+                *regs = instr.reg_use();
+                (warp.ready_at(regs), instr.unit())
+            }
             None => (0, UnitType::Sp),
         },
-        None => (u64::MAX, UnitType::Sp),
+        None => NOT_READY,
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::config::WARP_SIZE;
 use crate::simt_stack::SimtStack;
-use warped_isa::{Instruction, Reg};
+use warped_isa::{Reg, RegUse};
 
 /// One 32-bit value per lane of a warp: a register row, or a source
 /// operand resolved for every lane.
@@ -94,18 +94,18 @@ impl Warp {
         &mut self.regs[reg.index()]
     }
 
-    /// The first cycle at which `instr` clears the scoreboard: every
-    /// source register and the destination (WAW) have completed
-    /// writeback.
-    pub fn issue_ready_at(&self, instr: &Instruction) -> u64 {
+    /// The first cycle at which an instruction using `regs` clears the
+    /// scoreboard: every source register and the destination (WAW) have
+    /// completed writeback.
+    #[inline]
+    pub fn ready_at(&self, regs: &RegUse) -> u64 {
         let ready = |r: Option<Reg>| r.map_or(0, |r| self.timing[r.index()].ready);
-        let [a, b, c, d] = instr.src_regs().map(ready);
-        ready(instr.dst()).max(a).max(b).max(c).max(d)
-    }
-
-    /// Scoreboard check: can `instr` issue at `cycle`?
-    pub fn scoreboard_ready(&self, instr: &Instruction, cycle: u64) -> bool {
-        self.issue_ready_at(instr) <= cycle
+        let [a, b, c, d] = regs.srcs;
+        ready(regs.dst)
+            .max(ready(a))
+            .max(ready(b))
+            .max(ready(c))
+            .max(ready(d))
     }
 
     /// Record a write issued at `issue_cycle` completing at `ready_cycle`.
@@ -133,7 +133,7 @@ impl Warp {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use warped_isa::{AluBinOp, Operand, Pc, Space};
+    use warped_isa::{AluBinOp, Instruction, Operand, Pc, Space};
 
     fn add(dst: u16, a: u16, b: u16) -> Instruction {
         Instruction::Bin {
@@ -165,16 +165,14 @@ mod tests {
     #[test]
     fn scoreboard_blocks_raw_and_waw() {
         let mut w = Warp::new(0, 0, 0, 32, 4);
-        let instr = add(0, 1, 2);
-        assert!(w.scoreboard_ready(&instr, 0));
+        let regs = add(0, 1, 2).reg_use();
+        assert_eq!(w.ready_at(&regs), 0);
         // Pending write to a source blocks issue.
         w.note_write(Reg(1), 0, 8);
-        assert!(!w.scoreboard_ready(&instr, 7));
-        assert!(w.scoreboard_ready(&instr, 8));
+        assert_eq!(w.ready_at(&regs), 8);
         // Pending write to the destination (WAW) blocks issue.
         w.note_write(Reg(0), 9, 17);
-        assert!(!w.scoreboard_ready(&instr, 16));
-        assert!(w.scoreboard_ready(&instr, 17));
+        assert_eq!(w.ready_at(&regs), 17);
     }
 
     /// One instruction per register shape: two sources and a destination,
@@ -214,7 +212,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn issue_ready_at_is_the_least_ready_cycle(
+        fn ready_at_is_the_least_ready_cycle(
             writes in proptest::collection::vec((0u16..4, 0u64..40), 0..6),
             regs in (0u16..4, 0u16..4, 0u16..4, 0u16..4),
             kind in 0u8..6,
@@ -235,11 +233,11 @@ mod tests {
                     .chain(instr.src_regs().into_iter().flatten())
                     .all(|r| ready[r.index()] <= cycle)
             };
-            let at = w.issue_ready_at(&instr);
+            let at = w.ready_at(&instr.reg_use());
             prop_assert!(clear(at));
             prop_assert!(at == 0 || !clear(at - 1));
             for cycle in 0..48 {
-                prop_assert_eq!(w.scoreboard_ready(&instr, cycle), clear(cycle));
+                prop_assert_eq!(at <= cycle, clear(cycle));
             }
         }
     }

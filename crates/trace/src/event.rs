@@ -74,8 +74,32 @@ pub fn unit_from_str(s: &str) -> Option<UnitType> {
     UnitType::ALL.into_iter().find(|u| unit_str(*u) == s)
 }
 
-/// One cycle-level pipeline event.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The fault-site wire names a [`TraceEvent::FaultInjected`] names:
+/// `warped-faults`' `FaultSiteClass` spells its classes with these, in
+/// its declaration order.
+pub const FAULT_SITE_NAMES: [&str; 6] = [
+    "lane_transient",
+    "lane_stuck",
+    "comparator",
+    "rfu_mux",
+    "replayq_meta",
+    "rf_slot",
+];
+
+/// The outcome wire names a [`TraceEvent::TrialOutcome`] names:
+/// `warped-faults`' `TrialOutcome` spells its classes with these, in its
+/// declaration order.
+pub const OUTCOME_NAMES: [&str; 4] = ["masked", "detected", "sdc", "hang"];
+
+/// The entry of `names` equal to `s`: a parsed wire name as the
+/// `&'static str` an event holds.
+pub fn wire_name(names: &[&'static str], s: &str) -> Option<&'static str> {
+    names.iter().copied().find(|n| *n == s)
+}
+
+/// One cycle-level pipeline event. `Copy`, so a batch of events moves and
+/// clears without drop glue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A kernel launch started on the GPU; SM cycle counters restart at
     /// zero. `index` counts launches of this `Gpu` instance.
@@ -201,8 +225,8 @@ pub enum TraceEvent {
         sm: u32,
         /// Campaign-global trial index.
         trial: u32,
-        /// Fault-site wire name (e.g. `"lane_transient"`, `"comparator"`).
-        kind: String,
+        /// Fault-site wire name, one of [`FAULT_SITE_NAMES`].
+        kind: &'static str,
         /// Physical lane of a lane fault; `u32::MAX` for checker-internal
         /// sites, which have no lane.
         lane: u32,
@@ -214,8 +238,8 @@ pub enum TraceEvent {
     TrialOutcome {
         /// Campaign-global trial index.
         trial: u32,
-        /// Outcome wire name: `"masked"`, `"detected"`, `"sdc"`, `"hang"`.
-        outcome: String,
+        /// Outcome wire name, one of [`OUTCOME_NAMES`].
+        outcome: &'static str,
     },
 }
 
@@ -296,6 +320,18 @@ mod tests {
     }
 
     #[test]
+    fn wire_names_resolve_to_their_static_spelling() {
+        for names in [&FAULT_SITE_NAMES[..], &OUTCOME_NAMES[..]] {
+            for n in names {
+                // A parsed name is borrowed from the line, not 'static.
+                let parsed = n.to_string();
+                assert_eq!(wire_name(names, &parsed), Some(*n));
+            }
+            assert_eq!(wire_name(names, "cosmic_ray"), None);
+        }
+    }
+
+    #[test]
     fn accessors() {
         let e = TraceEvent::Idle { sm: 3, cycle: 9 };
         assert_eq!(e.tag(), "idle");
@@ -311,7 +347,7 @@ mod tests {
         let f = TraceEvent::FaultInjected {
             sm: 1,
             trial: 7,
-            kind: "lane_transient".into(),
+            kind: "lane_transient",
             lane: 9,
             cycle: 120,
         };
@@ -320,7 +356,7 @@ mod tests {
         assert_eq!(f.cycle(), None, "strike cycle is not a stream position");
         let t = TraceEvent::TrialOutcome {
             trial: 7,
-            outcome: "sdc".into(),
+            outcome: "sdc",
         };
         assert_eq!(t.tag(), "trial");
         assert_eq!(t.sm(), None);

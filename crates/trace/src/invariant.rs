@@ -28,6 +28,14 @@ use crate::sink::TraceSink;
 /// How many violations are stored verbatim; the rest are only counted.
 const MAX_STORED: usize = 64;
 
+/// How many instructions from a warp's `head` a lookup compares before
+/// it falls back to a binary search: verification is mostly in issue
+/// order, so the one verified is nearly always among the first few.
+const HEAD_PROBE: usize = 4;
+
+/// Slots of an SM's warp cache, a power of two.
+const WARP_CACHE: usize = 64;
+
 /// One invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -87,9 +95,13 @@ struct WarpState {
 
 impl WarpState {
     fn find(&self, issued: u64) -> Result<usize, usize> {
-        match self.instrs.get(self.head) {
-            Some(i) if i.issued == issued => Ok(self.head),
-            _ => self.instrs.binary_search_by_key(&issued, |i| i.issued),
+        let near = self.instrs[self.head..].iter().take(HEAD_PROBE);
+        match near
+            .take_while(|i| i.issued <= issued)
+            .position(|i| i.issued == issued)
+        {
+            Some(k) => Ok(self.head + k),
+            None => self.instrs.binary_search_by_key(&issued, |i| i.issued),
         }
     }
 
@@ -154,6 +166,11 @@ struct SmState {
     /// `uids[i]`.
     uids: Vec<u64>,
     warps: Vec<WarpState>,
+    /// Where recently found warps sit in `uids`, each in the slot
+    /// [`cache_slot`] picks for its uid. A hint, checked against `uids`
+    /// before use, so inserts and resets need not touch it. The resident
+    /// warps of an SM fit, so a lookup rarely searches `uids`.
+    cache: [u32; WARP_CACHE],
     /// RAW obligations open in the current issue slot:
     /// (warp, reg, producer issue cycle).
     obligations: Vec<(u64, u16, u64)>,
@@ -167,14 +184,32 @@ impl SmState {
             id,
             uids: Vec::new(),
             warps: Vec::new(),
+            cache: [0; WARP_CACHE],
             obligations: Vec::new(),
             last_verify: None,
         }
     }
 
     /// Where warp `uid` sits in `uids`, or where it would go.
-    fn find_warp(&self, uid: u64) -> Result<usize, usize> {
-        self.uids.binary_search(&uid)
+    fn find_warp(&mut self, uid: u64) -> Result<usize, usize> {
+        let slot = &mut self.cache[cache_slot(uid)];
+        let hint = *slot as usize;
+        if self.uids.get(hint) == Some(&uid) {
+            return Ok(hint);
+        }
+        let found = self.uids.binary_search(&uid);
+        if let Ok(i) = found {
+            *slot = i as u32;
+        }
+        found
+    }
+
+    /// Start tracking warp `uid` at `i`, where [`SmState::find_warp`]
+    /// said it would go.
+    fn insert_warp(&mut self, i: usize, uid: u64) {
+        self.uids.insert(i, uid);
+        self.warps.insert(i, WarpState::default());
+        self.cache[cache_slot(uid)] = i as u32;
     }
 
     /// An issue slot boundary was reached: any RAW obligation still open
@@ -211,6 +246,13 @@ impl SmState {
     }
 }
 
+/// The warp-cache slot of `uid`: Fibonacci hashing, so the uids of
+/// consecutive blocks, which step by a block's warp count, spread over
+/// the slots.
+fn cache_slot(uid: u64) -> usize {
+    (uid.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - WARP_CACHE.trailing_zeros())) as usize
+}
+
 /// Where SM `sm` sits in `sms` (sorted by id), or where it would go.
 fn find_sm(sms: &[SmState], sm: u32) -> Result<usize, usize> {
     match sms.get(sm as usize) {
@@ -229,11 +271,11 @@ fn sm_or_insert(sms: &mut Vec<SmState>, sm: u32) -> &mut SmState {
 
 /// A [`TraceSink`] that checks Algorithm-1 invariants online.
 ///
-/// State is dense and hash-free: SMs sorted by id (an SM's id is
-/// normally its index), per SM the warps sorted by uid, and per warp its
-/// instructions sorted by issue cycle with an advancing head and its
-/// unverified register writes. Everything is dropped at each
-/// `LaunchBegin`.
+/// State is dense: SMs sorted by id (an SM's id is normally its index),
+/// per SM the warps sorted by uid behind a small cache of recent lookups,
+/// and per warp its instructions sorted by issue cycle with an advancing
+/// head and its unverified register writes. Everything is dropped at
+/// each `LaunchBegin`.
 #[derive(Debug, Default)]
 pub struct InvariantSink {
     sms: Vec<SmState>,
@@ -302,8 +344,7 @@ impl TraceSink for InvariantSink {
                 let w = match st.find_warp(warp) {
                     Ok(i) => i,
                     Err(i) if registers => {
-                        st.uids.insert(i, warp);
-                        st.warps.insert(i, WarpState::default());
+                        st.insert_warp(i, warp);
                         i
                     }
                     Err(_) => return,
@@ -382,7 +423,14 @@ impl TraceSink for InvariantSink {
                     Ok(i) => {
                         let w = &mut st.warps[i];
                         if let Some(r) = dst {
-                            w.writes.retain(|&(reg, c)| reg != r.0 || c != issued);
+                            let this = |&(reg, c): &(u16, u64)| reg == r.0 && c == issued;
+                            if let Some(at) = w.writes.iter().position(this) {
+                                w.writes.remove(at);
+                                // Only a malformed stream writes twice at one issue.
+                                if w.writes[at..].iter().any(this) {
+                                    w.writes.retain(|e| !this(e));
+                                }
+                            }
                         }
                         w.verify(issued)
                     }

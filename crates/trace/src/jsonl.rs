@@ -8,7 +8,9 @@
 //! serialize as the raw register number or `null`; the four issue
 //! source slots become `s0`..`s3`.
 
-use crate::event::{unit_from_str, unit_str, TraceEvent, VerifyKind};
+use crate::event::{
+    unit_from_str, unit_str, wire_name, TraceEvent, VerifyKind, FAULT_SITE_NAMES, OUTCOME_NAMES,
+};
 use crate::json::Obj;
 use std::fmt;
 use warped_isa::{Reg, UnitType};
@@ -291,6 +293,11 @@ impl FieldMap {
     fn unit(&self, key: &'static str) -> Result<UnitType, ParseError> {
         unit_from_str(self.str(key)?).ok_or(ParseError::BadValue(key))
     }
+
+    /// A string field that must be one of `names`.
+    fn name(&self, key: &'static str, names: &[&'static str]) -> Result<&'static str, ParseError> {
+        wire_name(names, self.str(key)?).ok_or(ParseError::BadValue(key))
+    }
 }
 
 /// Parse one JSONL line back into a [`TraceEvent`].
@@ -363,13 +370,13 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, ParseError> {
         "fault" => TraceEvent::FaultInjected {
             sm: f.num32("sm")?,
             trial: f.num32("trial")?,
-            kind: f.str("kind")?.to_string(),
+            kind: f.name("kind", &FAULT_SITE_NAMES)?,
             lane: f.num32("lane")?,
             cycle: f.num("cycle")?,
         },
         "trial" => TraceEvent::TrialOutcome {
             trial: f.num32("trial")?,
-            outcome: f.str("outcome")?.to_string(),
+            outcome: f.name("outcome", &OUTCOME_NAMES)?,
         },
         _ => return Err(ParseError::UnknownTag(tag)),
     };
@@ -442,20 +449,20 @@ mod tests {
             TraceEvent::FaultInjected {
                 sm: 1,
                 trial: 12,
-                kind: "lane_stuck".into(),
+                kind: "lane_stuck",
                 lane: 21,
                 cycle: 0,
             },
             TraceEvent::FaultInjected {
                 sm: 0,
                 trial: 13,
-                kind: "comparator".into(),
+                kind: "comparator",
                 lane: u32::MAX,
                 cycle: 88,
             },
             TraceEvent::TrialOutcome {
                 trial: 13,
-                outcome: "masked".into(),
+                outcome: "masked",
             },
         ]
     }

@@ -59,7 +59,7 @@ pub mod metrics;
 pub mod replay;
 pub mod sink;
 
-pub use event::{TraceEvent, VerifyKind};
+pub use event::{TraceEvent, VerifyKind, FAULT_SITE_NAMES, OUTCOME_NAMES};
 pub use handle::{TraceHandle, BATCH_EVENTS};
 pub use invariant::InvariantSink;
 pub use jsonl::{parse_flat, FieldMap, ParseError, Scalar};

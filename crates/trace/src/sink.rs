@@ -50,7 +50,7 @@ impl CollectSink {
 
 impl TraceSink for CollectSink {
     fn event(&mut self, ev: &TraceEvent) {
-        self.events.push(ev.clone());
+        self.events.push(*ev);
     }
 }
 

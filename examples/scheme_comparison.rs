@@ -8,7 +8,7 @@
 use warped::baselines::{run_scheme, PcieModel, SchemeKind};
 use warped::dmr::DmrConfig;
 use warped::kernels::{Benchmark, WorkloadSize};
-use warped::sim::GpuConfig;
+use warped::sim::{GpuConfig, NullObserver};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -29,9 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:12} {:>12} {:>12} {:>12} {:>10}",
         "scheme", "kernel (us)", "xfer (us)", "total (us)", "vs orig"
     );
-    let orig = run_scheme(SchemeKind::Original, &w, &gpu, &dmr, &pcie)?;
+    // Original and R-Naive price the same unprotected run: simulate it once.
+    let bare = w.run_with(&gpu, &mut NullObserver)?;
+    let price_bare = |kind: SchemeKind| kind.price(bare.stats.cycles, &w.footprint(), &gpu, &pcie);
+    let orig = price_bare(SchemeKind::Original);
     for kind in SchemeKind::ALL {
-        let e = run_scheme(kind, &w, &gpu, &dmr, &pcie)?;
+        let e = match kind {
+            SchemeKind::Original | SchemeKind::RNaive => price_bare(kind),
+            _ => run_scheme(kind, &w, &gpu, &dmr, &pcie)?,
+        };
         println!(
             "{:12} {:>12.1} {:>12.1} {:>12.1} {:>9.2}x",
             kind.name(),

@@ -46,6 +46,21 @@ if [ -n "$json_writers" ]; then
     exit 1
 fi
 
+# The SM decodes each issue's registers once and hands them to every
+# observer in `IssueInfo::srcs`/`dst`: a `src_regs()` call in the
+# simulator, the DMR engine, the trace layer or the kernels' tracer
+# decodes again. Unit tests (after a file's first `#[cfg(test)]`) may
+# decode; crates/isa defines the decode and crates/analysis reads whole
+# kernels statically, so neither is checked.
+redecoders=$(grep -rl --include='*.rs' 'src_regs()' crates/sim crates/core crates/kernels crates/trace |
+    xargs -r awk '/#\[cfg\(test\)\]/ { nextfile } /src_regs\(\)/ { print FILENAME; nextfile }' ||
+    true)
+if [ -n "$redecoders" ]; then
+    echo "lint: read IssueInfo::srcs instead of decoding with src_regs() in:" >&2
+    echo "$redecoders" >&2
+    exit 1
+fi
+
 # Rustdoc with warnings as errors: a moved or renamed item must not
 # leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -583,13 +583,13 @@ fn random_event(rng: &mut StdRng) -> TraceEvent {
             2 => TraceEvent::FaultInjected {
                 sm,
                 trial: 0,
-                kind: "comparator".into(),
+                kind: "comparator",
                 lane: u32::MAX,
                 cycle,
             },
             _ => TraceEvent::TrialOutcome {
                 trial: 0,
-                outcome: "masked".into(),
+                outcome: "masked",
             },
         },
     }
@@ -609,7 +609,7 @@ fn mutate(events: &mut Vec<TraceEvent>, rng: &mut StdRng) {
                 events.remove(i);
             }
             1 => {
-                let ev = events[i].clone();
+                let ev = events[i];
                 let at = rng.random_range(i..events.len() + 1);
                 events.insert(at, ev);
             }

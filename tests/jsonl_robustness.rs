@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use warped::dmr::{DmrConfig, WarpedDmr};
 use warped::experiments::ExperimentConfig;
+use warped::faults::{FaultSiteClass, TrialOutcome};
 use warped::kernels::Benchmark;
 use warped::trace::jsonl::{parse_line, to_line};
 use warped::trace::replay::read_jsonl;
@@ -115,4 +116,39 @@ fn escaped_strings_are_refused() {
         read_jsonl(text.as_bytes()),
         Err((3, ParseError::Malformed(_)))
     ));
+}
+
+/// Fault-site and outcome names are a closed vocabulary: every name a
+/// campaign can emit reads back as the same `&'static str`, and any other
+/// name is a typed error that `read_jsonl` pins to its line.
+#[test]
+fn unknown_wire_names_fail_typed() {
+    let fault = |kind: &str| {
+        format!(r#"{{"ev":"fault","sm":0,"trial":3,"kind":"{kind}","lane":5,"cycle":9}}"#)
+    };
+    let trial = |outcome: &str| format!(r#"{{"ev":"trial","trial":3,"outcome":"{outcome}"}}"#);
+    for site in FaultSiteClass::ALL {
+        match parse_line(&fault(site.as_str())) {
+            Ok(TraceEvent::FaultInjected { kind, .. }) => assert_eq!(kind, site.as_str()),
+            other => panic!("{site}: {other:?}"),
+        }
+    }
+    for class in TrialOutcome::ALL {
+        match parse_line(&trial(class.as_str())) {
+            Ok(TraceEvent::TrialOutcome { outcome, .. }) => assert_eq!(outcome, class.as_str()),
+            other => panic!("{class}: {other:?}"),
+        }
+    }
+    for name in ["cosmic_ray", "", "Masked", "lane_transient "] {
+        assert_eq!(parse_line(&fault(name)), Err(ParseError::BadValue("kind")));
+        assert_eq!(
+            parse_line(&trial(name)),
+            Err(ParseError::BadValue("outcome"))
+        );
+    }
+    let text = real_text(2) + &trial("crash") + "\n";
+    assert_eq!(
+        read_jsonl(text.as_bytes()),
+        Err((3, ParseError::BadValue("outcome")))
+    );
 }
