@@ -7,7 +7,8 @@ use warped::baselines::SchemeKind;
 use warped::dmr::DmrConfig;
 use warped::experiments::runs::{Collectors, RunKey, Runs};
 use warped::experiments::{
-    config_tables, coverage_profile, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b, ExperimentConfig,
+    ablation, config_tables, coverage_profile, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b,
+    ExperimentConfig,
 };
 use warped::kernels::Benchmark;
 use warped::sim::NullObserver;
@@ -217,8 +218,8 @@ fn fnv1a(data: &[u8]) -> u64 {
     })
 }
 
-/// Every figure table at `test_tiny`, byte for byte: the FNV-1a-64
-/// digest of each table's CSV.
+/// Every figure and ablation table at `test_tiny`, byte for byte: the
+/// FNV-1a-64 digest of each table's CSV.
 #[test]
 fn figure_tables_are_pinned() {
     let c = cfg();
@@ -243,6 +244,31 @@ fn figure_tables_are_pinned() {
             "profile",
             coverage_profile::run(&c).unwrap().1,
             0x4f8ab21eb65ea5c1,
+        ),
+        (
+            "mechanisms",
+            ablation::mechanisms(&c).unwrap().1,
+            0x74ac2e8f34a8c625,
+        ),
+        (
+            "scheduler",
+            ablation::scheduler(&c).unwrap().1,
+            0x452ea0f4cecf394a,
+        ),
+        (
+            "dual_issue",
+            ablation::dual_issue(&c).unwrap().1,
+            0xd94f0faeb901d60b,
+        ),
+        (
+            "sampling",
+            ablation::sampling(&c).unwrap().1,
+            0x15a295bdd2a038d0,
+        ),
+        (
+            "shuffling",
+            ablation::shuffling(&c, 3, 99).unwrap(),
+            0xafa2616a712e333f,
         ),
     ];
     let mut moved = Vec::new();
