@@ -143,49 +143,30 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--json" => parsed.json = true,
             "--quick" => parsed.paper = false,
             "--check" => parsed.check = true,
-            "--trials" => {
-                let v = args.next().ok_or("--trials needs a value")?;
-                parsed.trials = v.parse().map_err(|_| format!("bad trial count {v}"))?;
-            }
-            "--count" => {
-                let v = args.next().ok_or("--count needs a value")?;
-                parsed.count = v.parse().map_err(|_| format!("bad count {v}"))?;
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                parsed.threads = Some(v.parse().map_err(|_| format!("bad thread count {v}"))?);
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                parsed.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-            }
+            "--trials" => parsed.trials = value(&mut args, "--trials", "trial count")?,
+            "--count" => parsed.count = value(&mut args, "--count", "count")?,
+            "--threads" => parsed.threads = Some(value(&mut args, "--threads", "thread count")?),
+            "--seed" => parsed.seed = value(&mut args, "--seed", "seed")?,
             "--format" => {
-                let v = args.next().ok_or("--format needs a value")?;
+                let v: String = value(&mut args, "--format", "format")?;
                 if v != "jsonl" && v != "chrome" {
                     return Err(format!("bad format {v} (expected jsonl or chrome)"));
                 }
                 parsed.format = Some(v);
             }
-            "--out" => {
-                parsed.out = Some(args.next().ok_or("--out needs a value")?);
-            }
+            "--out" => parsed.out = Some(value(&mut args, "--out", "path")?),
             "--invariants" => parsed.invariants = true,
-            "--site" => {
-                parsed.site = Some(args.next().ok_or("--site needs a value")?);
-            }
-            "--checkpoint" => {
-                parsed.checkpoint = Some(args.next().ok_or("--checkpoint needs a value")?);
-            }
+            "--site" => parsed.site = Some(value(&mut args, "--site", "site")?),
+            "--checkpoint" => parsed.checkpoint = Some(value(&mut args, "--checkpoint", "path")?),
             "--resume" => parsed.resume = true,
             "--depth" => {
-                let v = args.next().ok_or("--depth needs a value")?;
-                parsed.depth = v.parse().map_err(|_| format!("bad depth {v}"))?;
+                parsed.depth = value(&mut args, "--depth", "depth")?;
                 if parsed.depth == 0 {
                     return Err("--depth must be at least 1".to_string());
                 }
             }
             "--fail-chunk" => {
-                let v = args.next().ok_or("--fail-chunk needs a value")?;
+                let v: String = value(&mut args, "--fail-chunk", "value")?;
                 let (c, n) = v
                     .split_once(':')
                     .ok_or(format!("bad --fail-chunk {v} (expected CHUNK:ATTEMPTS)"))?;
@@ -203,6 +184,16 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         }
     }
     Ok(parsed)
+}
+
+/// The value after `flag`, parsed; one that does not parse is a bad `what`.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {what} {v}"))
 }
 
 fn heading(title: &str) {
@@ -232,7 +223,7 @@ const FIGURES: [&str; 8] = [
     "figure1", "figure5", "figure8a", "figure8b", "figure9a", "figure9b", "figure10", "figure11",
 ];
 
-/// The runs figure command `command` reads; `None` for any other command.
+/// The runs figure or ablation command `command` reads; `None` for any other.
 fn figure_keys(command: &str) -> Option<Vec<RunKey>> {
     Some(match command {
         "figure1" => experiments::fig1::keys(),
@@ -243,12 +234,13 @@ fn figure_keys(command: &str) -> Option<Vec<RunKey>> {
         "figure10" => experiments::fig10::keys(),
         "figure11" => experiments::fig11::keys(),
         "profile" => experiments::coverage_profile::keys(),
+        "ablation" => experiments::ablation::keys(),
         _ => return None,
     })
 }
 
 /// Run `args.command`. `figures` and `all` expand to the commands they
-/// print; one plan simulates the runs of every figure among them first.
+/// print; one plan simulates the runs of every planned table among them.
 fn run_command(args: &Args) -> Result<(), ExperimentError> {
     let cfg = if args.paper {
         ExperimentConfig::paper()
@@ -282,14 +274,14 @@ fn run_command(args: &Args) -> Result<(), ExperimentError> {
     Ok(())
 }
 
-/// Run one command; `runs` holds the planned runs when it is a figure.
+/// Run one command; `runs` holds the planned runs when it reads any.
 fn run_one(
     command: &str,
     args: &Args,
     cfg: &ExperimentConfig,
     runs: Option<&Runs>,
 ) -> Result<(), ExperimentError> {
-    let planned = || runs.expect("a figure command's runs are planned");
+    let planned = || runs.expect("the command's runs are planned");
     match command {
         "figure1" => {
             heading("Figure 1: execution time by number of active threads");
@@ -395,19 +387,19 @@ fn run_one(
         "certify" => return run_certify(args, cfg),
         "ablation" => {
             heading("Ablation: which mechanism earns the coverage");
-            let (_, t) = experiments::ablation::mechanisms(cfg)?;
+            let (_, t) = experiments::ablation::build_mechanisms(planned());
             show(&t, args.csv);
             heading("Ablation: warp scheduler vs type-run length and overhead");
-            let (_, t) = experiments::ablation::scheduler(cfg)?;
+            let (_, t) = experiments::ablation::build_scheduler(planned());
             show(&t, args.csv);
             heading("Ablation: Fermi dual schedulers (paper \u{00a7}2.2)");
-            let (_, t) = experiments::ablation::dual_issue(cfg)?;
+            let (_, t) = experiments::ablation::build_dual_issue(planned());
             show(&t, args.csv);
             outln!(
                 "(the second scheduler helps, yet units stay idle -- the DMR opportunity survives)"
             );
             heading("Ablation: Sampling-DMR duty sweep (MatrixMul)");
-            let (_, t) = experiments::ablation::sampling(cfg)?;
+            let (_, t) = experiments::ablation::sampling(cfg, planned())?;
             show(&t, args.csv);
             heading("Ablation: lane shuffling vs core affinity (stuck-at faults)");
             let t = experiments::ablation::shuffling(cfg, args.trials, 0xab1a)?;

@@ -61,6 +61,21 @@ if [ -n "$redecoders" ]; then
     exit 1
 fi
 
+# The figure modules read the run plan and simulate nothing themselves:
+# `Runs::simulate` builds, simulates and checks every run they read, once
+# for all of them. A workload build or a simulation call in one of them
+# (outside its unit tests) is a second, unplanned and unshared run.
+simulators=$(grep -lE '\.build\(|run_with\(|run_on\(|run_traced\(' \
+    src/experiments/fig*.rs src/experiments/coverage_profile.rs |
+    xargs -r awk '/#\[cfg\(test\)\]/ { nextfile }
+        /\.build\(|run_with\(|run_on\(|run_traced\(/ { print FILENAME; nextfile }' ||
+    true)
+if [ -n "$simulators" ]; then
+    echo "lint: figure modules read Runs and must not simulate, but these do:" >&2
+    echo "$simulators" >&2
+    exit 1
+fi
+
 # Rustdoc with warnings as errors: a moved or renamed item must not
 # leave a dangling intra-doc link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

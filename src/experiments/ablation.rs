@@ -4,15 +4,23 @@
 //! (Sampling-)DMR trades coverage for overhead.
 
 use crate::experiments::faults_exp::complete_campaign;
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use crate::experiments::{ExperimentConfig, ExperimentError};
-use warped_baselines::ResidueChecker;
 use warped_core::{DmrConfig, SamplingConfig, SamplingDmr, WarpedDmr};
 use warped_faults::{FaultSiteClass, ResilientOptions};
 use warped_isa::UnitType;
 use warped_kernels::{Benchmark, WorkloadSize};
-use warped_sim::collectors::TypeSwitchCollector;
-use warped_sim::{GpuConfig, NullObserver, SchedulerPolicy};
+use warped_sim::SchedulerPolicy;
 use warped_stats::Table;
+
+/// The runs `warped ablation` reads from the plan: those of the
+/// mechanism, scheduler and dual-scheduler ablations and the sampling
+/// sweep's unprotected baseline.
+pub fn keys() -> Vec<RunKey> {
+    let mut keys = [mechanism_keys(), scheduler_keys(), dual_issue_keys()].concat();
+    keys.extend(sampling_keys());
+    keys
+}
 
 /// Mechanism ablation: coverage with both mechanisms, intra-warp only,
 /// and inter-warp only.
@@ -31,46 +39,38 @@ pub struct MechanismRow {
     pub residue: f64,
 }
 
-/// Run the mechanism ablation over the whole suite.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
-pub fn mechanisms(cfg: &ExperimentConfig) -> Result<(Vec<MechanismRow>, Table), ExperimentError> {
-    let variants = [
-        DmrConfig::default(),
-        DmrConfig {
-            enable_inter: false,
-            ..DmrConfig::default()
-        },
-        DmrConfig {
-            enable_intra: false,
-            ..DmrConfig::default()
-        },
-    ];
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<MechanismRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut cov = [0.0f64; 3];
-            for (i, v) in variants.iter().enumerate() {
-                let mut engine = WarpedDmr::new(v.clone(), &cfg.gpu);
-                let run = w.run_with(&cfg.gpu, &mut engine)?;
-                w.check(&run)?;
-                cov[i] = engine.report().coverage_pct();
-            }
-            let mut residue = ResidueChecker::new();
-            let run = w.run_with(&cfg.gpu, &mut residue)?;
-            w.check(&run)?;
-            Ok(MechanismRow {
+/// The three Warped-DMR configurations of the mechanism ablation: both
+/// mechanisms (the default), intra-warp only, inter-warp only.
+fn mechanism_configs() -> [DmrConfig; 3] {
+    let with = |enable_intra, enable_inter| DmrConfig {
+        enable_intra,
+        enable_inter,
+        ..DmrConfig::default()
+    };
+    [with(true, true), with(true, false), with(false, true)]
+}
+
+/// The runs the mechanism ablation reads: Warped-DMR with both, the
+/// intra-warp and the inter-warp mechanism, and the residue checker.
+pub fn mechanism_keys() -> Vec<RunKey> {
+    let dmr = mechanism_configs().map(|c| RunKey::Dmr(Chip::Configured, c));
+    [&dmr[..], &[RunKey::Residue]].concat()
+}
+
+/// The mechanism ablation from planned runs.
+pub fn build_mechanisms(runs: &Runs) -> (Vec<MechanismRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let cov = mechanism_configs().map(|c| runs.report(bench, &c).coverage_pct());
+            MechanismRow {
                 benchmark: bench,
                 both: cov[0],
                 intra_only: cov[1],
                 inter_only: cov[2],
-                residue: residue.stats.coverage_pct(),
-            })
-        },
-    )?;
+                residue: runs.residue(bench).coverage_pct(),
+            }
+        })
+        .to_vec();
     let mut table = Table::new(vec![
         "benchmark",
         "both (%)",
@@ -87,7 +87,7 @@ pub fn mechanisms(cfg: &ExperimentConfig) -> Result<(Vec<MechanismRow>, Table), 
             format!("{:.2}", r.residue),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Scheduler ablation: average SP-run length and Warped-DMR overhead
@@ -106,44 +106,42 @@ pub struct SchedulerRow {
     pub rr_overhead: f64,
 }
 
-/// Run the scheduler ablation.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
-pub fn scheduler(cfg: &ExperimentConfig) -> Result<(Vec<SchedulerRow>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<SchedulerRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let mut per_policy = Vec::new();
-            for policy in [
-                SchedulerPolicy::GreedyThenOldest,
-                SchedulerPolicy::LooseRoundRobin,
-            ] {
-                let gpu = GpuConfig {
-                    scheduler: policy,
-                    ..cfg.gpu.clone()
-                };
-                let mut switches = TypeSwitchCollector::new();
-                let base = w.run_with(&gpu, &mut switches)?;
-                w.check(&base)?;
-                let mut engine = WarpedDmr::new(DmrConfig::default(), &gpu);
-                let with = w.run_with(&gpu, &mut engine)?;
-                per_policy.push((
-                    switches.average(UnitType::Sp),
-                    with.stats.cycles as f64 / base.stats.cycles.max(1) as f64,
-                ));
-            }
-            Ok(SchedulerRow {
+/// The chip under each warp-scheduler policy the scheduler ablation
+/// compares: greedy-then-oldest, then loose round-robin.
+const POLICIES: [Chip; 2] = [
+    Chip::Scheduler(SchedulerPolicy::GreedyThenOldest),
+    Chip::Scheduler(SchedulerPolicy::LooseRoundRobin),
+];
+
+/// The runs the scheduler ablation reads: unprotected and under the
+/// default Warped-DMR configuration, on the chip under each policy.
+pub fn scheduler_keys() -> Vec<RunKey> {
+    let runs = |chip| [RunKey::Bare(chip), RunKey::Dmr(chip, DmrConfig::default())];
+    POLICIES.into_iter().flat_map(runs).collect()
+}
+
+/// The scheduler ablation from planned runs.
+pub fn build_scheduler(runs: &Runs) -> (Vec<SchedulerRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let [greedy, rr] = POLICIES.map(|chip| {
+                let cycles = |key: RunKey| runs.get(bench, &key).stats.cycles;
+                let base = cycles(RunKey::Bare(chip));
+                let with = cycles(RunKey::Dmr(chip, DmrConfig::default()));
+                (
+                    runs.collectors(bench, chip).switches.average(UnitType::Sp),
+                    with as f64 / base.max(1) as f64,
+                )
+            });
+            SchedulerRow {
                 benchmark: bench,
-                greedy_sp_run: per_policy[0].0,
-                rr_sp_run: per_policy[1].0,
-                greedy_overhead: per_policy[0].1,
-                rr_overhead: per_policy[1].1,
-            })
-        },
-    )?;
+                greedy_sp_run: greedy.0,
+                rr_sp_run: rr.0,
+                greedy_overhead: greedy.1,
+                rr_overhead: rr.1,
+            }
+        })
+        .to_vec();
     let fmt = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.1}"));
     let mut table = Table::new(vec![
         "benchmark",
@@ -161,7 +159,7 @@ pub fn scheduler(cfg: &ExperimentConfig) -> Result<(Vec<SchedulerRow>, Table), E
             format!("{:.3}", r.rr_overhead),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Sampling-DMR duty sweep on one fully-utilized benchmark: coverage and
@@ -176,19 +174,30 @@ pub struct SamplingRow {
     pub normalized_cycles: f64,
 }
 
-/// Run the sampling sweep over MatrixMul.
+/// The run the sampling sweep reads from the plan: its unprotected
+/// baseline.
+pub fn sampling_keys() -> Vec<RunKey> {
+    vec![RunKey::Bare(Chip::Configured)]
+}
+
+/// Run the sampling sweep over MatrixMul at `cfg.size` on the chip of
+/// `runs`, normalized to its planned unprotected MatrixMul run.
 ///
 /// # Errors
 ///
 /// Propagates workload and simulator errors.
-pub fn sampling(cfg: &ExperimentConfig) -> Result<(Vec<SamplingRow>, Table), ExperimentError> {
-    let w = Benchmark::MatrixMul.build(cfg.size)?;
-    let base = w.run_with(&cfg.gpu, &mut NullObserver)?.stats.cycles.max(1);
+pub fn sampling(
+    cfg: &ExperimentConfig,
+    runs: &Runs,
+) -> Result<(Vec<SamplingRow>, Table), ExperimentError> {
+    let (gpu, w) = (runs.gpu(), Benchmark::MatrixMul.build(cfg.size)?);
+    let base = runs.get(Benchmark::MatrixMul, &RunKey::Bare(Chip::Configured));
+    let base = base.stats.cycles.max(1);
     let mut rows = Vec::new();
     for duty in [0.1f64, 0.25, 0.5, 1.0] {
-        let inner = WarpedDmr::new(DmrConfig::default(), &cfg.gpu);
+        let inner = WarpedDmr::new(DmrConfig::default(), gpu);
         let mut s = SamplingDmr::new(inner, SamplingConfig::with_duty(2000, duty));
-        let run = w.run_with(&cfg.gpu, &mut s)?;
+        let run = w.run_with(gpu, &mut s)?;
         w.check(&run)?;
         rows.push(SamplingRow {
             duty,
@@ -229,36 +238,29 @@ impl DualIssueRow {
     }
 }
 
-/// Run the dual-scheduler ablation.
-///
-/// # Errors
-///
-/// Propagates workload and simulator errors.
-pub fn dual_issue(cfg: &ExperimentConfig) -> Result<(Vec<DualIssueRow>, Table), ExperimentError> {
-    let rows = cfg.runner().try_map(
-        Benchmark::ALL,
-        |bench| -> Result<DualIssueRow, ExperimentError> {
-            let w = bench.build(cfg.size)?;
-            let single = w.run_with(&cfg.gpu, &mut NullObserver)?;
-            w.check(&single)?;
-            let dual_gpu = cfg.gpu.clone().with_dual_issue();
-            let dual = w.run_with(&dual_gpu, &mut NullObserver)?;
-            w.check(&dual)?;
+/// The runs the dual-scheduler ablation reads: unprotected with one
+/// scheduler and with two.
+pub fn dual_issue_keys() -> Vec<RunKey> {
+    [Chip::Configured, Chip::DualIssue].map(RunKey::Bare).into()
+}
+
+/// The dual-scheduler ablation from planned runs.
+pub fn build_dual_issue(runs: &Runs) -> (Vec<DualIssueRow>, Table) {
+    let rows = Benchmark::ALL
+        .map(|bench| {
+            let single = &runs.get(bench, &RunKey::Bare(Chip::Configured)).stats;
+            let dual = &runs.get(bench, &RunKey::Bare(Chip::DualIssue)).stats;
             // An issuing cycle produced 1 or 2 instructions; dual_issues
-            // counts the 2s.
-            let issue_cycles = dual.stats.warp_instructions - dual.stats.dual_issues;
-            Ok(DualIssueRow {
+            // counts the 2s, so it is 0 when no cycle issued.
+            let issue_cycles = dual.warp_instructions - dual.dual_issues;
+            DualIssueRow {
                 benchmark: bench,
-                single_cycles: single.stats.cycles,
-                dual_cycles: dual.stats.cycles,
-                dual_fire_rate: if issue_cycles == 0 {
-                    0.0
-                } else {
-                    dual.stats.dual_issues as f64 / issue_cycles as f64
-                },
-            })
-        },
-    )?;
+                single_cycles: single.cycles,
+                dual_cycles: dual.cycles,
+                dual_fire_rate: dual.dual_issues as f64 / issue_cycles.max(1) as f64,
+            }
+        })
+        .to_vec();
     let mut table = Table::new(vec![
         "benchmark",
         "cycles, 1 sched",
@@ -275,7 +277,7 @@ pub fn dual_issue(cfg: &ExperimentConfig) -> Result<(Vec<DualIssueRow>, Table), 
             format!("{:.1}", 100.0 * r.dual_fire_rate),
         ]);
     }
-    Ok((rows, table))
+    (rows, table)
 }
 
 /// Lane-shuffling ablation: stuck-at detection with and without

@@ -8,8 +8,7 @@
 //! buckets and shows exactly that profile — e.g. CUFFT's loss lives
 //! entirely in the 22–31 bucket.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
@@ -31,12 +30,7 @@ pub const BUCKET_LABELS: [&str; 5] = ["1", "2-11", "12-21", "22-31", "32"];
 
 /// The runs the profile reads: the paper's best configuration.
 pub fn keys() -> Vec<RunKey> {
-    vec![RunKey::Dmr(DmrConfig::default())]
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<ProfileRow>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
+    vec![RunKey::Dmr(Chip::Configured, DmrConfig::default())]
 }
 
 /// The profile from planned runs: coverage per activity bucket over the

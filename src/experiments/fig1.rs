@@ -1,7 +1,6 @@
 //! Paper Fig. 1: execution-time breakdown by number of active threads.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_kernels::Benchmark;
 use warped_stats::Table;
 
@@ -24,20 +23,18 @@ impl Fig1Row {
 
 /// The runs Fig. 1 reads: the bare run's active-thread histogram.
 pub fn keys() -> Vec<RunKey> {
-    vec![RunKey::Bare]
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig1Row>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
+    vec![RunKey::Bare(Chip::Configured)]
 }
 
 /// Fig. 1 from planned runs: active-thread counts per issue.
 pub fn build(runs: &Runs) -> (Vec<Fig1Row>, Table) {
     let rows = Benchmark::ALL
-        .map(|bench| Fig1Row {
-            benchmark: bench,
-            fractions: runs.collectors(bench).active.histogram().fractions(),
+        .map(|bench| {
+            let active = &runs.collectors(bench, Chip::Configured).active;
+            Fig1Row {
+                benchmark: bench,
+                fractions: active.histogram().fractions(),
+            }
         })
         .to_vec();
     let labels: Vec<String> = rows[0].fractions.iter().map(|(l, _)| l.clone()).collect();

@@ -1,8 +1,7 @@
 //! Paper Fig. 10: end-to-end execution time (kernel + host↔device
 //! transfers) of the five error-detection schemes.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_baselines::{EndToEnd, PcieModel, SchemeKind};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
@@ -39,21 +38,16 @@ impl Fig10Row {
 /// unprotected run: R-Naive's second invocation is identical.
 fn key(kind: SchemeKind) -> RunKey {
     match kind {
-        SchemeKind::Original | SchemeKind::RNaive => RunKey::Bare,
+        SchemeKind::Original | SchemeKind::RNaive => RunKey::Bare(Chip::Configured),
         SchemeKind::RThread => RunKey::RThread,
         SchemeKind::Dmtr => RunKey::Dmtr,
-        SchemeKind::WarpedDmr => RunKey::Dmr(DmrConfig::default()),
+        SchemeKind::WarpedDmr => RunKey::Dmr(Chip::Configured, DmrConfig::default()),
     }
 }
 
 /// The runs Fig. 10 reads: one per scheme.
 pub fn keys() -> Vec<RunKey> {
     SchemeKind::ALL.map(key).to_vec()
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig10Row>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
 }
 
 /// Fig. 10 from planned runs: every scheme's run priced end to end.

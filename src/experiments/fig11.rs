@@ -1,8 +1,7 @@
 //! Paper Fig. 11: power and energy of Warped-DMR normalized to the
 //! unprotected baseline.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_power::{estimate, PowerParams};
@@ -22,12 +21,8 @@ pub struct Fig11Row {
 /// The runs Fig. 11 reads: unprotected and under the default
 /// Warped-DMR configuration.
 pub fn keys() -> Vec<RunKey> {
-    vec![RunKey::Bare, RunKey::Dmr(DmrConfig::default())]
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig11Row>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
+    let dmr = RunKey::Dmr(Chip::Configured, DmrConfig::default());
+    vec![RunKey::Bare(Chip::Configured), dmr]
 }
 
 /// Fig. 11 from planned runs: power and energy with Warped-DMR against
@@ -38,9 +33,9 @@ pub fn build(runs: &Runs) -> (Vec<Fig11Row>, Table) {
     let dmr = DmrConfig::default();
     let rows = Benchmark::ALL
         .map(|bench| {
-            let base_run = runs.get(bench, &RunKey::Bare);
+            let base_run = runs.get(bench, &RunKey::Bare(Chip::Configured));
             let base = estimate(&base_run.stats, gpu, &params, None);
-            let dmr_run = runs.get(bench, &RunKey::Dmr(dmr.clone()));
+            let dmr_run = runs.get(bench, &RunKey::Dmr(Chip::Configured, dmr.clone()));
             let with = estimate(&dmr_run.stats, gpu, &params, dmr_run.report.as_ref());
             Fig11Row {
                 benchmark: bench,

@@ -1,7 +1,6 @@
 //! Paper Fig. 5: execution-time breakdown by instruction (unit) type.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_isa::UnitType;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
@@ -21,19 +20,14 @@ pub struct Fig5Row {
 
 /// The runs Fig. 5 reads: the bare run's unit mix.
 pub fn keys() -> Vec<RunKey> {
-    vec![RunKey::Bare]
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig5Row>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
+    vec![RunKey::Bare(Chip::Configured)]
 }
 
 /// Fig. 5 from planned runs: issued instructions by unit.
 pub fn build(runs: &Runs) -> (Vec<Fig5Row>, Table) {
     let rows = Benchmark::ALL
         .map(|bench| {
-            let c = &runs.collectors(bench).units;
+            let c = &runs.collectors(bench, Chip::Configured).units;
             Fig5Row {
                 benchmark: bench,
                 sp: c.fraction(UnitType::Sp),

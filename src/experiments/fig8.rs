@@ -1,15 +1,14 @@
 //! Paper Fig. 8: the two factors sizing the ReplayQ — (a) instruction
 //! type switching distances, (b) RAW dependency distances.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_isa::UnitType;
 use warped_kernels::Benchmark;
 use warped_stats::{LogHistogram, Table};
 
 /// The runs Fig. 8a and 8b read: the bare run's issue stream.
 pub fn keys() -> Vec<RunKey> {
-    vec![RunKey::Bare]
+    vec![RunKey::Bare(Chip::Configured)]
 }
 
 /// One benchmark's bars of Fig. 8a.
@@ -25,20 +24,12 @@ pub struct Fig8aRow {
     pub ldst: Option<f64>,
 }
 
-/// [`build_switch_distances`] over a plan of [`keys`]; fails as
-/// [`Runs::simulate`] does.
-pub fn run_switch_distances(
-    cfg: &ExperimentConfig,
-) -> Result<(Vec<Fig8aRow>, Table), ExperimentError> {
-    Ok(build_switch_distances(&Runs::simulate(cfg, &keys())?))
-}
-
 /// Fig. 8a from planned runs: average cycle distance before the issue
 /// stream switches to a different execution-unit type.
 pub fn build_switch_distances(runs: &Runs) -> (Vec<Fig8aRow>, Table) {
     let rows = Benchmark::ALL
         .map(|bench| {
-            let c = &runs.collectors(bench).switches;
+            let c = &runs.collectors(bench, Chip::Configured).switches;
             Fig8aRow {
                 benchmark: bench,
                 sp: c.average(UnitType::Sp),
@@ -73,20 +64,12 @@ pub struct Fig8bRow {
     pub histogram: LogHistogram,
 }
 
-/// [`build_raw_distances`] over a plan of [`keys`]; fails as
-/// [`Runs::simulate`] does.
-pub fn run_raw_distances(
-    cfg: &ExperimentConfig,
-) -> Result<(Vec<Fig8bRow>, Table), ExperimentError> {
-    Ok(build_raw_distances(&Runs::simulate(cfg, &keys())?))
-}
-
 /// Fig. 8b from planned runs: issue-to-issue RAW dependency distance
 /// distribution.
 pub fn build_raw_distances(runs: &Runs) -> (Vec<Fig8bRow>, Table) {
     let rows = Benchmark::ALL
         .map(|bench| {
-            let c = &runs.collectors(bench).raw;
+            let c = &runs.collectors(bench, Chip::Configured).raw;
             let h = c.histogram().clone();
             Fig8bRow {
                 benchmark: bench,

@@ -2,8 +2,7 @@
 //! configurations (4-lane clusters, 8-lane clusters, 4-lane + cross
 //! thread-core mapping).
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
@@ -35,12 +34,9 @@ pub fn configs() -> [(&'static str, DmrConfig); 3] {
 
 /// The runs Fig. 9a reads: one Warped-DMR run per configuration.
 pub fn keys() -> Vec<RunKey> {
-    configs().into_iter().map(|(_, c)| RunKey::Dmr(c)).collect()
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9aRow>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
+    configs()
+        .map(|(_, c)| RunKey::Dmr(Chip::Configured, c))
+        .into()
 }
 
 /// Fig. 9a from planned runs: coverage under each configuration.

@@ -1,8 +1,7 @@
 //! Paper Fig. 9b: kernel cycles under Warped-DMR, normalized to the
 //! unprotected baseline, as the ReplayQ size sweeps 0 / 1 / 5 / 10.
 
-use crate::experiments::runs::{RunKey, Runs};
-use crate::experiments::{ExperimentConfig, ExperimentError};
+use crate::experiments::runs::{Chip, RunKey, Runs};
 use warped_core::DmrConfig;
 use warped_kernels::Benchmark;
 use warped_stats::Table;
@@ -30,20 +29,15 @@ impl Fig9bRow {
 
 /// The Warped-DMR run of each sweep point.
 fn sweep_key(entries: usize) -> RunKey {
-    RunKey::Dmr(DmrConfig::default().with_replayq(entries))
+    RunKey::Dmr(Chip::Configured, DmrConfig::default().with_replayq(entries))
 }
 
 /// The runs Fig. 9b reads: the unprotected baseline the sweep
 /// normalizes against, then one Warped-DMR run per ReplayQ size.
 pub fn keys() -> Vec<RunKey> {
-    let mut keys = vec![RunKey::Bare];
+    let mut keys = vec![RunKey::Bare(Chip::Configured)];
     keys.extend(REPLAYQ_SIZES.map(sweep_key));
     keys
-}
-
-/// [`build`] over a plan of [`keys`]; fails as [`Runs::simulate`] does.
-pub fn run(cfg: &ExperimentConfig) -> Result<(Vec<Fig9bRow>, Table), ExperimentError> {
-    Ok(build(&Runs::simulate(cfg, &keys())?))
 }
 
 /// Fig. 9b from planned runs: kernel cycles per ReplayQ size,
@@ -52,7 +46,7 @@ pub fn build(runs: &Runs) -> (Vec<Fig9bRow>, Table) {
     let rows = Benchmark::ALL
         .map(|bench| {
             let cycles = |key: &RunKey| runs.get(bench, key).stats.cycles;
-            let base_cycles = cycles(&RunKey::Bare).max(1);
+            let base_cycles = cycles(&RunKey::Bare(Chip::Configured)).max(1);
             Fig9bRow {
                 benchmark: bench,
                 base_cycles,

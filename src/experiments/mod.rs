@@ -6,15 +6,15 @@
 //! plots. The `warped` CLI prints them; EXPERIMENTS.md records them.
 //!
 //! The figure modules ([`fig1`], [`fig5`], [`fig8`], [`fig9a`],
-//! [`fig9b`], [`fig10`], [`fig11`] and [`coverage_profile`]) simulate
-//! nothing themselves. Each lists the runs it reads as
-//! [`RunKey`](runs::RunKey)s (`keys`) and builds its table from a
-//! [`Runs`](runs::Runs) plan (`build`); its `run` plans its own keys and
-//! then builds. `warped figures` and `warped all` plan the union of the
-//! figures' keys, so each distinct (benchmark, run) is simulated and
-//! checked once and shared by every figure that reads it. The ablations,
-//! fault experiments, invariants and certification run their own
-//! simulations (other chips, observers or fault hooks).
+//! [`fig9b`], [`fig10`], [`fig11`], [`coverage_profile`]) and the
+//! mechanism, scheduler and dual-scheduler [`ablation`]s simulate
+//! nothing. Each lists the runs it reads as [`RunKey`](runs::RunKey)s
+//! and builds its table from a [`Runs`](runs::Runs) plan. The CLI's
+//! `figures`, `ablation` and `all` plan the union of their tables' keys,
+//! so each distinct (benchmark, run) is simulated and checked once. The
+//! sampling sweep reads its baseline there; it, lane shuffling, the
+//! fault experiments, invariants and certification simulate their own
+//! runs (Sampling-DMR, fault hooks, traces, other sizes).
 
 pub mod ablation;
 pub mod certify;

@@ -1,9 +1,15 @@
 //! Integration: the design-choice ablations behave as the design claims.
 
+use warped::experiments::runs::{RunKey, Runs};
 use warped::experiments::{ablation, ExperimentConfig};
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::test_tiny()
+}
+
+/// `build` over a plan of only `keys` at `test_tiny`.
+fn planned<T>(keys: Vec<RunKey>, build: impl FnOnce(&Runs) -> T) -> T {
+    build(&Runs::simulate(&cfg(), &keys).unwrap())
 }
 
 #[test]
@@ -11,7 +17,7 @@ fn mechanisms_are_complementary() {
     // The paper's central claim: intra- and inter-warp DMR complement
     // each other. Combined coverage must (approximately) dominate each
     // alone, and neither mechanism alone suffices across the suite.
-    let (rows, table) = ablation::mechanisms(&cfg()).unwrap();
+    let (rows, table) = planned(ablation::mechanism_keys(), ablation::build_mechanisms);
     assert_eq!(table.len(), rows.len());
     for r in &rows {
         assert!(
@@ -40,7 +46,7 @@ fn mechanisms_are_complementary() {
 
 #[test]
 fn greedy_scheduling_shortens_type_runs() {
-    let (rows, _) = ablation::scheduler(&cfg()).unwrap();
+    let (rows, _) = planned(ablation::scheduler_keys(), ablation::build_scheduler);
     let shorter = rows
         .iter()
         .filter(|r| match (r.greedy_sp_run, r.rr_sp_run) {
@@ -57,7 +63,10 @@ fn greedy_scheduling_shortens_type_runs() {
 
 #[test]
 fn sampling_trades_coverage_for_overhead_monotonically() {
-    let (rows, _) = ablation::sampling(&cfg()).unwrap();
+    let (rows, _) = planned(ablation::sampling_keys(), |runs| {
+        ablation::sampling(&cfg(), runs)
+    })
+    .unwrap();
     assert_eq!(rows.len(), 4);
     for w in rows.windows(2) {
         assert!(w[0].duty < w[1].duty);
@@ -78,7 +87,7 @@ fn sampling_trades_coverage_for_overhead_monotonically() {
 
 #[test]
 fn dual_schedulers_speed_up_but_never_double() {
-    let (rows, _) = ablation::dual_issue(&cfg()).unwrap();
+    let (rows, _) = planned(ablation::dual_issue_keys(), ablation::build_dual_issue);
     for r in &rows {
         let s = r.speedup();
         assert!(

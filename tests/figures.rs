@@ -5,21 +5,26 @@
 
 use warped::baselines::SchemeKind;
 use warped::dmr::DmrConfig;
-use warped::experiments::runs::{Collectors, RunKey, Runs};
+use warped::experiments::runs::{Chip, Collectors, RunKey, Runs};
 use warped::experiments::{
     ablation, config_tables, coverage_profile, fig1, fig10, fig11, fig5, fig8, fig9a, fig9b,
     ExperimentConfig,
 };
 use warped::kernels::Benchmark;
-use warped::sim::NullObserver;
+use warped::sim::{NullObserver, SchedulerPolicy};
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::test_tiny()
 }
 
+/// `build` over a plan of only `keys` at `test_tiny`.
+fn planned<T>(keys: Vec<RunKey>, build: impl FnOnce(&Runs) -> T) -> T {
+    build(&Runs::simulate(&cfg(), &keys).unwrap())
+}
+
 #[test]
 fn fig1_fractions_sum_to_one_per_benchmark() {
-    let (rows, table) = fig1::run(&cfg()).unwrap();
+    let (rows, table) = planned(fig1::keys(), fig1::build);
     assert_eq!(rows.len(), Benchmark::ALL.len());
     assert_eq!(table.len(), rows.len());
     for r in &rows {
@@ -40,7 +45,7 @@ fn fig1_fractions_sum_to_one_per_benchmark() {
 
 #[test]
 fn fig5_unit_mix_sums_to_one_and_shapes_hold() {
-    let (rows, _) = fig5::run(&cfg()).unwrap();
+    let (rows, _) = planned(fig5::keys(), fig5::build);
     for r in &rows {
         assert!(
             (r.sp + r.sfu + r.ldst - 1.0).abs() < 1e-9,
@@ -64,7 +69,7 @@ fn fig5_unit_mix_sums_to_one_and_shapes_hold() {
 
 #[test]
 fn fig8a_switch_distances_are_bounded() {
-    let (rows, _) = fig8::run_switch_distances(&cfg()).unwrap();
+    let (rows, _) = planned(fig8::keys(), fig8::build_switch_distances);
     for r in &rows {
         for d in [r.sp, r.sfu, r.ldst].into_iter().flatten() {
             assert!(d >= 1.0, "{}: run shorter than a cycle", r.benchmark);
@@ -80,7 +85,7 @@ fn fig8a_switch_distances_are_bounded() {
 
 #[test]
 fn fig8b_raw_distances_respect_pipeline_floor() {
-    let (rows, _) = fig8::run_raw_distances(&cfg()).unwrap();
+    let (rows, _) = planned(fig8::keys(), fig8::build_raw_distances);
     for r in &rows {
         let min = r
             .min
@@ -95,7 +100,7 @@ fn fig8b_raw_distances_respect_pipeline_floor() {
 
 #[test]
 fn fig9a_configuration_ordering_holds_on_average() {
-    let (rows, _) = fig9a::run(&cfg()).unwrap();
+    let (rows, _) = planned(fig9a::keys(), fig9a::build);
     let (four, eight, cross) = fig9a::averages(&rows);
     assert!(
         four <= eight + 1e-9,
@@ -111,7 +116,7 @@ fn fig9a_configuration_ordering_holds_on_average() {
 
 #[test]
 fn fig9b_overhead_decreases_with_queue_size_on_average() {
-    let (rows, _) = fig9b::run(&cfg()).unwrap();
+    let (rows, _) = planned(fig9b::keys(), fig9b::build);
     let avg = fig9b::averages(&rows);
     assert!(
         avg[0] >= avg[3],
@@ -133,7 +138,7 @@ fn fig9b_overhead_decreases_with_queue_size_on_average() {
 
 #[test]
 fn fig10_scheme_ranking_matches_the_paper() {
-    let (rows, _) = fig10::run(&cfg()).unwrap();
+    let (rows, _) = planned(fig10::keys(), fig10::build);
     for r in &rows {
         let naive = r.normalized(SchemeKind::RNaive);
         let warped = r.normalized(SchemeKind::WarpedDmr);
@@ -160,7 +165,7 @@ fn fig10_scheme_ranking_matches_the_paper() {
 
 #[test]
 fn fig11_ratios_are_plausible() {
-    let (rows, _) = fig11::run(&cfg()).unwrap();
+    let (rows, _) = planned(fig11::keys(), fig11::build);
     let (p, e) = fig11::averages(&rows);
     assert!(p > 0.9 && p < 1.6, "average power ratio {p}");
     assert!(e > 1.0 && e < 2.5, "average energy ratio {e}");
@@ -177,7 +182,7 @@ fn coverage_profile_matches_section_33_theory() {
     assert!((theoretical_intra_coverage(24) - 8.0 / 24.0).abs() < 1e-12);
     assert!((theoretical_intra_coverage(32) - 0.0).abs() < 1e-12);
 
-    let (rows, _) = coverage_profile::run(&cfg()).unwrap();
+    let (rows, _) = planned(coverage_profile::keys(), coverage_profile::build);
     for r in &rows {
         // Fully-utilized warps are always 100% covered (inter-warp DMR).
         if let Some(full) = r.per_bucket[4] {
@@ -224,45 +229,73 @@ fn fnv1a(data: &[u8]) -> u64 {
 fn figure_tables_are_pinned() {
     let c = cfg();
     let tables = [
-        ("fig1", fig1::run(&c).unwrap().1, 0xf2d329360d713a47),
-        ("fig5", fig5::run(&c).unwrap().1, 0x1ae4a45357d9244a),
+        (
+            "fig1",
+            planned(fig1::keys(), fig1::build).1,
+            0xf2d329360d713a47,
+        ),
+        (
+            "fig5",
+            planned(fig5::keys(), fig5::build).1,
+            0x1ae4a45357d9244a,
+        ),
         (
             "fig8a",
-            fig8::run_switch_distances(&c).unwrap().1,
+            planned(fig8::keys(), fig8::build_switch_distances).1,
             0x4743bbcffa6081c4,
         ),
         (
             "fig8b",
-            fig8::run_raw_distances(&c).unwrap().1,
+            planned(fig8::keys(), fig8::build_raw_distances).1,
             0x688b323a013be34c,
         ),
-        ("fig9a", fig9a::run(&c).unwrap().1, 0x481a723740ba7f2d),
-        ("fig9b", fig9b::run(&c).unwrap().1, 0xd5a82e40fc849e43),
-        ("fig10", fig10::run(&c).unwrap().1, 0xef925c4a9b1a8915),
-        ("fig11", fig11::run(&c).unwrap().1, 0xc798fcc376a31b84),
+        (
+            "fig9a",
+            planned(fig9a::keys(), fig9a::build).1,
+            0x481a723740ba7f2d,
+        ),
+        (
+            "fig9b",
+            planned(fig9b::keys(), fig9b::build).1,
+            0xd5a82e40fc849e43,
+        ),
+        (
+            "fig10",
+            planned(fig10::keys(), fig10::build).1,
+            0xef925c4a9b1a8915,
+        ),
+        (
+            "fig11",
+            planned(fig11::keys(), fig11::build).1,
+            0xc798fcc376a31b84,
+        ),
         (
             "profile",
-            coverage_profile::run(&c).unwrap().1,
+            planned(coverage_profile::keys(), coverage_profile::build).1,
             0x4f8ab21eb65ea5c1,
         ),
         (
             "mechanisms",
-            ablation::mechanisms(&c).unwrap().1,
+            planned(ablation::mechanism_keys(), ablation::build_mechanisms).1,
             0x74ac2e8f34a8c625,
         ),
         (
             "scheduler",
-            ablation::scheduler(&c).unwrap().1,
+            planned(ablation::scheduler_keys(), ablation::build_scheduler).1,
             0x452ea0f4cecf394a,
         ),
         (
             "dual_issue",
-            ablation::dual_issue(&c).unwrap().1,
+            planned(ablation::dual_issue_keys(), ablation::build_dual_issue).1,
             0xd94f0faeb901d60b,
         ),
         (
             "sampling",
-            ablation::sampling(&c).unwrap().1,
+            planned(ablation::sampling_keys(), |runs| {
+                ablation::sampling(&c, runs)
+            })
+            .unwrap()
+            .1,
             0x15a295bdd2a038d0,
         ),
         (
@@ -281,35 +314,84 @@ fn figure_tables_are_pinned() {
     assert!(moved.is_empty(), "figure tables moved: {moved:?}");
 }
 
-/// The run plan shares one bare run between Fig. 1, 5, 8 and the
-/// unprotected baselines. That rests on the collectors charging no
-/// stall: the run carrying all four equals the run with no observer.
+/// The run plan shares one bare run between Fig. 1, 5, 8, the
+/// unprotected baselines and the ablations. That rests on the collectors
+/// charging no stall: on every chip the ablations use, the run carrying
+/// all four equals the run with no observer.
 #[test]
 fn collectors_never_change_the_run() {
-    let gpu = cfg().gpu;
-    for bench in Benchmark::ALL {
-        let w = bench.build(cfg().size).unwrap();
-        let mut collectors = Collectors::default();
-        let observed = w.run_with(&gpu, &mut collectors.observer()).unwrap();
-        let bare = w.run_with(&gpu, &mut NullObserver).unwrap();
-        assert_eq!(observed, bare, "{bench}: the collectors changed the run");
+    let chips = [
+        Chip::Configured,
+        Chip::Scheduler(SchedulerPolicy::LooseRoundRobin),
+        Chip::DualIssue,
+    ];
+    for chip in chips {
+        let gpu = chip.resolve(&cfg().gpu);
+        for bench in Benchmark::ALL {
+            let w = bench.build(cfg().size).unwrap();
+            let mut collectors = Collectors::default();
+            let observed = w.run_with(&gpu, &mut collectors.observer()).unwrap();
+            let bare = w.run_with(&gpu, &mut NullObserver).unwrap();
+            assert_eq!(
+                observed, bare,
+                "{bench} on {chip:?}: the collectors changed the run"
+            );
+        }
     }
 }
 
 #[test]
 fn the_plan_simulates_each_distinct_run_once() {
-    let default = RunKey::Dmr(DmrConfig::default());
+    let bare = RunKey::Bare(Chip::Configured);
+    let default = RunKey::Dmr(Chip::Configured, DmrConfig::default());
     let repeated = [
-        RunKey::Bare,
+        bare.clone(),
         default.clone(),
-        RunKey::Bare,
-        RunKey::Dmr(DmrConfig::default().with_replayq(10)),
+        bare.clone(),
+        RunKey::Dmr(Chip::Configured, DmrConfig::default().with_replayq(10)),
     ];
     let runs = Runs::simulate(&cfg(), &repeated).unwrap();
-    assert_eq!(runs.keys(), [RunKey::Bare, default]);
+    assert_eq!(runs.keys(), [bare.clone(), default.clone()]);
+
+    // A key naming the configured chip another way is the same run:
+    // greedy-then-oldest on a greedy-then-oldest chip...
+    let greedy = Chip::Scheduler(SchedulerPolicy::GreedyThenOldest);
+    let round_robin = Chip::Scheduler(SchedulerPolicy::LooseRoundRobin);
+    assert_eq!(cfg().gpu.scheduler, SchedulerPolicy::GreedyThenOldest);
+    let renamed = [
+        bare.clone(),
+        default.clone(),
+        RunKey::Bare(greedy),
+        RunKey::Dmr(greedy, DmrConfig::default()),
+    ];
+    let runs = Runs::simulate(&cfg(), &renamed).unwrap();
+    assert_eq!(runs.keys(), [bare.clone(), default.clone()]);
+    // Lookups resolve the same way: the scheduler ablation finds its
+    // greedy runs under the configured chip's keys.
+    let spelled = [
+        bare.clone(),
+        default,
+        RunKey::Bare(round_robin),
+        RunKey::Dmr(round_robin, DmrConfig::default()),
+    ];
+    let (_, shared) = ablation::build_scheduler(&Runs::simulate(&cfg(), &spelled).unwrap());
+    let (_, own) = planned(ablation::scheduler_keys(), ablation::build_scheduler);
+    assert_eq!(shared.to_csv(), own.to_csv());
+    // ...and round-robin on a round-robin chip, where greedy is not.
+    let rr_cfg = ExperimentConfig {
+        gpu: round_robin.resolve(&cfg().gpu),
+        ..cfg()
+    };
+    let chips = [
+        bare.clone(),
+        RunKey::Bare(round_robin),
+        RunKey::Bare(greedy),
+    ];
+    let runs = Runs::simulate(&rr_cfg, &chips).unwrap();
+    assert_eq!(runs.keys(), [bare, RunKey::Bare(greedy)]);
 
     // The whole figure set, `profile` included, reads nine distinct runs
-    // per benchmark.
+    // per benchmark; `warped all` adds the ablations' for fifteen.
     let figure_set = [
         fig1::keys(),
         fig5::keys(),
@@ -323,4 +405,7 @@ fn the_plan_simulates_each_distinct_run_once() {
     .concat();
     let runs = Runs::simulate(&cfg(), &figure_set).unwrap();
     assert_eq!(runs.keys().len(), 9);
+    let all = [figure_set, ablation::keys()].concat();
+    let runs = Runs::simulate(&cfg(), &all).unwrap();
+    assert_eq!(runs.keys().len(), 15);
 }

@@ -60,8 +60,11 @@ fn cell_fanout_harness_is_thread_count_invariant() {
     // The plan splits each benchmark into one job per distinct run —
     // fig9a reads three — and must hand every row the same runs at any
     // worker count.
-    let (_, serial) = fig9a::run(&at_threads(1)).unwrap();
-    let (_, parallel) = fig9a::run(&at_threads(3)).unwrap();
+    let table = |threads| {
+        let runs = Runs::simulate(&at_threads(threads), &fig9a::keys()).unwrap();
+        fig9a::build(&runs).1
+    };
+    let (serial, parallel) = (table(1), table(3));
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
