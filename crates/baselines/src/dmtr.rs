@@ -167,7 +167,6 @@ impl IssueObserver for Dmtr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use warped_core::LaneSite;
     use warped_kernels::{Benchmark, WorkloadSize};
     use warped_sim::{GpuConfig, NullObserver};
 
@@ -200,15 +199,16 @@ mod tests {
     #[test]
     fn dmtr_hides_stuck_at_faults() {
         struct Stuck;
-        impl warped_core::FaultOracle for Stuck {
-            fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-                if site.lane == 2 {
+        impl warped_sim::LaneFault for Stuck {
+            fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                if lane == 2 {
                     v ^ 0xffff
                 } else {
                     v
                 }
             }
         }
+        impl warped_core::FaultOracle for Stuck {}
         let cfg = GpuConfig::small();
         let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
         let mut d = Dmtr::with_oracle(Box::new(Stuck));
@@ -227,15 +227,16 @@ mod tests {
         struct Transient {
             cycle: u64,
         }
-        impl warped_core::FaultOracle for Transient {
-            fn transform(&self, site: LaneSite, c: u64, v: u32) -> u32 {
-                if site.lane == 0 && c == self.cycle {
+        impl warped_sim::LaneFault for Transient {
+            fn corrupt(&self, _sm: usize, lane: usize, c: u64, v: u32) -> u32 {
+                if lane == 0 && c == self.cycle {
                     v ^ 1
                 } else {
                     v
                 }
             }
         }
+        impl warped_core::FaultOracle for Transient {}
         let cfg = GpuConfig::small();
         let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
         // Find a cycle where lane 0 executes: probe a healthy run first.

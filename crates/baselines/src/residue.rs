@@ -15,7 +15,7 @@
 //! unchecked — "it cannot be used for exponent calculations" (§6).
 //! Warped-DMR covers any operation the GPU can execute.
 
-use warped_core::comparator::{ErrorLog, FaultOracle, LaneSite};
+use warped_core::comparator::{ErrorLog, FaultOracle};
 use warped_isa::{AluBinOp, Instruction};
 use warped_sim::{IssueInfo, IssueObserver, WARP_SIZE};
 
@@ -124,14 +124,7 @@ impl IssueObserver for ResidueChecker {
                     continue;
                 }
                 let golden = info.results[lane];
-                let observed = oracle.transform(
-                    LaneSite {
-                        sm: info.sm_id,
-                        lane,
-                    },
-                    info.cycle,
-                    golden,
-                );
+                let observed = oracle.corrupt(info.sm_id, lane, info.cycle, golden);
                 // The residue unit recomputes the residue from the
                 // operands (fault-free small logic) and compares with the
                 // residue of the produced value.
@@ -236,15 +229,16 @@ mod tests {
     #[test]
     fn residue_detects_single_bit_faults_on_checked_ops_only() {
         struct FlipEverything;
-        impl FaultOracle for FlipEverything {
-            fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-                if site.lane == 2 {
+        impl warped_sim::LaneFault for FlipEverything {
+            fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                if lane == 2 {
                     v ^ 1
                 } else {
                     v
                 }
             }
         }
+        impl FaultOracle for FlipEverything {}
         let gpu = GpuConfig::small();
         // MatrixMul's FFMA inner product is checkable: faults fire.
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();

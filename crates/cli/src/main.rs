@@ -413,15 +413,16 @@ fn run_one(
             // Plant a permanent fault on a pseudo-random site and see how
             // precisely the detection log isolates it.
             struct Stuck(dmr::LaneSite);
-            impl dmr::FaultOracle for Stuck {
-                fn transform(&self, site: dmr::LaneSite, _c: u64, v: u32) -> u32 {
-                    if site == self.0 {
+            impl sim::LaneFault for Stuck {
+                fn corrupt(&self, sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                    if (sm, lane) == (self.0.sm, self.0.lane) {
                         v ^ 0x0004_0000
                     } else {
                         v
                     }
                 }
             }
+            impl dmr::FaultOracle for Stuck {}
             let planted = dmr::LaneSite { sm: 0, lane: 21 };
             let w = bench.build(cfg.size)?;
             let mut engine = dmr::WarpedDmr::with_oracle(
@@ -582,7 +583,8 @@ fn run_one(
 /// JSON report per line (bit-identical at any `--threads` and across
 /// any interrupt/resume pattern); the default is a table with 95%
 /// Wilson intervals. `--checkpoint` journals exactly one campaign, so
-/// it requires both a benchmark and `--site`.
+/// it requires both a benchmark and `--site`; `--resume` replays that
+/// journal, so it requires `--checkpoint`.
 fn run_campaign(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentError> {
     let benches: Vec<kernels::Benchmark> = match args.bench.as_deref() {
         Some(_) => vec![require_bench(args, "campaign")?],
@@ -598,6 +600,11 @@ fn run_campaign(args: &Args, cfg: &ExperimentConfig) -> Result<(), ExperimentErr
         return Err(ExperimentError::Usage(
             "--checkpoint journals exactly one campaign; name a benchmark and a --site CLASS"
                 .to_string(),
+        ));
+    }
+    if args.resume && args.checkpoint.is_none() {
+        return Err(ExperimentError::Usage(
+            "--resume replays a checkpoint journal; name it with --checkpoint PATH".to_string(),
         ));
     }
     let mut opts = faults::ResilientOptions::default().with_threads(cfg.threads);
@@ -1011,6 +1018,30 @@ mod tests {
             let mut words = valid_words(&picks);
             words.extend([VALUE_FLAGS[flag].0.to_string(), value.into_iter().collect()]);
             prop_assert!(parse_args(words.clone().into_iter()).is_err(), "{words:?} parsed");
+        }
+    }
+
+    /// `--resume` without a journal to resume from is a usage error,
+    /// raised before any simulation: on a chip whose one-cycle budget
+    /// would hang the golden run, the error is still `Usage`.
+    #[test]
+    fn resume_without_checkpoint_is_rejected() {
+        let args = parse(&[
+            "campaign",
+            "SCAN",
+            "--site",
+            "lane_transient",
+            "--trials",
+            "2",
+            "--resume",
+            "--json",
+        ])
+        .unwrap();
+        let mut cfg = warped::experiments::ExperimentConfig::test_tiny();
+        cfg.gpu = cfg.gpu.with_cycle_budget(1);
+        match super::run_campaign(&args, &cfg) {
+            Err(super::ExperimentError::Usage(msg)) => assert!(msg.contains("--checkpoint")),
+            other => panic!("expected a usage error, got {other:?}"),
         }
     }
 

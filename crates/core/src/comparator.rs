@@ -8,6 +8,8 @@
 //! physical lane corrupts values at a given cycle. The comparator then
 //! sees exactly what hardware would see.
 
+use warped_sim::{LaneFault, NoFault};
+
 /// A physical execution-unit site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LaneSite {
@@ -17,18 +19,17 @@ pub struct LaneSite {
     pub lane: usize,
 }
 
-/// A model of faulty execution hardware. `transform` returns the value a
-/// computation producing `value` would actually yield on `site` at
-/// `cycle` (identity for healthy lanes).
+/// A model of faulty execution hardware as the DMR comparator sees it.
 ///
-/// The remaining methods model faults in the *checker itself* — the
+/// The lane half is the simulator's datapath hook, [`LaneFault::corrupt`]:
+/// the comparators call it with the **physical** lane that computed the
+/// value, so one fault model serves the simulator and the checker alike.
+///
+/// The methods declared here model faults in the *checker itself* — the
 /// comparator, the RFU forwarding muxes, and the ReplayQ storage the
 /// paper's §3.2 argument assumes fault-free. They default to healthy
 /// behavior so lane-only oracles need not implement them.
-pub trait FaultOracle {
-    /// Corrupt (or pass through) `value` computed on `site` at `cycle`.
-    fn transform(&self, site: LaneSite, cycle: u64, value: u32) -> u32;
-
+pub trait FaultOracle: LaneFault {
     /// Filter the comparator's raw mismatch verdict on `sm` at `cycle`.
     /// A faulty comparator can swallow a real mismatch (stuck-at-"match")
     /// — the canonical "who checks the checker" failure.
@@ -58,15 +59,8 @@ pub trait FaultOracle {
     }
 }
 
-/// The always-healthy oracle.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HealthyOracle;
-
-impl FaultOracle for HealthyOracle {
-    fn transform(&self, _site: LaneSite, _cycle: u64, value: u32) -> u32 {
-        value
-    }
-}
+/// The healthy machine: an identity datapath and a working checker.
+impl FaultOracle for NoFault {}
 
 /// One detected mismatch between original and redundant execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +129,8 @@ pub fn compare_and_log(
     verifier: usize,
     verify_cycle: u64,
 ) -> bool {
-    let o = oracle.transform(LaneSite { sm, lane: original }, orig_cycle, value);
-    let v = oracle.transform(LaneSite { sm, lane: verifier }, verify_cycle, value);
+    let o = oracle.corrupt(sm, original, orig_cycle, value);
+    let v = oracle.corrupt(sm, verifier, verify_cycle, value);
     if o != v {
         log.record(DetectedError {
             sm,
@@ -183,11 +177,11 @@ pub fn compare_staged(
     verifier: usize,
     verify_cycle: u64,
 ) -> bool {
-    let mut o = oracle.transform(LaneSite { sm, lane: original }, orig_cycle, value);
+    let mut o = oracle.corrupt(sm, original, orig_cycle, value);
     if stage == CompareStage::Inter {
         o = oracle.stored_value(sm, orig_cycle, o);
     }
-    let v = oracle.transform(LaneSite { sm, lane: verifier }, verify_cycle, value);
+    let v = oracle.corrupt(sm, verifier, verify_cycle, value);
     let misroute = stage == CompareStage::Intra && oracle.mux_misroute(sm, verifier);
     let mismatch = o != v || misroute;
     if oracle.verdict(sm, verify_cycle, mismatch) {
@@ -210,20 +204,21 @@ mod tests {
 
     /// Lane 3 of SM 0 is stuck: output bit 0 forced to 1.
     struct StuckLane3;
-    impl FaultOracle for StuckLane3 {
-        fn transform(&self, site: LaneSite, _cycle: u64, value: u32) -> u32 {
-            if site.sm == 0 && site.lane == 3 {
+    impl LaneFault for StuckLane3 {
+        fn corrupt(&self, sm: usize, lane: usize, _cycle: u64, value: u32) -> u32 {
+            if sm == 0 && lane == 3 {
                 value | 1
             } else {
                 value
             }
         }
     }
+    impl FaultOracle for StuckLane3 {}
 
     #[test]
     fn healthy_oracle_never_mismatches() {
         let mut log = ErrorLog::default();
-        let hit = compare_and_log(&HealthyOracle, &mut log, 0, 7, 42, 3, 10, 0, 15);
+        let hit = compare_and_log(&NoFault, &mut log, 0, 7, 42, 3, 10, 0, 15);
         assert!(!hit);
         assert!(!log.any());
     }
@@ -256,14 +251,12 @@ mod tests {
 
     /// A comparator on SM 0 that is stuck reporting "match".
     struct MuteComparator;
-    impl FaultOracle for MuteComparator {
-        fn transform(&self, site: LaneSite, _cycle: u64, value: u32) -> u32 {
-            if site.sm == 0 && site.lane == 3 {
-                value | 1
-            } else {
-                value
-            }
+    impl LaneFault for MuteComparator {
+        fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
+            StuckLane3.corrupt(sm, lane, cycle, value)
         }
+    }
+    impl FaultOracle for MuteComparator {
         fn verdict(&self, sm: usize, _cycle: u64, mismatch: bool) -> bool {
             mismatch && sm != 0
         }
@@ -303,10 +296,12 @@ mod tests {
     #[test]
     fn stored_copy_corruption_fires_only_on_the_inter_path() {
         struct RottenStore;
-        impl FaultOracle for RottenStore {
-            fn transform(&self, _s: LaneSite, _c: u64, value: u32) -> u32 {
+        impl LaneFault for RottenStore {
+            fn corrupt(&self, _sm: usize, _lane: usize, _c: u64, value: u32) -> u32 {
                 value
             }
+        }
+        impl FaultOracle for RottenStore {
             fn stored_value(&self, _sm: usize, _c: u64, value: u32) -> u32 {
                 value ^ 4
             }
@@ -341,10 +336,12 @@ mod tests {
     #[test]
     fn mux_misroute_fires_only_on_the_intra_path() {
         struct BadMux;
-        impl FaultOracle for BadMux {
-            fn transform(&self, _s: LaneSite, _c: u64, value: u32) -> u32 {
+        impl LaneFault for BadMux {
+            fn corrupt(&self, _sm: usize, _lane: usize, _c: u64, value: u32) -> u32 {
                 value
             }
+        }
+        impl FaultOracle for BadMux {
             fn mux_misroute(&self, _sm: usize, verifier: usize) -> bool {
                 verifier == 0
             }
@@ -378,11 +375,11 @@ mod tests {
 
     #[test]
     fn default_checker_methods_are_healthy() {
-        assert!(HealthyOracle.verdict(0, 1, true));
-        assert!(!HealthyOracle.verdict(0, 1, false));
-        assert_eq!(HealthyOracle.stored_value(0, 1, 9), 9);
-        assert!(!HealthyOracle.mux_misroute(0, 5));
-        assert_eq!(HealthyOracle.entry_mask(0, 0xF0), 0xF0);
+        assert!(NoFault.verdict(0, 1, true));
+        assert!(!NoFault.verdict(0, 1, false));
+        assert_eq!(NoFault.stored_value(0, 1, 9), 9);
+        assert!(!NoFault.mux_misroute(0, 5));
+        assert_eq!(NoFault.entry_mask(0, 0xF0), 0xF0);
     }
 
     #[test]

@@ -87,15 +87,16 @@ mod tests {
     #[test]
     fn single_permanent_fault_is_localized_perfectly() {
         struct Stuck;
-        impl FaultOracle for Stuck {
-            fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-                if site.sm == 0 && site.lane == 13 {
+        impl warped_sim::LaneFault for Stuck {
+            fn corrupt(&self, sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                if sm == 0 && lane == 13 {
                     v ^ 0xff00
                 } else {
                     v
                 }
             }
         }
+        impl FaultOracle for Stuck {}
         let gpu = GpuConfig::small();
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
         let mut engine = WarpedDmr::with_oracle(DmrConfig::default(), &gpu, Box::new(Stuck));

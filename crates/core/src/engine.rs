@@ -308,7 +308,6 @@ impl IssueObserver for WarpedDmr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::LaneSite;
     use warped_kernels::{Benchmark, WorkloadSize};
     use warped_sim::GpuConfig;
 
@@ -402,15 +401,16 @@ mod tests {
     #[test]
     fn stuck_lane_is_detected_with_shuffle_but_not_without() {
         struct Stuck;
-        impl FaultOracle for Stuck {
-            fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-                if site.lane == 5 {
+        impl warped_sim::LaneFault for Stuck {
+            fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                if lane == 5 {
                     v ^ 0x8000_0000
                 } else {
                     v
                 }
             }
         }
+        impl FaultOracle for Stuck {}
         let gpu_cfg = GpuConfig::small();
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
 

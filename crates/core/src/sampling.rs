@@ -148,7 +148,7 @@ impl IssueObserver for SamplingDmr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::{FaultOracle, LaneSite};
+    use crate::comparator::FaultOracle;
     use crate::config::DmrConfig;
     use warped_kernels::{Benchmark, WorkloadSize};
     use warped_sim::GpuConfig;
@@ -204,15 +204,16 @@ mod tests {
     #[test]
     fn permanent_fault_detected_despite_low_duty() {
         struct Stuck;
-        impl FaultOracle for Stuck {
-            fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-                if site.lane == 3 {
+        impl warped_sim::LaneFault for Stuck {
+            fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+                if lane == 3 {
                     v ^ 0xffff_0000
                 } else {
                     v
                 }
             }
         }
+        impl FaultOracle for Stuck {}
         let gpu = GpuConfig::small();
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();
         let inner = WarpedDmr::with_oracle(DmrConfig::default(), &gpu, Box::new(Stuck));

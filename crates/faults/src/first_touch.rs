@@ -2,16 +2,17 @@
 //! campaign from a fault-free run, so that every trial pass simulates
 //! only those launches and replays the others (see [`crate::resilient`]).
 //!
-//! A drawn fault acts only through two hooks: the simulator's datapath
-//! hook ([`LaneFault::corrupt`], the architectural pass) and the
-//! protection engine's [`FaultOracle`] (the detection pass). A lane fault
-//! keys both on `(sm, lane, cycle)` when it is a transient and on
-//! `(sm, lane)` when it is stuck-at. The recording run attaches identity
-//! hooks that note, per watched key, the set of launches that call them
-//! with it ([`LaunchSet`]; launch 63 stands for every later one). In a
-//! launch outside that set the fault transforms nothing, so while a
-//! trial's memory is the fault-free run's, that launch is the fault-free
-//! launch.
+//! A drawn fault's lane half acts only through [`LaneFault::corrupt`],
+//! called from two places: the simulator's datapath (the architectural
+//! pass, logical lanes) and the protection engine's comparator (the
+//! detection pass, through its [`FaultOracle`]). A lane fault keys both
+//! on `(sm, lane, cycle)` when it is a transient and on `(sm, lane)` when
+//! it is stuck-at. The recording run attaches an identity [`Recorder`] at
+//! each place that notes, per watched key, the set of launches that call
+//! it with that key ([`LaunchSet`]; launch 63 stands for every later
+//! one). In a launch outside that set the fault transforms nothing, so
+//! while a trial's memory is the fault-free run's, that launch is the
+//! fault-free launch.
 //!
 //! Only the keys the campaign's trials will look up are watched, so
 //! memory stays proportional to the distinct drawn strikes.
@@ -23,12 +24,12 @@ use std::sync::Arc;
 use warped_core::{FaultOracle, LaneSite};
 use warped_sim::{IssueObserver, LaneFault, LaunchSet, WARP_SIZE};
 
-/// The hook a fault key is looked up through.
+/// The caller of [`LaneFault::corrupt`] a fault key is looked up through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Hook {
-    /// The simulator's datapath ([`LaneFault`], logical lanes).
+    /// The simulator's datapath (logical lanes).
     Arch,
-    /// The protection engine's [`FaultOracle::transform`].
+    /// The protection engine's comparator.
     Detect,
 }
 
@@ -166,24 +167,21 @@ impl Touches {
     }
 }
 
-/// The recording hooks of a fault-free run: the datapath hook for the
-/// GPU, the oracle for the protection engine, and the observer that
-/// tells both which launch is running. None of them changes a value.
-pub(crate) struct Recorder(pub(crate) Arc<Touches>);
+/// A recording hook of a fault-free run, noting the keys its [`Hook`]'s
+/// caller passes: on the GPU for [`Hook::Arch`], as the protection
+/// engine's oracle (with a healthy checker) for [`Hook::Detect`]. As an
+/// observer it tells the index which launch is running. It changes no
+/// value.
+pub(crate) struct Recorder(pub(crate) Arc<Touches>, pub(crate) Hook);
 
 impl LaneFault for Recorder {
     fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
-        self.0.record(Hook::Arch, LaneSite { sm, lane }, cycle);
+        self.0.record(self.1, LaneSite { sm, lane }, cycle);
         value
     }
 }
 
-impl FaultOracle for Recorder {
-    fn transform(&self, site: LaneSite, cycle: u64, value: u32) -> u32 {
-        self.0.record(Hook::Detect, site, cycle);
-        value
-    }
-}
+impl FaultOracle for Recorder {}
 
 impl IssueObserver for Recorder {
     fn on_launch(&mut self, index: u32) {
@@ -228,28 +226,37 @@ mod tests {
                 (Hook::Detect, transient(lane8, 40)),
             ],
         );
-        let mut rec = Recorder(index.clone());
+        let arch = Recorder(index.clone(), Hook::Arch);
+        let detect = Recorder(index.clone(), Hook::Detect);
+        let mut launches = Recorder(index.clone(), Hook::Arch);
         assert!(index.touches(Hook::Arch, &stuck).is_empty(), "nothing ran");
         assert!(index.touches(Hook::Arch, &transient(SITE, 40)).is_empty());
 
-        rec.on_launch(2);
-        assert_eq!(rec.corrupt(1, 7, 40, 5), 5, "recording changes nothing");
-        rec.on_launch(3);
-        rec.corrupt(1, 7, 41, 5);
-        assert_eq!(rec.transform(lane8, 40, 6), 6);
-        rec.transform(SITE, 40, 6);
-        rec.on_launch(5);
-        rec.corrupt(1, 7, 40, 5);
-        rec.transform(lane8, 40, 6);
-        rec.on_launch(70);
-        rec.corrupt(1, 7, 40, 5);
+        launches.on_launch(2);
+        assert_eq!(arch.corrupt(1, 7, 40, 5), 5, "recording changes nothing");
+        launches.on_launch(3);
+        arch.corrupt(1, 7, 41, 5);
+        assert_eq!(detect.corrupt(1, 8, 40, 6), 6);
+        detect.corrupt(1, 7, 40, 6);
+        launches.on_launch(5);
+        arch.corrupt(1, 7, 40, 5);
+        detect.corrupt(1, 8, 40, 6);
+        launches.on_launch(70);
+        arch.corrupt(1, 7, 40, 5);
 
         let at40 = index.touches(Hook::Arch, &transient(SITE, 40));
         assert_eq!(at40, set(&[2, 5, 63]), "a gap at 3 and 4, and past 63");
         assert!(at40.contains(1000), "launch 63 stands for every later one");
         assert_eq!(index.touches(Hook::Arch, &stuck), set(&[2, 3, 5, 63]));
-        let detect = index.touches(Hook::Detect, &transient(lane8, 40));
-        assert_eq!(detect, set(&[3, 5]));
+        let detect_lane8 = index.touches(Hook::Detect, &transient(lane8, 40));
+        assert_eq!(detect_lane8, set(&[3, 5]));
+        // Each recorder fills only its own hook's table: the datapath
+        // calls at lane 7 are absent from the detection table, and the
+        // comparator calls at lane 8 from the datapath one, though both
+        // tables watch strike (1, 40).
+        let detect_lane7 = index.touches(Hook::Detect, &transient(SITE, 40));
+        assert_eq!(detect_lane7, set(&[3]));
+        assert!(index.touches(Hook::Arch, &transient(lane8, 40)).is_empty());
         let sm0 = transient(LaneSite { sm: 0, lane: 7 }, 9);
         assert!(index.touches(Hook::Arch, &sm0).is_empty());
         // Unwatched keys have no bound.

@@ -5,8 +5,8 @@
 //! detection rates:
 //!
 //! * [`model::FaultModel`] — single-event transient bit flips and
-//!   permanent stuck-at faults on individual physical SIMT lanes,
-//!   implementing [`warped_core::FaultOracle`].
+//!   permanent stuck-at faults on individual SIMT lanes, implementing
+//!   the one lane hook, [`warped_sim::LaneFault`].
 //! * [`injector::ExecutionSampler`] — reservoir-samples real issue events
 //!   from a profiling run so transients are injected where computation
 //!   actually happened.

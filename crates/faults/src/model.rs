@@ -5,8 +5,11 @@
 //! (stuck-at) defects — the latter are the motivation for lane shuffling.
 
 use warped_core::{FaultOracle, LaneSite};
+use warped_sim::LaneFault;
 
-/// A hardware fault afflicting one physical SIMT lane.
+/// A hardware fault afflicting one SIMT lane. As a [`LaneFault`] it
+/// matches the lane index its caller passes: the thread's logical lane
+/// on the simulator's datapath, the physical lane in the comparators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultModel {
     /// A single-event upset: one output bit flips for computations
@@ -45,38 +48,33 @@ impl FaultModel {
     }
 }
 
-impl FaultOracle for FaultModel {
-    fn transform(&self, site: LaneSite, cycle: u64, value: u32) -> u32 {
+impl LaneFault for FaultModel {
+    fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
+        let here = LaneSite { sm, lane };
         match *self {
             FaultModel::TransientFlip {
-                site: s,
+                site,
                 cycle: c,
                 bit,
-            } => {
-                if s == site && c == cycle {
-                    value ^ (1 << bit)
-                } else {
-                    value
-                }
-            }
+            } if site == here && c == cycle => value ^ (1 << bit),
             FaultModel::StuckAt {
-                site: s,
+                site,
                 bit,
                 value: v,
-            } => {
-                if s == site {
-                    if v {
-                        value | (1 << bit)
-                    } else {
-                        value & !(1 << bit)
-                    }
+            } if site == here => {
+                if v {
+                    value | (1 << bit)
                 } else {
-                    value
+                    value & !(1 << bit)
                 }
             }
+            _ => value,
         }
     }
 }
+
+/// A lane fault seen through a healthy checker.
+impl FaultOracle for FaultModel {}
 
 /// A fault inside the detection hardware itself — the paper's §3.2
 /// "who checks the checker" question. These sites never corrupt the
@@ -142,29 +140,28 @@ impl CheckerFault {
             CheckerFault::ComparatorStuckPass { .. } | CheckerFault::ReplayqMaskDrop { .. }
         )
     }
-}
 
-impl FaultOracle for CheckerFault {
-    // The datapath is healthy under a pure checker fault.
-    fn transform(&self, _site: LaneSite, _cycle: u64, value: u32) -> u32 {
-        value
-    }
-
-    fn verdict(&self, sm: usize, _cycle: u64, mismatch: bool) -> bool {
+    /// The comparator's verdict on `sm` at `cycle` for a raw `mismatch`
+    /// ([`FaultOracle::verdict`]).
+    pub fn verdict(&self, sm: usize, _cycle: u64, mismatch: bool) -> bool {
         match *self {
             CheckerFault::ComparatorStuckPass { sm: s } if s == sm => false,
             _ => mismatch,
         }
     }
 
-    fn stored_value(&self, sm: usize, _cycle: u64, value: u32) -> u32 {
+    /// A result word read back from checker storage on `sm`
+    /// ([`FaultOracle::stored_value`]).
+    pub fn stored_value(&self, sm: usize, _cycle: u64, value: u32) -> u32 {
         match *self {
             CheckerFault::StoredResultFlip { sm: s, bit } if s == sm => value ^ (1 << bit),
             _ => value,
         }
     }
 
-    fn mux_misroute(&self, sm: usize, verifier: usize) -> bool {
+    /// Whether the RFU misroutes the operand forwarded to `verifier` on
+    /// `sm` ([`FaultOracle::mux_misroute`]).
+    pub fn mux_misroute(&self, sm: usize, verifier: usize) -> bool {
         match *self {
             CheckerFault::RfuMuxSelect {
                 sm: s,
@@ -175,7 +172,9 @@ impl FaultOracle for CheckerFault {
         }
     }
 
-    fn entry_mask(&self, sm: usize, mask: u32) -> u32 {
+    /// A buffered ReplayQ entry's active mask as read back on `sm`
+    /// ([`FaultOracle::entry_mask`]).
+    pub fn entry_mask(&self, sm: usize, mask: u32) -> u32 {
         match *self {
             CheckerFault::ReplayqMaskDrop { sm: s, bit } if s == sm => mask & !(1 << bit),
             _ => mask,
@@ -183,14 +182,12 @@ impl FaultOracle for CheckerFault {
     }
 }
 
-/// A datapath fault and/or a checker-internal fault active in the same
-/// run — the oracle the resilient campaigns hand to the DMR engine.
-/// Either side may be absent; a default `CompoundFault` is a healthy
-/// machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// A datapath fault, possibly seen through a broken checker — the
+/// oracle the resilient campaigns hand to the DMR engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompoundFault {
-    /// The datapath (execution-unit) fault, if any.
-    pub lane: Option<FaultModel>,
+    /// The datapath (execution-unit) fault.
+    pub lane: FaultModel,
     /// The checker-internal fault, if any.
     pub checker: Option<CheckerFault>,
 }
@@ -199,16 +196,8 @@ impl CompoundFault {
     /// A pure datapath fault.
     pub fn lane_only(model: FaultModel) -> Self {
         CompoundFault {
-            lane: Some(model),
+            lane: model,
             checker: None,
-        }
-    }
-
-    /// A datapath fault observed through a broken checker.
-    pub fn with_checker(model: FaultModel, checker: CheckerFault) -> Self {
-        CompoundFault {
-            lane: Some(model),
-            checker: Some(checker),
         }
     }
 
@@ -218,47 +207,33 @@ impl CompoundFault {
     /// computations, every comparison there passes, and no other checker
     /// site is broken, so comparisons elsewhere always match.
     pub fn is_fail_silent(&self) -> bool {
-        match (self.lane, self.checker) {
-            (Some(lane), Some(CheckerFault::ComparatorStuckPass { sm })) => lane.site().sm == sm,
-            _ => false,
-        }
+        matches!(self.checker, Some(CheckerFault::ComparatorStuckPass { sm }) if sm == self.lane.site().sm)
+    }
+}
+
+impl LaneFault for CompoundFault {
+    fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
+        self.lane.corrupt(sm, lane, cycle, value)
     }
 }
 
 impl FaultOracle for CompoundFault {
-    fn transform(&self, site: LaneSite, cycle: u64, value: u32) -> u32 {
-        match self.lane {
-            Some(f) => f.transform(site, cycle, value),
-            None => value,
-        }
-    }
-
     fn verdict(&self, sm: usize, cycle: u64, mismatch: bool) -> bool {
-        match self.checker {
-            Some(c) => c.verdict(sm, cycle, mismatch),
-            None => mismatch,
-        }
+        self.checker
+            .map_or(mismatch, |c| c.verdict(sm, cycle, mismatch))
     }
 
     fn stored_value(&self, sm: usize, cycle: u64, value: u32) -> u32 {
-        match self.checker {
-            Some(c) => c.stored_value(sm, cycle, value),
-            None => value,
-        }
+        self.checker
+            .map_or(value, |c| c.stored_value(sm, cycle, value))
     }
 
     fn mux_misroute(&self, sm: usize, verifier: usize) -> bool {
-        match self.checker {
-            Some(c) => c.mux_misroute(sm, verifier),
-            None => false,
-        }
+        self.checker.is_some_and(|c| c.mux_misroute(sm, verifier))
     }
 
     fn entry_mask(&self, sm: usize, mask: u32) -> u32 {
-        match self.checker {
-            Some(c) => c.entry_mask(sm, mask),
-            None => mask,
-        }
+        self.checker.map_or(mask, |c| c.entry_mask(sm, mask))
     }
 }
 
@@ -275,9 +250,9 @@ mod tests {
             cycle: 100,
             bit: 3,
         };
-        assert_eq!(f.transform(SITE, 100, 0), 8);
-        assert_eq!(f.transform(SITE, 101, 0), 0);
-        assert_eq!(f.transform(LaneSite { sm: 1, lane: 8 }, 100, 0), 0);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 100, 0), 8);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 101, 0), 0);
+        assert_eq!(f.corrupt(1, 8, 100, 0), 0);
         assert!(!f.is_permanent());
         assert_eq!(f.site(), SITE);
     }
@@ -290,7 +265,10 @@ mod tests {
             bit: 31,
         };
         let v = 0xdead_beef;
-        assert_eq!(f.transform(SITE, 5, f.transform(SITE, 5, v)), v);
+        assert_eq!(
+            f.corrupt(SITE.sm, SITE.lane, 5, f.corrupt(SITE.sm, SITE.lane, 5, v)),
+            v
+        );
     }
 
     #[test]
@@ -300,9 +278,9 @@ mod tests {
             bit: 0,
             value: true,
         };
-        assert_eq!(f.transform(SITE, 0, 0), 1);
-        assert_eq!(f.transform(SITE, 999, 1), 1);
-        assert_eq!(f.transform(LaneSite { sm: 0, lane: 7 }, 0, 0), 0);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 0, 0), 1);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 999, 1), 1);
+        assert_eq!(f.corrupt(0, 7, 0, 0), 0);
         assert!(f.is_permanent());
     }
 
@@ -313,8 +291,8 @@ mod tests {
             bit: 4,
             value: false,
         };
-        assert_eq!(f.transform(SITE, 0, 0xff), 0xef);
-        assert_eq!(f.transform(SITE, 0, 0xef), 0xef);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 0, 0xff), 0xef);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 0, 0xef), 0xef);
     }
 
     #[test]
@@ -324,8 +302,8 @@ mod tests {
             bit: 9,
             value: true,
         };
-        let once = f.transform(SITE, 1, 12345);
-        assert_eq!(f.transform(SITE, 2, once), once);
+        let once = f.corrupt(SITE.sm, SITE.lane, 1, 12345);
+        assert_eq!(f.corrupt(SITE.sm, SITE.lane, 2, once), once);
     }
 
     #[test]
@@ -336,8 +314,6 @@ mod tests {
         assert!(!f.verdict(3, 10, false));
         assert!(f.is_fail_silent());
         assert_eq!(f.sm(), 2);
-        // Datapath untouched.
-        assert_eq!(f.transform(SITE, 0, 77), 77);
     }
 
     #[test]
@@ -372,24 +348,30 @@ mod tests {
     }
 
     #[test]
-    fn compound_combines_both_halves_and_defaults_healthy() {
-        let healthy = CompoundFault::default();
-        assert_eq!(healthy.transform(SITE, 5, 42), 42);
-        assert!(healthy.verdict(0, 0, true));
-        assert_eq!(healthy.entry_mask(0, 0xf), 0xf);
-        assert_eq!(healthy.stored_value(0, 0, 3), 3);
-        assert!(!healthy.mux_misroute(0, 0));
-
+    fn compound_combines_both_halves_and_lane_only_checks_healthily() {
         let lane = FaultModel::TransientFlip {
             site: SITE,
             cycle: 5,
             bit: 0,
         };
-        let both = CompoundFault::with_checker(lane, CheckerFault::ComparatorStuckPass { sm: 1 });
-        assert_eq!(both.transform(SITE, 5, 0), 1, "datapath half applies");
-        assert!(!both.verdict(1, 5, true), "checker half swallows");
         let solo = CompoundFault::lane_only(lane);
+        assert_eq!(solo.corrupt(SITE.sm, SITE.lane, 5, 0), 1);
+        assert_eq!(solo.corrupt(SITE.sm, SITE.lane, 6, 42), 42);
         assert!(solo.verdict(1, 5, true));
+        assert_eq!(solo.entry_mask(0, 0xf), 0xf);
+        assert_eq!(solo.stored_value(0, 0, 3), 3);
+        assert!(!solo.mux_misroute(0, 0));
+
+        let both = CompoundFault {
+            lane,
+            checker: Some(CheckerFault::ComparatorStuckPass { sm: 1 }),
+        };
+        assert_eq!(
+            both.corrupt(SITE.sm, SITE.lane, 5, 0),
+            1,
+            "datapath half applies"
+        );
+        assert!(!both.verdict(1, 5, true), "checker half swallows");
     }
 
     #[test]
@@ -399,7 +381,10 @@ mod tests {
             bit: 2,
             value: true,
         };
-        let dead = |sm| CompoundFault::with_checker(lane, CheckerFault::ComparatorStuckPass { sm });
+        let dead = |sm| CompoundFault {
+            lane,
+            checker: Some(CheckerFault::ComparatorStuckPass { sm }),
+        };
         assert!(dead(SITE.sm).is_fail_silent());
         assert!(
             !dead(SITE.sm + 1).is_fail_silent(),
@@ -411,7 +396,11 @@ mod tests {
             bit: 7,
         };
         assert!(
-            !CompoundFault::with_checker(lane, mask).is_fail_silent(),
+            !CompoundFault {
+                lane,
+                checker: Some(mask)
+            }
+            .is_fail_silent(),
             "intra-warp checks still see the lane"
         );
     }

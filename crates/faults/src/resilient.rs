@@ -29,13 +29,15 @@
 //! Detection and architectural outcome are measured at different
 //! levels, so a trial may run twice from the same drawn fault:
 //!
-//! 1. a **detection run** — clean datapath, the protection engine
-//!    carries the fault as a [`FaultOracle`]
-//!    (this is where checker-internal faults act). Warped-DMR sees the
-//!    [`CompoundFault`] on the mapped physical lane; DMTR has no lane
-//!    mapping, so it sees the datapath fault on the thread's own lane;
-//! 2. an **architectural run** — the same datapath fault attached to
-//!    the simulator itself ([`warped_sim::LaneFault`]), corrupting real
+//! 1. a **detection run** — clean datapath, the protection engine's
+//!    comparator sees the fault through its [`FaultOracle`] (this is
+//!    where checker-internal faults act). Warped-DMR sees the
+//!    [`CompoundFault`], its lane half on the mapped physical lane; DMTR
+//!    has no lane mapping, so it sees the datapath fault on the thread's
+//!    own lane;
+//! 2. an **architectural run** — the same datapath fault, a
+//!    [`FaultModel`] on the thread's logical lane, attached to the
+//!    simulator itself as its [`warped_sim::LaneFault`], corrupting real
 //!    values; its final output is compared against golden.
 //!
 //! Both runs keep the protection engine attached as an observer so
@@ -44,9 +46,10 @@
 //!
 //! Only what can still change the trial's class is simulated:
 //!
-//! * the detection run ends at the first comparator mismatch
-//!   ([`IssueObserver::halted`], [`SimError::Stopped`]): a comparator
-//!   that fired never un-fires;
+//! * the detection run ends at the first comparator mismatch: the
+//!   engine reports itself [`IssueObserver::halted`] once it fired and
+//!   the launch ends with [`SimError::Stopped`]; a comparator that fired
+//!   never un-fires;
 //! * under Warped-DMR a fail-silent draw
 //!   ([`CompoundFault::is_fail_silent`]: the comparator stuck at "pass"
 //!   on the lane fault's own SM) runs no detection run, since nothing
@@ -60,13 +63,13 @@
 //! Once per campaign, a second fault-free run records a launch log
 //! ([`LaunchLog`]: each launch's identity, memory changes and statistics)
 //! and, for the strikes the seeded draws use, the set of launches in
-//! which each fault key reaches a hook the fault acts through: the
-//! datapath hook for the architectural run, the engine's oracle for the
-//! detection run. A pass follows the log ([`Gpu::follow_launches`]): it
-//! simulates the launches in its fault's set and replays the others,
-//! until a simulated launch changes memory otherwise than the log says;
-//! from then on it simulates every launch. The replays cannot change the
-//! class:
+//! which each fault key reaches [`warped_sim::LaneFault::corrupt`] from
+//! the caller the pass depends on: the datapath for the architectural
+//! run, the engine's comparator for the detection run. A pass follows
+//! the log ([`Gpu::follow_launches`]): it simulates the launches in its
+//! fault's set and replays the others, until a simulated launch changes
+//! memory otherwise than the log says; from then on it simulates every
+//! launch. The replays cannot change the class:
 //!
 //! * a replayed launch sees the golden memory (the run is on track) and
 //!   the fault transforms no value in it, so it is the golden launch:
@@ -101,12 +104,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use warped_baselines::Dmtr;
 use warped_core::mapping::physical_lane;
-use warped_core::{DmrConfig, FaultOracle, LaneSite, WarpedDmr};
+use warped_core::{DmrConfig, ErrorLog, FaultOracle, LaneSite, WarpedDmr};
 use warped_kernels::{ProgramRun, Workload};
 use warped_runner::{Attempted, RetryPolicy, Runner};
 use warped_sim::{
-    Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, LaunchLog, LaunchSet, MultiObserver,
-    SimError, WARP_SIZE,
+    Gpu, GpuConfig, IssueInfo, IssueObserver, LaunchLog, LaunchSet, MultiObserver, SimError,
+    WARP_SIZE,
 };
 use warped_trace::json::Obj;
 use warped_trace::{TraceEvent, TraceHandle, FAULT_SITE_NAMES};
@@ -372,12 +375,13 @@ impl ResilientReport {
     }
 }
 
-/// One drawn trial: the engine-level oracle, the sim-level datapath
-/// fault, and the metadata the trace events report.
+/// One drawn trial: the datapath fault on the logical lane, the same
+/// fault on the mapped physical lane with the checker half, and the
+/// metadata the trace events report.
 #[derive(Debug, Clone, Copy)]
 struct DrawnFault {
-    /// What the DMR engine models (datapath + checker halves), on the
-    /// mapped physical lane.
+    /// What Warped-DMR's comparator sees: the datapath fault on the
+    /// mapped physical lane, plus the checker half.
     detect: CompoundFault,
     /// What the simulator's datapath actually suffers, on the logical
     /// lane (= thread).
@@ -391,9 +395,22 @@ struct DrawnFault {
     strike: u64,
 }
 
-/// Draw one fault. The draw order — sample, thread, bit, then
-/// class-specific extras — is part of the seeding contract the
-/// determinism tests pin down.
+impl DrawnFault {
+    /// The fault the comparator of `protection` sees. Warped-DMR sees the
+    /// lane half on its mapped physical lane, through the checker half;
+    /// DMTR has no lane mapping and none of Warped-DMR's checker
+    /// hardware, so it sees the datapath fault on the thread's own lane.
+    fn seen_by(&self, protection: Protection) -> CompoundFault {
+        match protection {
+            Protection::WarpedDmr => self.detect,
+            Protection::Dmtr => CompoundFault::lane_only(self.arch),
+        }
+    }
+}
+
+/// Draw one fault. The draw order — sample, thread, bit, then the stuck
+/// value (`lane_stuck`) or the RF-slot bit (`rf_slot`) — is part of the
+/// seeding contract the determinism tests pin down.
 fn draw_fault(
     class: FaultSiteClass,
     samples: &[SampledIssue],
@@ -404,140 +421,69 @@ fn draw_fault(
     let thread = ev.random_active_thread(rng);
     let bit = random_bit(rng);
     let physical = physical_lane(dmr.mapping, thread, WARP_SIZE, dmr.cluster_size);
-    // The engine models the original execution on the mapped physical
-    // lane; the simulator computes thread results by logical index.
-    let detect_site = LaneSite {
-        sm: ev.sm,
-        lane: physical,
-    };
-    let arch_site = LaneSite {
-        sm: ev.sm,
-        lane: thread,
-    };
-    let transient = |site| FaultModel::TransientFlip {
-        site,
-        cycle: ev.cycle,
-        bit,
-    };
-    let (detect, arch, strike) = match class {
-        FaultSiteClass::LaneTransient => (
-            CompoundFault::lane_only(transient(detect_site)),
-            transient(arch_site),
-            ev.cycle,
-        ),
-        FaultSiteClass::LaneStuckAt => {
-            let value = rng.random_bool(0.5);
-            (
-                CompoundFault::lane_only(FaultModel::StuckAt {
-                    site: detect_site,
-                    bit,
-                    value,
-                }),
-                FaultModel::StuckAt {
-                    site: arch_site,
-                    bit,
-                    value,
-                },
-                0,
-            )
+    let stuck = (class == FaultSiteClass::LaneStuckAt).then(|| rng.random_bool(0.5));
+    // One fault, on the lane each hook's caller names: the simulator
+    // computes thread results by logical index, the engine models the
+    // original execution on the mapped physical lane.
+    let lane_fault = |lane| {
+        let site = LaneSite { sm: ev.sm, lane };
+        match stuck {
+            Some(value) => FaultModel::StuckAt { site, bit, value },
+            None => FaultModel::TransientFlip {
+                site,
+                cycle: ev.cycle,
+                bit,
+            },
         }
-        FaultSiteClass::ComparatorVerdict => (
-            CompoundFault::with_checker(
-                transient(detect_site),
-                CheckerFault::ComparatorStuckPass { sm: ev.sm },
-            ),
-            transient(arch_site),
-            ev.cycle,
-        ),
-        FaultSiteClass::RfuMuxSelect => (
-            CompoundFault::with_checker(
-                transient(detect_site),
-                CheckerFault::RfuMuxSelect {
-                    sm: ev.sm,
-                    cluster: physical / dmr.cluster_size.max(1),
-                    cluster_size: dmr.cluster_size.max(1),
-                },
-            ),
-            transient(arch_site),
-            ev.cycle,
-        ),
-        FaultSiteClass::ReplayqMeta => (
-            CompoundFault::with_checker(
-                transient(detect_site),
-                CheckerFault::ReplayqMaskDrop {
-                    sm: ev.sm,
-                    bit: thread as u8,
-                },
-            ),
-            transient(arch_site),
-            ev.cycle,
-        ),
-        FaultSiteClass::RfSlot => {
-            let stored_bit = random_bit(rng);
-            (
-                CompoundFault::with_checker(
-                    transient(detect_site),
-                    CheckerFault::StoredResultFlip {
-                        sm: ev.sm,
-                        bit: stored_bit,
-                    },
-                ),
-                transient(arch_site),
-                ev.cycle,
-            )
-        }
+    };
+    let cluster_size = dmr.cluster_size.max(1);
+    let checker = match class {
+        FaultSiteClass::LaneTransient | FaultSiteClass::LaneStuckAt => None,
+        FaultSiteClass::ComparatorVerdict => Some(CheckerFault::ComparatorStuckPass { sm: ev.sm }),
+        FaultSiteClass::RfuMuxSelect => Some(CheckerFault::RfuMuxSelect {
+            sm: ev.sm,
+            cluster: physical / cluster_size,
+            cluster_size,
+        }),
+        FaultSiteClass::ReplayqMeta => Some(CheckerFault::ReplayqMaskDrop {
+            sm: ev.sm,
+            bit: thread as u8,
+        }),
+        FaultSiteClass::RfSlot => Some(CheckerFault::StoredResultFlip {
+            sm: ev.sm,
+            bit: random_bit(rng),
+        }),
     };
     DrawnFault {
-        detect,
-        arch,
+        detect: CompoundFault {
+            lane: lane_fault(physical),
+            checker,
+        },
+        arch: lane_fault(thread),
         sm: ev.sm,
         physical,
-        strike,
-    }
-}
-
-/// The sim-level datapath fault of one trial: [`FaultModel::transform`]
-/// applied at every unit-output point, with the site's lane read as the
-/// *logical* lane index the simulator computes with.
-#[derive(Debug, Clone, Copy)]
-struct ArchFault(FaultModel);
-
-impl LaneFault for ArchFault {
-    fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
-        use warped_core::FaultOracle;
-        self.0.transform(LaneSite { sm, lane }, cycle, value)
+        strike: if stuck.is_some() { 0 } else { ev.cycle },
     }
 }
 
 /// The protection engine of one run. Every pass of a campaign (profile,
-/// detection, architectural) builds its engine here, so all of them
-/// follow the same issue schedule.
+/// footprint, detection, architectural) builds its engine here, so all of
+/// them follow the same issue schedule.
+///
+/// As an observer it halts the launch at the first comparator mismatch:
+/// [`Engine::fired`] never goes back to false, so the rest of the run
+/// could not change the verdict. Only a detection pass's oracle can make
+/// it fire; the other passes carry none, or a recording one that changes
+/// no value.
 enum Engine {
     WarpedDmr(Box<WarpedDmr>),
     Dmtr(Dmtr),
 }
 
 impl Engine {
-    /// An engine for `protection`, carrying `fault` as its oracle when
-    /// given: Warped-DMR sees the drawn fault on the mapped physical
-    /// lane (`detect`), DMTR on the thread's own lane (`arch`).
+    /// An engine for `protection` whose comparator sees hardware through
+    /// `oracle`, if any.
     fn new(
-        protection: Protection,
-        dmr: &DmrConfig,
-        gpu: &GpuConfig,
-        fault: Option<&DrawnFault>,
-    ) -> Engine {
-        let oracle = fault.map(|f| -> Box<dyn FaultOracle> {
-            match protection {
-                Protection::WarpedDmr => Box::new(f.detect),
-                Protection::Dmtr => Box::new(f.arch),
-            }
-        });
-        Engine::with_oracle(protection, dmr, gpu, oracle)
-    }
-
-    /// An engine for `protection` carrying `oracle`, if any.
-    fn with_oracle(
         protection: Protection,
         dmr: &DmrConfig,
         gpu: &GpuConfig,
@@ -555,19 +501,51 @@ impl Engine {
         }
     }
 
-    fn observer(&mut self) -> &mut dyn IssueObserver {
+    /// The comparator's detections so far.
+    fn errors(&self) -> &ErrorLog {
         match self {
-            Engine::WarpedDmr(e) => e.as_mut(),
-            Engine::Dmtr(e) => e,
+            Engine::WarpedDmr(e) => e.errors(),
+            Engine::Dmtr(e) => e.errors(),
         }
     }
 
     /// Whether the comparator fired.
     fn fired(&self) -> bool {
+        self.errors().any()
+    }
+}
+
+impl IssueObserver for Engine {
+    fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
         match self {
-            Engine::WarpedDmr(e) => e.errors().any(),
-            Engine::Dmtr(e) => e.errors().any(),
+            Engine::WarpedDmr(e) => e.on_issue(info),
+            Engine::Dmtr(e) => e.on_issue(info),
         }
+    }
+
+    fn on_idle(&mut self, sm_id: usize, cycle: u64) {
+        match self {
+            Engine::WarpedDmr(e) => e.on_idle(sm_id, cycle),
+            Engine::Dmtr(e) => e.on_idle(sm_id, cycle),
+        }
+    }
+
+    fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
+        match self {
+            Engine::WarpedDmr(e) => e.on_sm_done(sm_id, cycle),
+            Engine::Dmtr(e) => e.on_sm_done(sm_id, cycle),
+        }
+    }
+
+    fn on_launch(&mut self, index: u32) {
+        match self {
+            Engine::WarpedDmr(e) => e.on_launch(index),
+            Engine::Dmtr(e) => e.on_launch(index),
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.fired()
     }
 }
 
@@ -586,7 +564,7 @@ fn golden_profile(
     let mut sampler = ExecutionSampler::new(capacity, seed);
     let mut engine = Engine::new(protection, dmr, gpu, None);
     let mut multi = MultiObserver::new();
-    multi.push(engine.observer()).push(&mut sampler);
+    multi.push(&mut engine).push(&mut sampler);
     let run = workload.run_with(gpu, &mut multi)?;
     Ok((run, sampler))
 }
@@ -651,15 +629,17 @@ fn golden_footprint(
     let mut chip = Gpu::new(gpu.clone());
     chip.record_launches();
     if touch.watches(Hook::Arch) {
-        chip.set_fault(Arc::new(Recorder(touch.clone())));
+        chip.set_fault(Arc::new(Recorder(touch.clone(), Hook::Arch)));
     }
     let oracle = touch
         .watches(Hook::Detect)
-        .then(|| -> Box<dyn FaultOracle> { Box::new(Recorder(touch.clone())) });
-    let mut engine = Engine::with_oracle(protection, dmr, gpu, oracle);
-    let mut launches = Recorder(touch.clone());
+        .then(|| -> Box<dyn FaultOracle> { Box::new(Recorder(touch.clone(), Hook::Detect)) });
+    let mut engine = Engine::new(protection, dmr, gpu, oracle);
+    // As an observer, a recorder of either hook tells the index which
+    // launch runs.
+    let mut launches = Recorder(touch.clone(), Hook::Arch);
     let mut multi = MultiObserver::new();
-    multi.push(engine.observer()).push(&mut launches);
+    multi.push(&mut engine).push(&mut launches);
     let run = workload.run_on(&mut chip, &mut multi)?;
     assert_eq!(run, profile, "the two fault-free runs differ");
     let log = chip
@@ -679,25 +659,22 @@ enum DetectionTouch {
     Never,
     /// Any launch.
     Every,
-    /// The launches in which the engine's oracle sees this lane fault.
+    /// The launches in which the engine's comparator sees this lane
+    /// fault.
     Key(FaultModel),
 }
 
-/// Which launches can make the detection run of `f` fire. Warped-DMR
-/// sees the lane half on its physical lane and DMTR on the thread's own
-/// lane (see [`Engine::new`]). Under Warped-DMR a fail-silent draw cannot
+/// Which launches can make the detection run of `f` fire, from the fault
+/// its engine sees ([`DrawnFault::seen_by`]). A fail-silent draw cannot
 /// fire; a fail-silent checker half only swallows or skips comparisons,
 /// so the lane half decides; any other checker half can raise a mismatch
 /// by itself and is not indexed.
 fn detection_touch(protection: Protection, f: &DrawnFault) -> DetectionTouch {
-    match protection {
-        Protection::Dmtr => DetectionTouch::Key(f.arch),
-        Protection::WarpedDmr if f.detect.is_fail_silent() => DetectionTouch::Never,
-        Protection::WarpedDmr => match (f.detect.checker, f.detect.lane) {
-            (Some(c), _) if !c.is_fail_silent() => DetectionTouch::Every,
-            (_, Some(lane)) => DetectionTouch::Key(lane),
-            (_, None) => DetectionTouch::Never,
-        },
+    let seen = f.seen_by(protection);
+    match seen.checker {
+        _ if seen.is_fail_silent() => DetectionTouch::Never,
+        Some(c) if !c.is_fail_silent() => DetectionTouch::Every,
+        _ => DetectionTouch::Key(seen.lane),
     }
 }
 
@@ -720,33 +697,6 @@ fn budgeted(gpu: &GpuConfig, golden: &ProgramRun, opts: &ResilientOptions) -> Gp
         golden.stats.cycles.saturating_mul(8).saturating_add(10_000)
     };
     gpu.clone().with_cycle_budget(budget)
-}
-
-/// A detection pass's engine, halting the launch at the first comparator
-/// mismatch. [`Engine::fired`] never goes back to false, so the rest of
-/// the run could not change the verdict.
-struct UntilFired<'a>(&'a mut Engine);
-
-impl IssueObserver for UntilFired<'_> {
-    fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
-        self.0.observer().on_issue(info)
-    }
-
-    fn on_idle(&mut self, sm_id: usize, cycle: u64) {
-        self.0.observer().on_idle(sm_id, cycle);
-    }
-
-    fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
-        self.0.observer().on_sm_done(sm_id, cycle)
-    }
-
-    fn on_launch(&mut self, index: u32) {
-        self.0.observer().on_launch(index);
-    }
-
-    fn halted(&self) -> bool {
-        self.0.fired()
-    }
 }
 
 /// Run the simulations that decide one trial and classify it; `None`
@@ -775,9 +725,10 @@ fn run_trial(
     //    surface.
     let launches = golden.detection_launches(opts.protection, fault);
     let detected = !launches.is_empty() && {
-        let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(fault));
+        let oracle = Box::new(fault.seen_by(opts.protection));
+        let mut engine = Engine::new(opts.protection, dmr, clean_gpu, Some(oracle));
         let mut gpu = golden.gpu_following(clean_gpu, launches);
-        match workload.run_on(&mut gpu, &mut UntilFired(&mut engine)) {
+        match workload.run_on(&mut gpu, &mut engine) {
             Ok(_) | Err(SimError::Stopped { .. }) => engine.fired(),
             Err(e) => return Err(e),
         }
@@ -820,8 +771,8 @@ fn arch_pass(
     fault: &DrawnFault,
 ) -> Result<ProgramRun, SimError> {
     let mut observer = Engine::new(protection, dmr, gpu.config(), None);
-    gpu.set_fault(Arc::new(ArchFault(fault.arch)));
-    workload.run_on(gpu, observer.observer())
+    gpu.set_fault(Arc::new(fault.arch));
+    workload.run_on(gpu, &mut observer)
 }
 
 /// The faults chunk `c` of a campaign draws, in trial order: `n` draws
@@ -1045,6 +996,7 @@ pub fn resilient_campaign(
 mod tests {
     use super::*;
     use warped_kernels::{Benchmark, WorkloadSize};
+    use warped_sim::LaneFault;
 
     fn tiny_opts() -> ResilientOptions {
         ResilientOptions {
@@ -1384,6 +1336,21 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The engine of `fault`'s detection pass under `protection`.
+    fn detection_engine(
+        protection: Protection,
+        dmr: &DmrConfig,
+        gpu: &GpuConfig,
+        fault: &DrawnFault,
+    ) -> Engine {
+        Engine::new(
+            protection,
+            dmr,
+            gpu,
+            Some(Box::new(fault.seen_by(protection))),
+        )
+    }
+
     /// The trial loop without shortcuts: both passes simulate every
     /// launch, the detection pass always runs to completion, and the
     /// architectural pass runs unless the campaign is detection-only.
@@ -1396,18 +1363,27 @@ mod tests {
         fault: &DrawnFault,
         golden: &ProgramRun,
     ) -> Option<TrialOutcome> {
-        let mut engine = Engine::new(opts.protection, dmr, gpu, Some(fault));
-        workload.run_with(gpu, engine.observer()).unwrap();
-        let detected = engine.fired();
+        // The bare engines, which never halt a run.
+        let oracle = Box::new(fault.seen_by(opts.protection));
+        let detected = match opts.protection {
+            Protection::WarpedDmr => {
+                let mut engine = WarpedDmr::with_oracle(dmr.clone(), gpu, oracle);
+                workload.run_with(gpu, &mut engine).unwrap();
+                engine.errors().any()
+            }
+            Protection::Dmtr => {
+                let mut engine = Dmtr::with_oracle(oracle);
+                workload.run_with(gpu, &mut engine).unwrap();
+                engine.errors().any()
+            }
+        };
         if opts.detect_only {
             return detected.then_some(TrialOutcome::Detected);
         }
         let mut observer = Engine::new(opts.protection, dmr, budgeted_gpu, None);
-        let arch = workload.run_faulted(
-            budgeted_gpu,
-            observer.observer(),
-            Arc::new(ArchFault(fault.arch)),
-        );
+        let mut chip = Gpu::new(budgeted_gpu.clone());
+        chip.set_fault(Arc::new(fault.arch));
+        let arch = workload.run_on(&mut chip, &mut observer);
         Some(match arch {
             _ if detected => TrialOutcome::Detected,
             Err(SimError::Hang { .. }) => TrialOutcome::Hang,
@@ -1525,7 +1501,7 @@ mod tests {
         /// The running launch and the launches a value changed in.
         #[derive(Default)]
         struct Corrupted(AtomicU32, AtomicU64);
-        struct Watch(Arc<Corrupted>, ArchFault);
+        struct Watch(Arc<Corrupted>, FaultModel);
         impl LaneFault for Watch {
             fn corrupt(&self, sm: usize, lane: usize, cycle: u64, value: u32) -> u32 {
                 let out = self.1.corrupt(sm, lane, cycle, value);
@@ -1546,11 +1522,11 @@ mod tests {
         }
         let watched_pass = |mut chip: Gpu| {
             let corrupted = Arc::new(Corrupted::default());
-            chip.set_fault(Arc::new(Watch(corrupted.clone(), ArchFault(fault.arch))));
+            chip.set_fault(Arc::new(Watch(corrupted.clone(), fault.arch)));
             let mut engine = Engine::new(protection, dmr, budgeted_gpu, None);
             let mut launches = Launches(corrupted.clone(), Vec::new());
             let mut multi = MultiObserver::new();
-            multi.push(engine.observer()).push(&mut launches);
+            multi.push(&mut engine).push(&mut launches);
             let run = w.run_on(&mut chip, &mut multi);
             let simulated = launches.1;
             let set = LaunchSet::from_bits(corrupted.1.load(Relaxed));
@@ -1566,10 +1542,7 @@ mod tests {
         struct FiredIn<'a>(&'a mut Engine, u32, u64, u64);
         impl FiredIn<'_> {
             fn note(&mut self) {
-                let total = match &*self.0 {
-                    Engine::WarpedDmr(e) => e.errors().total(),
-                    Engine::Dmtr(e) => e.errors().total(),
-                };
+                let total = self.0.errors().total();
                 if total > self.3 {
                     self.2 |= LaunchSet::of(self.1).bits();
                     self.3 = total;
@@ -1578,25 +1551,25 @@ mod tests {
         }
         impl IssueObserver for FiredIn<'_> {
             fn on_issue(&mut self, info: &IssueInfo<'_>) -> u64 {
-                let stalls = self.0.observer().on_issue(info);
+                let stalls = self.0.on_issue(info);
                 self.note();
                 stalls
             }
             fn on_idle(&mut self, sm_id: usize, cycle: u64) {
-                self.0.observer().on_idle(sm_id, cycle);
+                self.0.on_idle(sm_id, cycle);
                 self.note();
             }
             fn on_sm_done(&mut self, sm_id: usize, cycle: u64) -> u64 {
-                let drain = self.0.observer().on_sm_done(sm_id, cycle);
+                let drain = self.0.on_sm_done(sm_id, cycle);
                 self.note();
                 drain
             }
             fn on_launch(&mut self, index: u32) {
-                self.0.observer().on_launch(index);
+                self.0.on_launch(index);
                 self.1 = index;
             }
         }
-        let mut engine = Engine::new(protection, dmr, gpu, Some(fault));
+        let mut engine = detection_engine(protection, dmr, gpu, fault);
         let mut fired = FiredIn(&mut engine, 0, 0, 0);
         w.run_with(gpu, &mut fired).unwrap();
         Effects {
@@ -1661,6 +1634,77 @@ mod tests {
         );
     }
 
+    /// The engine-side lane half of every draw is its datapath half with
+    /// the lane mapped through the thread→core mapping, and each engine
+    /// sees the half its comparator names.
+    #[test]
+    fn both_halves_of_a_draw_are_one_fault_on_two_lanes() {
+        let gpu = GpuConfig::small();
+        let dmr = DmrConfig::default();
+        let w = Benchmark::Bfs.build(WorkloadSize::Tiny).unwrap();
+        let (_, sampler) = golden_profile(&w, &gpu, &dmr, Protection::WarpedDmr, 5, 256).unwrap();
+        let mapped = |site: LaneSite| LaneSite {
+            sm: site.sm,
+            lane: physical_lane(dmr.mapping, site.lane, WARP_SIZE, dmr.cluster_size),
+        };
+        let mut moved = 0;
+        for class in FaultSiteClass::ALL {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..8 {
+                    let f = draw_fault(class, sampler.samples(), &dmr, &mut rng);
+                    let ctx = format!("{class} seed {seed}: {f:?}");
+                    let (arch, detect) = (f.arch, f.detect.lane);
+                    match (arch, detect) {
+                        (
+                            FaultModel::TransientFlip { site, cycle, bit },
+                            FaultModel::TransientFlip {
+                                site: d_site,
+                                cycle: d_cycle,
+                                bit: d_bit,
+                            },
+                        ) => {
+                            assert_ne!(class, FaultSiteClass::LaneStuckAt, "{ctx}");
+                            assert_eq!(
+                                (mapped(site), cycle, bit),
+                                (d_site, d_cycle, d_bit),
+                                "{ctx}"
+                            );
+                            assert_eq!(f.strike, cycle, "{ctx}");
+                        }
+                        (
+                            FaultModel::StuckAt { site, bit, value },
+                            FaultModel::StuckAt {
+                                site: d_site,
+                                bit: d_bit,
+                                value: d_value,
+                            },
+                        ) => {
+                            assert_eq!(class, FaultSiteClass::LaneStuckAt, "{ctx}");
+                            assert_eq!(
+                                (mapped(site), bit, value),
+                                (d_site, d_bit, d_value),
+                                "{ctx}"
+                            );
+                            assert_eq!(f.strike, 0, "{ctx}");
+                        }
+                        _ => panic!("the halves differ in kind: {ctx}"),
+                    }
+                    assert_eq!((f.sm, f.physical), (detect.site().sm, detect.site().lane));
+                    assert_eq!(f.detect.checker.is_some(), class.is_checker_site(), "{ctx}");
+                    assert_eq!(f.seen_by(Protection::WarpedDmr), f.detect, "{ctx}");
+                    assert_eq!(
+                        f.seen_by(Protection::Dmtr),
+                        CompoundFault::lane_only(arch),
+                        "{ctx}"
+                    );
+                    moved += usize::from(arch.site() != detect.site());
+                }
+            }
+        }
+        assert!(moved > 0, "the cross-cluster mapping moves some lane");
+    }
+
     #[test]
     fn fail_silent_draws_never_fire() {
         let gpu = GpuConfig::small();
@@ -1676,8 +1720,8 @@ mod tests {
                     "{bench:?} {class}: {f:?}"
                 );
                 if f.detect.is_fail_silent() {
-                    let mut engine = Engine::new(Protection::WarpedDmr, &dmr, &gpu, Some(f));
-                    w.run_with(&gpu, engine.observer()).unwrap();
+                    let mut engine = detection_engine(Protection::WarpedDmr, &dmr, &gpu, f);
+                    w.run_with(&gpu, &mut engine).unwrap();
                     assert!(!engine.fired(), "{bench:?} {class}: {f:?}");
                 }
             }
@@ -1693,8 +1737,8 @@ mod tests {
             .iter()
             .filter(|(c, _)| *c == FaultSiteClass::LaneTransient)
         {
-            let mut engine = Engine::new(Protection::WarpedDmr, &dmr, &gpu, Some(f));
-            let res = w.run_with(&gpu, &mut UntilFired(&mut engine));
+            let mut engine = detection_engine(Protection::WarpedDmr, &dmr, &gpu, f);
+            let res = w.run_with(&gpu, &mut engine);
             match res {
                 Err(SimError::Stopped { cycle }) => assert!(cycle <= golden.run.stats.cycles),
                 other => panic!("SCAN detects every lane transient: {other:?}"),

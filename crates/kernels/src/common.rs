@@ -60,13 +60,6 @@ pub struct Footprint {
     pub output_words: u64,
 }
 
-impl Footprint {
-    /// Total words moved.
-    pub fn total_words(&self) -> u64 {
-        self.input_words + self.output_words
-    }
-}
-
 /// A GPU result failed validation against the CPU reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckError {
@@ -269,15 +262,6 @@ mod tests {
         let e = [1.0f32];
         let g = vec![f32::NAN.to_bits()];
         assert!(check_f32(&g, &e, 1e-3).is_err());
-    }
-
-    #[test]
-    fn footprint_total() {
-        let fp = Footprint {
-            input_words: 10,
-            output_words: 5,
-        };
-        assert_eq!(fp.total_words(), 15);
     }
 
     #[test]

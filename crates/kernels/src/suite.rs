@@ -356,26 +356,6 @@ impl Workload {
         })
     }
 
-    /// Run on a fresh GPU with a datapath fault attached: every unit
-    /// output passes through `fault` before writeback (see
-    /// [`warped_sim::LaneFault`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors — including
-    /// [`SimError::Hang`](warped_sim::SimError) when the corrupted run
-    /// exceeds the config's cycle budget.
-    pub fn run_faulted(
-        &self,
-        config: &GpuConfig,
-        observer: &mut dyn IssueObserver,
-        fault: std::sync::Arc<dyn warped_sim::LaneFault>,
-    ) -> Result<ProgramRun, SimError> {
-        let mut gpu = Gpu::new(config.clone());
-        gpu.set_fault(fault);
-        self.run_on(&mut gpu, observer)
-    }
-
     /// Validate a run against the CPU reference.
     ///
     /// # Errors

@@ -1,22 +1,28 @@
 //! Architectural fault injection into the execution datapath.
 //!
-//! The DMR engines observe issue slots and keep their *own* view of what a
-//! faulty lane would have produced (via `FaultOracle` in `warped-core`);
-//! that view never changes the simulated machine state, so a campaign built
-//! on it can only measure detection, never silent data corruption. A
-//! [`LaneFault`] attached to the [`Gpu`](crate::Gpu) closes that gap: it
-//! corrupts the value an execution unit actually produces, so the fault
-//! propagates into registers, memory, addresses, and branch decisions —
-//! and the final architectural output can be compared against a fault-free
-//! golden run to classify the trial as masked / detected / SDC / hang.
+//! A [`LaneFault`] is the one model of a faulty execution lane. Attached
+//! to the [`Gpu`](crate::Gpu) it corrupts the value an execution unit
+//! actually produces, so the fault propagates into registers, memory,
+//! addresses, and branch decisions — and the final architectural output
+//! can be compared against a fault-free golden run to classify the trial
+//! as masked / detected / SDC / hang. The DMR engines in `warped-core`
+//! call the same hook from their comparators (through `FaultOracle`, which
+//! adds the checker's own fault sites) to see what a faulty lane would
+//! have produced; that view never changes the simulated machine state.
 
 /// A fault in one SM's execution datapath.
 ///
-/// `corrupt` is called once per *produced value* at the point the unit
-/// hands it to writeback: ALU/SFU results, load/store address computations,
-/// and branch taken-decisions (as `0`/`1`). `lane` is the warp's **logical**
-/// lane index (the thread's position in the warp); callers modelling a
-/// physical-lane fault apply their thread→core mapping before matching.
+/// `corrupt` transforms a value computed on `lane` of `sm` at `cycle`.
+/// Which lane index a caller passes depends on who asks:
+///
+/// * the simulator calls it once per *produced value* at the point the
+///   unit hands it to writeback (ALU/SFU results, load/store address
+///   computations, and branch taken-decisions as `0`/`1`) with the
+///   warp's **logical** lane (the thread's position in the warp); a
+///   campaign modelling a physical-lane fault applies its thread→core
+///   mapping before attaching the fault;
+/// * the DMR engines' comparators call it with the **physical** lane that
+///   ran the original or the redundant copy.
 ///
 /// Implementations must be cheap and pure: the same `(sm, lane, cycle,
 /// value)` must always yield the same result, or campaign runs stop being

@@ -97,9 +97,10 @@ impl Gpu {
     }
 
     /// Corrupt the execution datapath of subsequent launches with `fault`
-    /// (fault-injection campaigns). Unlike the observer-side oracles this
-    /// changes real machine state, so silent data corruption and hangs
-    /// become reachable outcomes.
+    /// (fault-injection campaigns), called with each thread's logical
+    /// lane. Unlike a DMR comparator calling the same hook, this changes
+    /// real machine state, so silent data corruption and hangs become
+    /// reachable outcomes.
     pub fn set_fault(&mut self, fault: Arc<dyn LaneFault>) {
         self.fault = Some(fault);
     }

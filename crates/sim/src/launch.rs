@@ -3,7 +3,7 @@
 use crate::config::{GpuConfig, WARP_SIZE};
 use std::error::Error;
 use std::fmt;
-use warped_isa::{Space, UnitType};
+use warped_isa::Space;
 
 /// Grid/block geometry and kernel parameters for one launch, mirroring
 /// CUDA's `<<<grid, block>>>(params...)`.
@@ -57,21 +57,6 @@ impl LaunchConfig {
     /// Total blocks in the grid.
     pub fn num_blocks(&self) -> u64 {
         self.grid.0 as u64 * self.grid.1 as u64
-    }
-
-    /// Total threads in the grid.
-    pub fn total_threads(&self) -> u64 {
-        self.num_blocks() * self.threads_per_block() as u64
-    }
-
-    /// A copy with the grid doubled in x (used by the R-Thread baseline,
-    /// which duplicates every thread block).
-    #[must_use]
-    pub fn with_doubled_grid(&self) -> Self {
-        LaunchConfig {
-            grid: (self.grid.0 * 2, self.grid.1),
-            ..self.clone()
-        }
     }
 }
 
@@ -190,7 +175,7 @@ pub struct RunStats {
     /// Stall cycles charged by observers (DMR machinery).
     pub stall_cycles: u64,
     /// Warp-instructions per execution-unit type, indexed by
-    /// [`UnitType::index`].
+    /// [`UnitType::index`](warped_isa::UnitType::index).
     pub unit_instructions: [u64; 3],
     /// Thread-instructions per execution-unit type.
     pub unit_thread_instructions: [u64; 3],
@@ -236,24 +221,6 @@ impl RunStats {
             self.warp_instructions as f64 / self.cycles as f64
         }
     }
-
-    /// Fraction of issued warp-instructions using `unit`.
-    pub fn unit_fraction(&self, unit: UnitType) -> f64 {
-        if self.warp_instructions == 0 {
-            0.0
-        } else {
-            self.unit_instructions[unit.index()] as f64 / self.warp_instructions as f64
-        }
-    }
-
-    /// Mean active lanes per issued warp-instruction (SIMT efficiency × 32).
-    pub fn mean_active_lanes(&self) -> f64 {
-        if self.warp_instructions == 0 {
-            0.0
-        } else {
-            self.thread_instructions as f64 / self.warp_instructions as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +233,6 @@ mod tests {
         assert_eq!(l.threads_per_block(), 256);
         assert_eq!(l.warps_per_block(), 8);
         assert_eq!(l.num_blocks(), 10);
-        assert_eq!(l.total_threads(), 2560);
     }
 
     #[test]
@@ -275,14 +241,6 @@ mod tests {
         assert_eq!(l.threads_per_block(), 48);
         assert_eq!(l.warps_per_block(), 2); // 48 threads -> 1.5 warps -> 2
         assert_eq!(l.num_blocks(), 20);
-    }
-
-    #[test]
-    fn doubled_grid_for_rthread() {
-        let l = LaunchConfig::linear(7, 64).with_params(vec![1, 2]);
-        let d = l.with_doubled_grid();
-        assert_eq!(d.grid, (14, 1));
-        assert_eq!(d.params, vec![1, 2]);
     }
 
     #[test]
@@ -295,8 +253,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.ipc(), 0.5);
-        assert_eq!(s.mean_active_lanes(), 16.0);
-        assert!((s.unit_fraction(UnitType::Sp) - 0.8).abs() < 1e-12);
         let cfg = GpuConfig::default();
         assert_eq!(s.time_ns(&cfg), 125.0);
     }
@@ -305,8 +261,6 @@ mod tests {
     fn empty_stats_do_not_divide_by_zero() {
         let s = RunStats::default();
         assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.mean_active_lanes(), 0.0);
-        assert_eq!(s.unit_fraction(UnitType::Sfu), 0.0);
     }
 
     #[test]

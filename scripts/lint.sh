@@ -61,6 +61,18 @@ if [ -n "$redecoders" ]; then
     exit 1
 fi
 
+# A faulty lane corrupts values through one hook, `LaneFault::corrupt`
+# (crates/sim/src/fault.rs): the simulator's datapath calls it with the
+# logical lane, the DMR engines' comparators with the physical one. A
+# `transform` lane method anywhere, unit tests included, is a second
+# hook growing back beside it.
+lane_hooks=$(grep -rn --include='*.rs' 'fn transform(' crates src tests examples || true)
+if [ -n "$lane_hooks" ]; then
+    echo "lint: corrupt lane values through LaneFault::corrupt, not a transform method:" >&2
+    echo "$lane_hooks" >&2
+    exit 1
+fi
+
 # The figure modules read the run plan and simulate nothing themselves:
 # `Runs::simulate` builds, simulates and checks every run they read, once
 # for all of them. A workload build or a simulation call in one of them

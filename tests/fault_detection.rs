@@ -145,15 +145,16 @@ fn multi_bit_and_repeated_faults_still_detected() {
 #[test]
 fn detection_reports_identify_the_faulty_lane() {
     struct Stuck;
-    impl FaultOracle for Stuck {
-        fn transform(&self, site: LaneSite, _c: u64, v: u32) -> u32 {
-            if site.lane == 9 {
+    impl warped::sim::LaneFault for Stuck {
+        fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+            if lane == 9 {
                 v ^ 0xf0
             } else {
                 v
             }
         }
     }
+    impl FaultOracle for Stuck {}
     let w = Benchmark::Sha.build(WorkloadSize::Tiny).unwrap();
     let mut engine = WarpedDmr::with_oracle(DmrConfig::default(), &gpu(), Box::new(Stuck));
     w.run_with(&gpu(), &mut engine).unwrap();

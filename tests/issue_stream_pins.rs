@@ -16,7 +16,7 @@ use std::sync::Arc;
 use warped::dmr::{DmrConfig, WarpedDmr};
 use warped::kernels::{Benchmark, ProgramRun, WorkloadSize};
 use warped::sim::{
-    GpuConfig, IssueInfo, IssueObserver, LaneFault, MultiObserver, SchedulerPolicy, SimError,
+    Gpu, GpuConfig, IssueInfo, IssueObserver, LaneFault, MultiObserver, SchedulerPolicy, SimError,
 };
 use warped::trace::{self, CollectSink, TraceEvent, TraceHandle};
 
@@ -164,8 +164,9 @@ fn digest(scheme: &str, bench: Benchmark) -> u64 {
             run
         }
         "fault" => {
-            let gpu = gpu.with_cycle_budget(1 << 20);
-            w.run_faulted(&gpu, &mut d, Arc::new(FlipLane5))
+            let mut chip = Gpu::new(gpu.with_cycle_budget(1 << 20));
+            chip.set_fault(Arc::new(FlipLane5));
+            w.run_on(&mut chip, &mut d)
         }
         _ => unreachable!("unknown scheme {scheme}"),
     };
