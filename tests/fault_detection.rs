@@ -404,3 +404,75 @@ fn timed_fault_campaign_is_pinned() {
         ]
     );
 }
+
+#[test]
+fn detection_order_is_pinned_for_fig9a_configs() {
+    // A stuck lane under each Fig. 9a configuration: the order of the
+    // comparator's pairs (intra-warp verifier by verifier, then inter-warp
+    // lane by lane) decides which detections the log keeps first, so any
+    // change to how the pairing is computed moves a digest here even when
+    // the coverage counts stay put. The first 16 detections are digested
+    // on their own and the whole stored log (up to 4096) beside them.
+    struct Stuck;
+    impl warped::sim::LaneFault for Stuck {
+        fn corrupt(&self, _sm: usize, lane: usize, _c: u64, v: u32) -> u32 {
+            if lane == 5 {
+                v ^ 0x8000_0000
+            } else {
+                v
+            }
+        }
+    }
+    impl FaultOracle for Stuck {}
+    /// FNV-1a-64 over the bytes of `text`.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    let mut out = String::new();
+    for bench in [Benchmark::Bfs, Benchmark::NQueen, Benchmark::Fft] {
+        let w = bench.build(WorkloadSize::Tiny).unwrap();
+        for (name, cfg) in [
+            ("in-order", DmrConfig::baseline_in_order()),
+            ("8-lane", DmrConfig::eight_lane_cluster()),
+            ("cross", DmrConfig::default()),
+        ] {
+            let mut engine = WarpedDmr::with_oracle(cfg, &gpu(), Box::new(Stuck));
+            w.run_with(&gpu(), &mut engine).unwrap();
+            let log = engine.errors().events();
+            let r = engine.report();
+            out += &format!(
+                "{bench} {name}: total {} intra {} inter {} first16 {:016x} log {:016x} \
+                 report {:016x}\n",
+                engine.errors().total(),
+                r.intra_covered,
+                r.inter_covered,
+                fnv(&format!("{:?}", &log[..log.len().min(16)])),
+                fnv(&format!("{log:?}")),
+                fnv(&format!("{r:?}")),
+            );
+        }
+    }
+    assert_eq!(
+        out,
+        "BFS in-order: total 1803 intra 7682 inter 13312 first16 a2af0e26336a5fa1 \
+         log 58486300788dde8b report 7d2d197920f9e90c\n\
+         BFS 8-lane: total 2915 intra 7722 inter 13312 first16 a2af0e26336a5fa1 \
+         log 212df6eda050dc5f report 0c655d5a2f679284\n\
+         BFS cross: total 1790 intra 7746 inter 13312 first16 a2af0e26336a5fa1 \
+         log ee2ff8c8dedb6905 report 839d59f3b178a2e9\n\
+         Nqueen in-order: total 2107 intra 19422 inter 3840 first16 a31b3889196a5d47 \
+         log 1bf27b3d74af932e report 500d8340692ceffe\n\
+         Nqueen 8-lane: total 3701 intra 19602 inter 3840 first16 a31b3889196a5d47 \
+         log 2a141eff84a052cb report 4f29471927e63b1b\n\
+         Nqueen cross: total 240 intra 15016 inter 3840 first16 a31b3889196a5d47 \
+         log 941f8df66fbf0aef report 8e8cf52f0cb4c977\n\
+         CUFFT in-order: total 0 intra 0 inter 0 first16 09612b07b5ecb5a5 \
+         log 09612b07b5ecb5a5 report 62e25cae7c6c0523\n\
+         CUFFT 8-lane: total 0 intra 0 inter 0 first16 09612b07b5ecb5a5 \
+         log 09612b07b5ecb5a5 report 62e25cae7c6c0523\n\
+         CUFFT cross: total 278 intra 5824 inter 0 first16 168d1129d45f2c20 \
+         log 44731a44943cfad9 report 3815d52b73df3b2e\n"
+    );
+}
