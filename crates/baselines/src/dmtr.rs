@@ -6,8 +6,8 @@
 //! the *same* lanes, so permanent (stuck-at) faults produce identical
 //! wrong values twice and hide. The fault campaign demonstrates this.
 
-use warped_core::comparator::{compare_and_log, ErrorLog, FaultOracle};
-use warped_sim::{IssueInfo, IssueObserver, WARP_SIZE};
+use warped_core::comparator::{compare_and_log, ErrorLog};
+use warped_sim::{IssueInfo, IssueObserver, LaneFault, WARP_SIZE};
 
 /// Per-instruction verification record awaiting its next-cycle slot.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ pub struct Dmtr {
     /// Behaviour counters.
     pub stats: DmtrStats,
     errors: ErrorLog,
-    oracle: Option<Box<dyn FaultOracle>>,
+    oracle: Option<Box<dyn LaneFault>>,
 }
 
 impl std::fmt::Debug for Dmtr {
@@ -76,8 +76,11 @@ impl Dmtr {
         }
     }
 
-    /// DMTR with a fault oracle for detection experiments.
-    pub fn with_oracle(oracle: Box<dyn FaultOracle>) -> Self {
+    /// DMTR whose comparator sees lane results through `oracle`, for
+    /// detection experiments. DMTR re-executes on the original core, with
+    /// none of Warped-DMR's forwarding or buffering hardware, so only the
+    /// lane hook applies.
+    pub fn with_oracle(oracle: Box<dyn LaneFault>) -> Self {
         Dmtr {
             oracle: Some(oracle),
             ..Self::new()
@@ -208,7 +211,6 @@ mod tests {
                 }
             }
         }
-        impl warped_core::FaultOracle for Stuck {}
         let cfg = GpuConfig::small();
         let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
         let mut d = Dmtr::with_oracle(Box::new(Stuck));
@@ -236,7 +238,6 @@ mod tests {
                 }
             }
         }
-        impl warped_core::FaultOracle for Transient {}
         let cfg = GpuConfig::small();
         let w = Benchmark::Scan.build(WorkloadSize::Tiny).unwrap();
         // Find a cycle where lane 0 executes: probe a healthy run first.

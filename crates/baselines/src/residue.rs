@@ -15,9 +15,9 @@
 //! unchecked — "it cannot be used for exponent calculations" (§6).
 //! Warped-DMR covers any operation the GPU can execute.
 
-use warped_core::comparator::{ErrorLog, FaultOracle};
+use warped_core::comparator::ErrorLog;
 use warped_isa::{AluBinOp, Instruction};
-use warped_sim::{IssueInfo, IssueObserver, WARP_SIZE};
+use warped_sim::{IssueInfo, IssueObserver, LaneFault, WARP_SIZE};
 
 /// Residue of a 32-bit word modulo 3.
 pub fn residue3(v: u32) -> u32 {
@@ -66,7 +66,7 @@ pub struct ResidueChecker {
     /// Coverage counters.
     pub stats: ResidueStats,
     errors: ErrorLog,
-    oracle: Option<Box<dyn FaultOracle>>,
+    oracle: Option<Box<dyn LaneFault>>,
 }
 
 impl std::fmt::Debug for ResidueChecker {
@@ -93,8 +93,10 @@ impl ResidueChecker {
         }
     }
 
-    /// Residue checking with a fault oracle for detection experiments.
-    pub fn with_oracle(oracle: Box<dyn FaultOracle>) -> Self {
+    /// Residue checking whose check sees lane results through `oracle`,
+    /// for detection experiments. The residue unit has no checker-side
+    /// fault sites of its own, so only the lane hook applies.
+    pub fn with_oracle(oracle: Box<dyn LaneFault>) -> Self {
         ResidueChecker {
             oracle: Some(oracle),
             ..Self::new()
@@ -238,7 +240,6 @@ mod tests {
                 }
             }
         }
-        impl FaultOracle for FlipEverything {}
         let gpu = GpuConfig::small();
         // MatrixMul's FFMA inner product is checkable: faults fire.
         let w = Benchmark::MatrixMul.build(WorkloadSize::Tiny).unwrap();

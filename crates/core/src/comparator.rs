@@ -119,7 +119,7 @@ impl ErrorLog {
 /// `original` at `orig_cycle`, the copy on `verifier` at `verify_cycle`.
 #[allow(clippy::too_many_arguments)]
 pub fn compare_and_log(
-    oracle: &dyn FaultOracle,
+    oracle: &dyn LaneFault,
     log: &mut ErrorLog,
     sm: usize,
     warp_uid: u64,

@@ -20,8 +20,7 @@ pub enum ThreadCoreMapping {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmrConfig {
     /// SIMT lanes per cluster (paper evaluates 4 and 8; register
-    /// forwarding never crosses a cluster). Must be a power of two
-    /// dividing the warp size.
+    /// forwarding never crosses a cluster). Must be 1, 2, 4 or 8.
     pub cluster_size: usize,
     /// ReplayQ capacity in entries (paper Fig. 9b sweeps 0, 1, 5, 10).
     pub replayq_entries: usize,
@@ -80,12 +79,14 @@ impl DmrConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster_size` is not a power of two in `1..=warp_size`
-    /// or does not divide the warp size.
+    /// Panics if `cluster_size` is not a power of two of at most 8 lanes
+    /// (the engine tabulates intra-warp pairs per byte of the active
+    /// mask, so a cluster must fit in one) or does not divide the warp
+    /// size.
     pub fn assert_valid(&self, warp_size: usize) {
         assert!(
-            self.cluster_size.is_power_of_two() && self.cluster_size <= warp_size,
-            "cluster size must be a power of two within the warp"
+            self.cluster_size.is_power_of_two() && self.cluster_size <= 8,
+            "cluster size must be a power of two of at most 8 lanes"
         );
         assert_eq!(
             warp_size % self.cluster_size,

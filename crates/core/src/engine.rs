@@ -4,11 +4,7 @@
 use crate::checker::{Incoming, ReplayChecker, VerifyEvent};
 use crate::comparator::{compare_staged, CompareStage, ErrorLog, FaultOracle};
 use crate::config::DmrConfig;
-use crate::intra::{self, IntraPlan};
-use crate::mapping::physical_lane;
-use crate::shuffle::verify_lane;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::intra::LaneTables;
 use warped_sim::{GpuConfig, IssueInfo, IssueObserver, WARP_SIZE};
 use warped_trace::{TraceEvent, TraceHandle};
 // The report and its counter rules live in the trace layer, so the live
@@ -19,6 +15,8 @@ pub use warped_trace::DmrReport;
 /// [`IssueObserver`]; see the [crate-level example](crate).
 pub struct WarpedDmr {
     config: DmrConfig,
+    /// The intra-warp pairs and lane mappings of `config`.
+    geometry: &'static LaneTables,
     checkers: Vec<ReplayChecker>,
     /// The verifications of the current call, settled before it returns.
     events: Vec<VerifyEvent>,
@@ -31,40 +29,6 @@ pub struct WarpedDmr {
     // one, the comparator cannot see a difference.
     lanes: Vec<Vec<(u64, u64, [u32; WARP_SIZE])>>,
     trace: TraceHandle,
-    // `intra::plan` is pure in (mask, config); kernels reuse a handful
-    // of masks across millions of issues, so memoizing removes the
-    // pairing computation (and its Vec builds) from the issue hot path.
-    plan_cache: HashMap<u32, IntraPlan, BuildHasherDefault<MaskHasher>>,
-}
-
-/// Hashes an active mask with one multiply. The plan cache's keys are
-/// masks the simulator produced, so SipHash's resistance to chosen keys
-/// buys nothing there.
-#[derive(Default)]
-struct MaskHasher(u64);
-
-/// Fibonacci hashing's multiplier, 2^64 divided by the golden ratio.
-const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for MaskHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = bytes
-            .iter()
-            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(FIBONACCI));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, mask: u32) {
-        // The fold moves the well-mixed high half into the low bits the
-        // table indexes with.
-        let h = u64::from(mask).wrapping_mul(FIBONACCI);
-        self.0 = h ^ (h >> 32);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl std::fmt::Debug for WarpedDmr {
@@ -84,8 +48,9 @@ impl WarpedDmr {
     /// Panics if `config` is invalid for the warp size (see
     /// [`DmrConfig::assert_valid`]).
     pub fn new(config: DmrConfig, gpu: &GpuConfig) -> Self {
-        config.assert_valid(WARP_SIZE);
         WarpedDmr {
+            // Validates `config` before anything is built from it.
+            geometry: LaneTables::of(&config),
             checkers: (0..gpu.num_sms)
                 .map(|_| ReplayChecker::new(config.replayq_entries))
                 .collect(),
@@ -96,7 +61,6 @@ impl WarpedDmr {
             oracle: None,
             lanes: vec![Vec::new(); gpu.num_sms],
             trace: TraceHandle::disabled(),
-            plan_cache: HashMap::default(),
         }
     }
 
@@ -186,9 +150,8 @@ impl WarpedDmr {
                     if stored_mask & (1 << t) == 0 {
                         continue;
                     }
-                    let orig =
-                        physical_lane(self.config.mapping, t, WARP_SIZE, self.config.cluster_size);
-                    let ver = verify_lane(orig, self.config.cluster_size, self.config.lane_shuffle);
+                    let orig = self.geometry.physical_lane(t);
+                    let ver = self.geometry.verify_lane(orig);
                     if compare_staged(
                         oracle,
                         &mut self.errors,
@@ -223,31 +186,28 @@ impl IssueObserver for WarpedDmr {
 
         // Intra-warp DMR: spatial redundancy on idle lanes, zero cost.
         if info.has_result && !full && self.config.enable_intra {
-            let plan = self
-                .plan_cache
-                .entry(info.active_mask)
-                .or_insert_with(|| intra::plan(info.active_mask, &self.config, WARP_SIZE));
-            let (p_active, p_covered) = (plan.active, plan.covered);
-            self.report.intra_pair(p_active, p_covered);
+            let phys = self.geometry.physical_mask(info.active_mask);
+            let (active, covered) = (info.active_count(), self.geometry.covered(phys));
+            self.report.intra_pair(active, covered);
             self.trace.emit(|| TraceEvent::IntraPair {
                 sm: info.sm_id as u32,
                 cycle: info.cycle,
                 warp: info.warp_uid,
-                active: p_active,
-                covered: p_covered,
+                active,
+                covered,
             });
             if let Some(oracle) = self.oracle.as_deref() {
-                for (ver, act, thread) in &plan.pairs {
+                for (ver, act, thread) in self.geometry.pairs(phys) {
                     if compare_staged(
                         oracle,
                         &mut self.errors,
                         CompareStage::Intra,
                         info.sm_id,
                         info.warp_uid,
-                        info.results[*thread],
-                        *act,
+                        info.results[thread],
+                        act,
                         info.cycle,
-                        *ver,
+                        ver,
                         info.cycle,
                     ) {
                         self.report.error();
@@ -255,7 +215,7 @@ impl IssueObserver for WarpedDmr {
                             sm: info.sm_id as u32,
                             cycle: info.cycle,
                             warp: info.warp_uid,
-                            lane: *act as u32,
+                            lane: act as u32,
                         });
                     }
                 }

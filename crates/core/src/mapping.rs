@@ -9,7 +9,7 @@
 use crate::config::ThreadCoreMapping;
 
 /// Physical lane executing logical thread `thread` of a warp.
-pub fn physical_lane(
+pub const fn physical_lane(
     mapping: ThreadCoreMapping,
     thread: usize,
     warp_size: usize,
@@ -48,7 +48,7 @@ pub fn map_mask(
 }
 
 /// Inverse of [`physical_lane`]: which logical thread runs on `lane`.
-pub fn logical_thread(
+pub const fn logical_thread(
     mapping: ThreadCoreMapping,
     lane: usize,
     warp_size: usize,

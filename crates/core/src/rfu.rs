@@ -30,8 +30,23 @@ pub const COMPARATOR_DELAY_NS: f64 = 0.068;
 
 /// The priority table: the `k`-th candidate lane of MUX `m`
 /// (paper Table 1 generalized to any power-of-two cluster size).
-pub fn priority(m: usize, k: usize) -> usize {
+pub const fn priority(m: usize, k: usize) -> usize {
     m ^ k
+}
+
+/// The active lane whose operands MUX `m` forwards to its (idle) lane:
+/// the first active candidate `priority(m, k)`, `k = 1..cluster_size`,
+/// or `None` when no lane of the cluster is active.
+pub const fn forwarded_lane(mask: u32, m: usize, cluster_size: usize) -> Option<usize> {
+    let mut k = 1;
+    while k < cluster_size {
+        let cand = priority(m, k);
+        if mask & (1 << cand) != 0 {
+            return Some(cand);
+        }
+        k += 1;
+    }
+    None
 }
 
 /// Pairings chosen by one cluster's RFU for a given intra-cluster active
@@ -60,19 +75,11 @@ impl RfuAssignment {
 /// idle lane scans `priority(m, k)` for `k = 1..cluster_size` and adopts
 /// the first active lane it finds.
 pub fn assign(mask: u32, cluster_size: usize) -> RfuAssignment {
-    let mut pairs = Vec::new();
-    for m in 0..cluster_size {
-        if mask & (1 << m) != 0 {
-            continue; // active lane: MUX passes its own operands through
-        }
-        for k in 1..cluster_size {
-            let cand = priority(m, k);
-            if mask & (1 << cand) != 0 {
-                pairs.push((m, cand));
-                break;
-            }
-        }
-    }
+    let pairs = (0..cluster_size)
+        // An active lane's MUX passes its own operands through.
+        .filter(|m| mask & (1 << m) == 0)
+        .filter_map(|m| Some((m, forwarded_lane(mask, m, cluster_size)?)))
+        .collect();
     RfuAssignment { pairs }
 }
 

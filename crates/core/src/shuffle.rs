@@ -12,7 +12,7 @@
 /// With `shuffle` the copy moves to the next lane of the same cluster
 /// (a cluster-local rotation, guaranteed ≠ `lane` for `cluster_size > 1`);
 /// without it, core affinity re-uses the same lane.
-pub fn verify_lane(lane: usize, cluster_size: usize, shuffle: bool) -> usize {
+pub const fn verify_lane(lane: usize, cluster_size: usize, shuffle: bool) -> usize {
     if !shuffle || cluster_size <= 1 {
         return lane;
     }

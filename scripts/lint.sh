@@ -61,6 +61,22 @@ if [ -n "$redecoders" ]; then
     exit 1
 fi
 
+# The DMR engine reads each issue's intra-warp pairs from
+# `intra::LaneTables`, built once from the configuration: `intra::plan`
+# computes the same pairs lane by lane and is the tables' reference,
+# not a runtime path, and a per-mask plan cache is the memo the tables
+# replaced. Unit tests (after a file's first `#[cfg(test)]`) may plan.
+planners=$(grep -rlE --include='*.rs' 'intra::plan\(|plan_cache|MaskHasher' crates src |
+    grep -v '^crates/core/src/intra\.rs$' |
+    xargs -r awk '/#\[cfg\(test\)\]/ { nextfile }
+        /intra::plan\(|plan_cache|MaskHasher/ { print FILENAME; nextfile }' ||
+    true)
+if [ -n "$planners" ]; then
+    echo "lint: read intra-warp pairs from intra::LaneTables, not a planner or plan cache, in:" >&2
+    echo "$planners" >&2
+    exit 1
+fi
+
 # A faulty lane corrupts values through one hook, `LaneFault::corrupt`
 # (crates/sim/src/fault.rs): the simulator's datapath calls it with the
 # logical lane, the DMR engines' comparators with the physical one. A

@@ -1,8 +1,9 @@
 //! Property-based tests over the core invariants (proptest).
 
 use proptest::prelude::*;
+use warped::dmr::intra::{self, LaneTables};
 use warped::dmr::{checker, replayq};
-use warped::dmr::{mapping, rfu, shuffle, DmrConfig, ThreadCoreMapping};
+use warped::dmr::{mapping, rfu, shuffle, DmrConfig, ThreadCoreMapping, WarpedDmr};
 use warped::isa::{Reg, UnitType};
 use warped::sim::WARP_SIZE;
 
@@ -73,7 +74,7 @@ proptest! {
     #[test]
     fn intra_plan_bounds(mask in any::<u32>()) {
         let cfg = DmrConfig::default();
-        let plan = warped::dmr::intra::plan(mask, &cfg, WARP_SIZE);
+        let plan = intra::plan(mask, &cfg, WARP_SIZE);
         prop_assert!(plan.covered <= mask.count_ones());
         if mask == u32::MAX {
             prop_assert_eq!(plan.covered, 0);
@@ -81,6 +82,24 @@ proptest! {
         for (ver, act, thread) in &plan.pairs {
             prop_assert_ne!(ver, act);
             prop_assert_ne!(mask & (1 << thread), 0);
+        }
+    }
+
+    /// The engine's lane tables give `intra::plan`'s covered count and
+    /// its `(verifier, verified, thread)` pairs in the same order, for any
+    /// mask under both mappings and the paper's cluster sizes.
+    #[test]
+    fn lane_tables_match_intra_plan(mask in any::<u32>()) {
+        for mapping in [ThreadCoreMapping::InOrder, ThreadCoreMapping::CrossCluster] {
+            for cluster_size in [4, 8] {
+                let cfg = DmrConfig { mapping, cluster_size, ..DmrConfig::default() };
+                let plan = intra::plan(mask, &cfg, WARP_SIZE);
+                let tables = LaneTables::of(&cfg);
+                let phys = tables.physical_mask(mask);
+                prop_assert_eq!(phys, mapping::map_mask(mapping, mask, WARP_SIZE, cluster_size));
+                prop_assert_eq!(tables.covered(phys), plan.covered);
+                prop_assert_eq!(tables.pairs(phys).collect::<Vec<_>>(), plan.pairs);
+            }
         }
     }
 
@@ -147,6 +166,87 @@ proptest! {
             prop_assert!(q.iter().all(|e| e.unit == UnitType::Sp));
         }
     }
+}
+
+/// Exhaustively over every physical byte (so every cluster mask, alone
+/// and beside its neighbours) and every byte of the warp: the lane
+/// tables' covered count and verifier→verified pairs are those of each
+/// cluster's `rfu::assign`.
+#[test]
+fn lane_tables_match_rfu_per_cluster() {
+    for cluster_size in [1, 2, 4, 8] {
+        let cfg = DmrConfig {
+            cluster_size,
+            mapping: ThreadCoreMapping::InOrder,
+            ..DmrConfig::default()
+        };
+        let tables = LaneTables::of(&cfg);
+        let cluster_full = (1u32 << cluster_size) - 1;
+        for byte in 0u32..256 {
+            for pos in 0..4 {
+                let mut covered = 0;
+                let mut pairs = Vec::new();
+                for base in (0..8).step_by(cluster_size) {
+                    let a = rfu::assign((byte >> base) & cluster_full, cluster_size);
+                    covered += a.covered_count();
+                    let lane = |l: usize| 8 * pos + base + l;
+                    pairs.extend(a.pairs.iter().map(|&(v, act)| (lane(v), lane(act))));
+                }
+                let phys = byte << (8 * pos);
+                assert_eq!(
+                    tables.covered(phys),
+                    covered,
+                    "{cluster_size} lanes, {phys:08x}"
+                );
+                let got: Vec<_> = tables.pairs(phys).map(|(v, act, _)| (v, act)).collect();
+                assert_eq!(got, pairs, "{cluster_size} lanes, {phys:08x}");
+            }
+        }
+    }
+}
+
+/// The lane tables' per-thread and per-lane arrays are the mapping and
+/// shuffle functions, for every configuration they are built for.
+#[test]
+fn lane_tables_match_lane_functions() {
+    for mapping in [ThreadCoreMapping::InOrder, ThreadCoreMapping::CrossCluster] {
+        for cluster_size in [1, 2, 4, 8] {
+            for lane_shuffle in [false, true] {
+                let cfg = DmrConfig {
+                    mapping,
+                    cluster_size,
+                    lane_shuffle,
+                    ..DmrConfig::default()
+                };
+                let tables = LaneTables::of(&cfg);
+                for i in 0..WARP_SIZE {
+                    assert_eq!(
+                        tables.physical_lane(i),
+                        mapping::physical_lane(mapping, i, WARP_SIZE, cluster_size)
+                    );
+                    assert_eq!(
+                        tables.logical_thread(i),
+                        mapping::logical_thread(mapping, i, WARP_SIZE, cluster_size)
+                    );
+                    assert_eq!(
+                        tables.verify_lane(i),
+                        shuffle::verify_lane(i, cluster_size, lane_shuffle)
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A cluster must fit in one byte of the active mask.
+#[test]
+#[should_panic(expected = "power of two of at most 8 lanes")]
+fn sixteen_lane_clusters_are_rejected() {
+    let cfg = DmrConfig {
+        cluster_size: 16,
+        ..DmrConfig::default()
+    };
+    WarpedDmr::new(cfg, &warped::sim::GpuConfig::small());
 }
 
 proptest! {
